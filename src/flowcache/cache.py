@@ -337,7 +337,10 @@ def cached_sample(model: VelocityModel, params: ParameterSet,
                 u = learned_predict(predictor, predictor_params, state, x,
                                     step.pair, cond, report, delta_max)
         x = mean_velocity_step(x, step.pair, u)
-    assert report.full_evals + report.predictor_evals == schedule.total_steps
+    if report.full_evals + report.predictor_evals != schedule.total_steps:
+        raise ContractViolation(
+            f"NFE accounting broken: {report.full_evals} full + "
+            f"{report.predictor_evals} predicted != {schedule.total_steps} steps")
     return x, report
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ParameterSet
-from .errors import (CorruptCheckpointError, LineageError,
+from .errors import (CheckpointError, CorruptCheckpointError, LineageError,
                      UnsupportedVersionError)
 
 MAGIC = b"FCK1"
@@ -134,7 +134,10 @@ class _Reader:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read and fully verify a checkpoint (digest, magic, version, stages)."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
     if len(blob) < len(MAGIC) + 4 + 1 + 1 + 32 + 4 + 4 + 32:
         raise CorruptCheckpointError(f"{path}: truncated checkpoint")
     body, digest = blob[:-32], blob[-32:]
@@ -154,12 +157,27 @@ def load_checkpoint(path) -> Checkpoint:
     except ValueError as exc:
         raise CorruptCheckpointError(f"{path}: unknown stage byte") from exc
     parent_raw = r.u8()
-    parent_stage = None if parent_raw == _NO_PARENT else Stage(parent_raw)
+    try:
+        parent_stage = None if parent_raw == _NO_PARENT else Stage(parent_raw)
+    except ValueError as exc:
+        raise CorruptCheckpointError(
+            f"{path}: unknown parent stage byte {parent_raw}") from exc
     parent_digest = r.take(32)
-    config = json.loads(r.take(r.u32()).decode("utf-8"))
+    try:
+        config = json.loads(r.take(r.u32()).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CorruptCheckpointError(
+            f"{path}: config snapshot is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CorruptCheckpointError(
+            f"{path}: config snapshot is not a JSON object")
     entries = {}
     for _ in range(r.u32()):
-        name = r.take(r.u16()).decode("utf-8")
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpointError(
+                f"{path}: tensor name is not UTF-8") from exc
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
         count = int(np.prod(shape)) if shape else 1

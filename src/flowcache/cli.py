@@ -5,7 +5,7 @@ Subcommands:
     distill-cfg       distill guided sampling into one student
     distill-meanflow  interval-restricted mean-velocity distillation
     train-predictor   cache predictor (MSE phase + adversarial phase)
-    sample            generate samples from a distilled checkpoint
+    sample            dump samples per strategy (no metrics are computed)
     bench             benchmark caching strategies, append metrics CSV
     verify            run the fast invariant battery
 
@@ -109,8 +109,12 @@ def _dispatch(args) -> int:
         meanflow = args.checkpoint[0]
         predictor = args.checkpoint[1] if len(args.checkpoint) > 1 else None
         if args.command == "sample":
-            from dataclasses import replace
-            config = replace(config, emit_samples=True)
+            runs = runner.sample_strategies(config, meanflow, predictor)
+            for run, path in zip(runs, runner.write_samples(args.out, runs)):
+                print(f"{run.run_id}: "
+                      f"nfe={run.full_evals}+{run.predictor_evals} "
+                      f"cache_bytes={run.cache_bytes_peak} wrote {path}")
+            return EXIT_OK
         records = runner.run_experiment(config, meanflow, predictor,
                                         out_dir=args.out)
         for rec in records:

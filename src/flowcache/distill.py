@@ -213,8 +213,10 @@ def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
     mean over groups of ||u - sg(u_tgt)||^2.
     """
     intervals = [pair.interval for _, pair, _ in groups]
-    assert max(intervals) <= restrict.restrict_factor + 1e-12, \
-        "sampled interval escaped the restriction"
+    if max(intervals) > restrict.restrict_factor + 1e-12:
+        raise ContractViolation(
+            f"sampled interval {max(intervals)} escaped the restriction "
+            f"{restrict.restrict_factor}")
 
     leaves = params.lift()
     total = None

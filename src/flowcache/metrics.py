@@ -1,27 +1,22 @@
 """Sample-quality metrics: 2-Wasserstein distance and energy distance.
 
-w2_distance is exact in 1D (sorted coupling) and exact in 2D up to n = 512
-points (optimal assignment on squared euclidean costs). Above 512 points it
-switches to a debiased entropic approximation
+Both metrics are exact at every sample count.
 
-    S(a, b) = OT_eps(a, b) - (OT_eps(a, a) + OT_eps(b, b)) / 2,
+w2_distance is the optimal-transport cost between two equal-size empirical
+sets. In 1D it is the sorted coupling. In 2D it is the optimal assignment
+(scipy's linear_sum_assignment) on the n x n squared-euclidean cost matrix:
+O(n^2) memory and up to cubic time, growing as the sets move apart. Against
+a 2048-point checkerboard reference (2-vCPU x86 VM, one BLAS thread) it
+takes about 1 s for a second checkerboard draw and about 3 s for standard
+normal noise; at n = 4096 the same pairs take about 3-6 s and 24 s.
 
-reported as sqrt(max(S, 0)). OT_eps is solved by log-domain Sinkhorn with
-epsilon annealing: the regularizer starts at mean(cost) and shrinks by 0.35
-per level (4 iterations each) down to eps = 0.02 * mean(cost), then polishes
-for up to 16 iterations or until the dual marginal error drops below 1e-4.
-The debiasing keeps S(a, a) = 0 exactly and the annealed solution tracks the
-exact assignment value to a few tenths of a percent on sets this size.
-Self-transport terms are memoized (the reference set repeats across a
-benchmark run).
-
-energy_distance is the standard V-statistic 2 E|A-B| - E|A-A'| - E|B-B'|.
+energy_distance is the V-statistic 2 E|A-B| - E|A-A'| - E|B-B'|. In 1D each
+mean |X-Y| term comes from sorted values with prefix sums and searchsorted,
+O(n log n) time and O(n) memory; it matches the all-pairs form to about
+1e-14 relative. Other dimensions average the all-pairs distance matrices.
 """
 
 from __future__ import annotations
-
-import hashlib
-from collections import OrderedDict
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,16 +24,6 @@ from scipy.spatial.distance import cdist
 
 from .autodiff import as_f64
 from .errors import ContractViolation
-
-EXACT_ASSIGNMENT_LIMIT = 512
-SINKHORN_EPS_SCALE = 0.02
-SINKHORN_ANNEAL = 0.35
-SINKHORN_LEVEL_ITERS = 4
-SINKHORN_POLISH_ITERS = 16
-SINKHORN_TOL = 1e-4
-
-_self_cost_cache: OrderedDict[tuple, float] = OrderedDict()
-_SELF_CACHE_CAP = 16
 
 
 def _check_samples(a, b, equal_n=True):
@@ -55,58 +40,10 @@ def _check_samples(a, b, equal_n=True):
     return a, b
 
 
-def _lse(M: np.ndarray, axis: int) -> np.ndarray:
-    mx = np.max(M, axis=axis, keepdims=True)
-    return mx.squeeze(axis) + np.log(np.sum(np.exp(M - mx), axis=axis))
-
-
-def _sinkhorn_cost(cost: np.ndarray, eps_target: float) -> float:
-    """Annealed log-domain Sinkhorn transport cost <P, C>, uniform marginals."""
-    n, m = cost.shape
-    f = np.zeros(n)
-    g = np.zeros(m)
-    log_mu, log_nu = -np.log(n), -np.log(m)
-    levels = []
-    eps = float(cost.mean())
-    if eps <= 0.0:
-        return 0.0  # all costs zero: any plan is optimal at zero cost
-    while eps > eps_target * 1.0001:
-        levels.append(eps)
-        eps *= SINKHORN_ANNEAL
-    levels.append(eps_target)
-    for lv, eps in enumerate(levels):
-        last = lv == len(levels) - 1
-        iters = SINKHORN_POLISH_ITERS if last else SINKHORN_LEVEL_ITERS
-        neg_cost = -cost / eps
-        for _ in range(iters):
-            f = eps * log_mu - eps * _lse(neg_cost + g[None, :] / eps, axis=1)
-            g_new = eps * log_nu - eps * _lse(neg_cost + f[:, None] / eps, axis=0)
-            err = float(np.max(np.abs(g_new - g)))
-            g = g_new
-            if last and err < SINKHORN_TOL:
-                break
-    P = np.exp(neg_cost + (f[:, None] + g[None, :]) / eps)
-    return float(np.sum(P * cost))
-
-
-def _self_cost(x: np.ndarray, eps_target: float) -> float:
-    key = (hashlib.sha1(np.ascontiguousarray(x).tobytes()).digest(),
-           round(eps_target, 14))
-    hit = _self_cost_cache.get(key)
-    if hit is not None:
-        _self_cost_cache.move_to_end(key)
-        return hit
-    value = _sinkhorn_cost(cdist(x, x, metric="sqeuclidean"), eps_target)
-    _self_cost_cache[key] = value
-    while len(_self_cost_cache) > _SELF_CACHE_CAP:
-        _self_cost_cache.popitem(last=False)
-    return value
-
-
 def w2_distance(a, b) -> float:
     """2-Wasserstein distance between equal-size empirical sample sets."""
     a, b = _check_samples(a, b)
-    n, d = a.shape
+    d = a.shape[1]
     if d not in (1, 2):
         raise ContractViolation("w2_distance supports 1-D and 2-D samples")
     if d == 1:
@@ -114,15 +51,22 @@ def w2_distance(a, b) -> float:
         sb = np.sort(b[:, 0])
         return float(np.sqrt(np.mean((sa - sb) ** 2)))
     cost = cdist(a, b, metric="sqeuclidean")
-    if n <= EXACT_ASSIGNMENT_LIMIT:
-        rows, cols = linear_sum_assignment(cost)
-        return float(np.sqrt(cost[rows, cols].mean()))
-    if np.array_equal(a, b):
-        return 0.0
-    eps = SINKHORN_EPS_SCALE * float(cost.mean())
-    s = (_sinkhorn_cost(cost, eps)
-         - 0.5 * (_self_cost(a, eps) + _self_cost(b, eps)))
-    return float(np.sqrt(max(s, 0.0)))
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean()))
+
+
+def _mean_abs_diff_1d(x: np.ndarray, y: np.ndarray) -> float:
+    """E|X - Y| over all pairs of two 1-D samples, without the pair matrix.
+
+    With y sorted and S its prefix sums, the k = #{y_j < x_i} smaller values
+    contribute k x_i - S_k and the rest S_m - S_k - (m - k) x_i.
+    """
+    y = np.sort(y)
+    prefix = np.concatenate(([0.0], np.cumsum(y)))
+    k = np.searchsorted(y, x)
+    below = k * x - prefix[k]
+    above = (prefix[-1] - prefix[k]) - (len(y) - k) * x
+    return float(np.sum(below + above)) / (len(x) * len(y))
 
 
 def energy_distance(a, b) -> float:
@@ -130,6 +74,10 @@ def energy_distance(a, b) -> float:
     a, b = _check_samples(a, b, equal_n=False)
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ContractViolation("energy_distance needs at least 2 points per set")
+    if a.shape[1] == 1:
+        x, y = a[:, 0], b[:, 0]
+        return (2.0 * _mean_abs_diff_1d(x, y) - _mean_abs_diff_1d(x, x)
+                - _mean_abs_diff_1d(y, y))
     ab = float(cdist(a, b).mean())
     aa = float(cdist(a, a).mean())
     bb = float(cdist(b, b).mean())

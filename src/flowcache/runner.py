@@ -1,5 +1,6 @@
 """Pipeline orchestration: stage training entry points, checkpoint wiring,
-and the benchmark runner with metrics CSV emission.
+the sampling loop shared by `sample` and `bench`, and the benchmark runner
+with metrics CSV emission.
 
 Sampling sessions (per strategy, class, and quota chunk) each derive their
 own RNG stream from the root seed, are evaluated in a fixed key order and
@@ -23,7 +24,7 @@ from .cache import Strategy, cached_sample, fixture_schedule, plan_schedule
 from .checkpoint import (Checkpoint, Stage, load_checkpoint, save_checkpoint,
                          verify_parent)
 from .config import ExperimentConfig
-from .errors import ConfigError, LineageError
+from .errors import ConfigError, ContractViolation, LineageError
 from .flow import ToyDistribution, mean_velocity_sample, sample_data
 from .metrics import energy_distance, w2_distance
 from .nets import (Condition, DiscriminatorConfig, Predictor, PredictorConfig,
@@ -230,25 +231,34 @@ def _run_session(strategy_name, key, model, params, predictor, pparams,
     return out, counts
 
 
-def run_experiment(config: ExperimentConfig, meanflow_path,
-                   predictor_path=None, out_dir=None,
-                   run_tag: str | None = None) -> list[MetricsRecord]:
-    """Benchmark every configured strategy; appends rows to metrics.csv in
-    out_dir (when given) and returns the records."""
+@dataclass
+class StrategySamples:
+    """One strategy's samples over the whole sample set, with its NFE
+    counts, peak cache bytes and sampling wall time."""
+    run_id: str
+    strategy: str
+    samples: np.ndarray
+    full_evals: int
+    predictor_evals: int
+    cache_bytes_peak: int
+    wall_clock_ms: float
+
+
+def sample_strategies(config: ExperimentConfig, meanflow_path,
+                      predictor_path=None,
+                      run_tag: str | None = None) -> list[StrategySamples]:
+    """Draw config.metric_samples points with every configured strategy."""
     model, params, predictor, pparams, delta_max = load_sampler(
         meanflow_path, predictor_path)
     for name in config.strategies:
         if name == "learned" and predictor is None:
             raise ConfigError("strategy 'learned' needs a predictor checkpoint")
     schedule = build_schedule(config)
-    reference = sample_data(config.distribution, config.metric_samples,
-                            config.metric_seed)
     keys = _session_keys(config)
     sched_tag = f"s{schedule.total_steps}n{schedule.max_interval}"
     tag = run_tag or f"{config.seed}:{config.distribution.kind}:{sched_tag}"
 
-    records = []
-    sample_dumps = {}
+    runs = []
     for name in config.strategies:
         t0 = time.perf_counter()
         if config.workers > 1:
@@ -262,28 +272,53 @@ def run_experiment(config: ExperimentConfig, meanflow_path,
                                     pparams, delta_max, schedule, config)
                        for key in keys]
         wall_ms = (time.perf_counter() - t0) * 1e3
-        samples = np.concatenate([out for out, _ in results], axis=0)
         full_evals, predictor_evals, peak = results[0][1]
         for _, counts in results:
-            assert counts[:2] == (full_evals, predictor_evals)
+            if counts[:2] != (full_evals, predictor_evals):
+                raise ContractViolation(
+                    f"sampling sessions of '{name}' disagree on NFE counts: "
+                    f"{counts[:2]} vs {(full_evals, predictor_evals)}")
             peak = max(peak, counts[2])
-        records.append(MetricsRecord(
-            run_id=f"{tag}:{name}", strategy=name, full_evals=full_evals,
-            predictor_evals=predictor_evals,
-            w2=w2_distance(samples, reference),
-            energy_distance=energy_distance(samples, reference),
-            wall_clock_ms=wall_ms, cache_bytes_peak=peak))
-        sample_dumps[name] = samples
+        runs.append(StrategySamples(
+            run_id=f"{tag}:{name}", strategy=name,
+            samples=np.concatenate([out for out, _ in results], axis=0),
+            full_evals=full_evals, predictor_evals=predictor_evals,
+            cache_bytes_peak=peak, wall_clock_ms=wall_ms))
+    return runs
 
+
+def run_experiment(config: ExperimentConfig, meanflow_path,
+                   predictor_path=None, out_dir=None,
+                   run_tag: str | None = None) -> list[MetricsRecord]:
+    """Benchmark every configured strategy; appends rows to metrics.csv in
+    out_dir (when given) and returns the records."""
+    runs = sample_strategies(config, meanflow_path, predictor_path, run_tag)
+    reference = sample_data(config.distribution, config.metric_samples,
+                            config.metric_seed)
+    records = [MetricsRecord(
+        run_id=run.run_id, strategy=run.strategy, full_evals=run.full_evals,
+        predictor_evals=run.predictor_evals,
+        w2=w2_distance(run.samples, reference),
+        energy_distance=energy_distance(run.samples, reference),
+        wall_clock_ms=run.wall_clock_ms,
+        cache_bytes_peak=run.cache_bytes_peak) for run in runs]
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         append_metrics(out_dir / "metrics.csv", records)
         if config.emit_samples:
-            for name, samples in sample_dumps.items():
-                dump_samples(out_dir / f"samples-{tag.replace(':', '-')}-{name}.csv",
-                             samples)
+            write_samples(out_dir, runs)
     return records
+
+
+def write_samples(out_dir, runs: list[StrategySamples]) -> list[Path]:
+    """Dump each run's samples to samples-<run_id>.csv in out_dir."""
+    paths = []
+    for run in runs:
+        path = Path(out_dir) / f"samples-{run.run_id.replace(':', '-')}.csv"
+        dump_samples(path, run.samples)
+        paths.append(path)
+    return paths
 
 
 def append_metrics(path, records: list[MetricsRecord]):

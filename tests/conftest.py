@@ -1,9 +1,13 @@
-"""Shared test helpers: finite-difference oracles and tiny random nets."""
+"""Shared test helpers: finite-difference oracles, tiny random nets and a
+tiny trained pipeline."""
+
+import json
 
 import numpy as np
 import pytest
 
 from flowcache import autodiff as ad
+from flowcache.cli import main
 
 
 def rel_err(a, b, floor=1e-12):
@@ -62,3 +66,33 @@ def tiny_mlp_loss(p, x, target):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+TINY_CONFIG = {
+    "distribution": {"kind": "checkerboard"},
+    "model": {"hidden_dim": 16, "depth": 2, "time_embed_dim": 4,
+              "cfg_features": 4},
+    "base_train": {"iters": 2, "batch_size": 8},
+    "cfg_distill": {"iters": 2, "batch_size": 8},
+    "meanflow": {"iters": 2, "batch_size": 8, "groups_per_step": 2},
+    "predictor": {"hidden_dim": 2, "depth": 1, "time_embed_dim": 4,
+                  "mse_iters": 2, "gan_iters": 2, "batch_size": 8,
+                  "disc_hidden_dim": 4},
+    "metric_samples": 64,
+}
+
+
+@pytest.fixture(scope="session")
+def tiny_pipeline(tmp_path_factory):
+    """Config path and checkpoint folder of a two-iteration pipeline trained
+    through the CLI, stage by stage (each stage reads its parent's file)."""
+    root = tmp_path_factory.mktemp("tiny")
+    config = root / "tiny.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    common = ["--config", str(config), "--out", str(root)]
+    assert main(["train-base", *common]) == 0
+    for command, parent in (("distill-cfg", "base.fck"),
+                            ("distill-meanflow", "cfg.fck"),
+                            ("train-predictor", "meanflow.fck")):
+        assert main([command, *common, "--checkpoint", str(root / parent)]) == 0
+    return config, root

@@ -314,3 +314,13 @@ def test_taylor_adapts_to_fixture_spacing(rng):
                                 Condition(0), taylor_order=2)
     assert np.all(np.isfinite(out))
     assert report.full_evals == 11
+
+
+def test_broken_nfe_accounting_raises(rng, monkeypatch):
+    # a refresh that skips its count must fail loudly, also under python -O
+    model, params = make_model(rng)
+    original = fc.cache_init
+    monkeypatch.setattr(fc, "cache_init", lambda *args: original(*args[:6]))
+    with pytest.raises(ContractViolation, match="NFE accounting"):
+        cached_sample(model, params, fixture_schedule(2), Strategy.NAIVE,
+                      rng.standard_normal((2, 2)), Condition(0))

@@ -1,6 +1,8 @@
 """Checkpoint container: bit-exact round trips, corruption rejection, and
 pipeline-order lineage enforcement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from flowcache.autodiff import ParameterSet
 from flowcache.checkpoint import (Checkpoint, Stage, checkpoint_digest,
                                   load_checkpoint, save_checkpoint,
                                   verify_parent)
-from flowcache.errors import (CorruptCheckpointError, LineageError,
-                              UnsupportedVersionError)
+from flowcache.errors import (CheckpointError, CorruptCheckpointError,
+                              LineageError, UnsupportedVersionError)
+
+_PARENT_OFFSET = 9  # magic (4) + version (4) + stage (1)
+_CONFIG_OFFSET = 46  # + parent (1) + parent digest (32) + config length (4)
 
 
 def sample_params(rng):
@@ -64,7 +69,6 @@ def test_unsupported_version_rejected(tmp_path, rng):
     blob = bytearray(path.read_bytes())
     blob[4] = 99  # version field, first byte
     # recompute trailing digest so only the version check can fire
-    import hashlib
     body = bytes(blob[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(UnsupportedVersionError):
@@ -114,3 +118,46 @@ def test_checkpoint_digest_helper(tmp_path, rng):
     digest = save_checkpoint(path, Checkpoint(stage=Stage.BASE_FM,
                                               params=sample_params(rng)))
     assert checkpoint_digest(path) == digest
+
+
+def test_unreadable_file_is_checkpoint_error(tmp_path):
+    for path in (tmp_path / "missing.fck", tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(path)
+
+
+def _config_bytes(new):
+    def mutate(blob):
+        assert blob[_CONFIG_OFFSET:_CONFIG_OFFSET + 8] == b'{"k": 1}'
+        blob[_CONFIG_OFFSET:_CONFIG_OFFSET + 8] = new
+    return mutate
+
+
+def _parent_byte(blob):
+    blob[_PARENT_OFFSET] = 7
+
+
+def _name_byte(blob):
+    blob[blob.index(b"scalarish")] = 0xFF
+
+
+@pytest.mark.parametrize("mutate", [
+    _parent_byte,
+    _config_bytes(b'{"k": 1]'),
+    _config_bytes(b'\xff"k": 1}'),
+    _config_bytes(b'[1, 2.0]'),
+    _name_byte,
+], ids=["parent-stage", "config-json", "config-utf8", "config-not-object",
+        "name-utf8"])
+def test_resealed_corruption_rejected(tmp_path, rng, mutate):
+    # the digest is recomputed after the edit, so only the check behind it
+    # can reject the file
+    path = tmp_path / "c.fck"
+    save_checkpoint(path, Checkpoint(stage=Stage.BASE_FM,
+                                     params=sample_params(rng),
+                                     config={"k": 1}))
+    blob = bytearray(path.read_bytes())[:-32]
+    mutate(blob)
+    path.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
+    with pytest.raises(CorruptCheckpointError):
+        load_checkpoint(path)

@@ -311,3 +311,16 @@ def test_train_meanflow_smoke_and_interval_stats():
     assert np.median(losses) < 0.5 and max(losses) < 10.0
     assert all(np.isfinite(r.grad_norm) for r in reports)
     assert params.version == 150
+
+
+def test_escaped_interval_raises_before_update(rng):
+    student = VelocityModel(VelocityModelConfig(
+        input_dim=1, hidden_dim=8, depth=1, time_embed_dim=4,
+        condition_vocab=1, accepts_r=True))
+    params = student.init_params(rng)
+    opt = OptimizerState.init(params, lr=1e-3)
+    groups = [(rng.standard_normal((4, 1)), TimePair(0.9, 0.4), Condition(0))]
+    with pytest.raises(ContractViolation, match="escaped the restriction"):
+        distill.meanflow_distill_step(student, params, student, params, groups,
+                                      RestrictConfig(0.2), opt)
+    assert params.version == 0

@@ -1,5 +1,6 @@
 """Transport and energy metrics against independent oracles: brute-force
-assignment enumeration, an LP relaxation, and closed forms."""
+assignment enumeration, an LP relaxation, all-pairs distance matrices, and
+closed forms."""
 
 import itertools
 
@@ -9,6 +10,7 @@ from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 from flowcache.errors import ContractViolation
+from flowcache.flow import ToyDistribution, sample_data
 from flowcache.metrics import energy_distance, w2_distance
 
 
@@ -76,20 +78,17 @@ def test_2d_n16_matches_lp_oracle(rng):
     assert abs(w2_distance(a, b) - lp_w2(a, b)) < 1e-9
 
 
-def test_entropic_regime_close_to_exact(rng):
-    # above the exact-assignment limit the debiased entropic value should
-    # stay close to the exact one (checked against scipy directly)
-    from scipy.optimize import linear_sum_assignment
-    a = rng.standard_normal((600, 2))
-    b = rng.standard_normal((600, 2)) + np.array([1.0, 0.0])
-    cost = cdist(a, b, metric="sqeuclidean")
-    r, c = linear_sum_assignment(cost)
-    exact = float(np.sqrt(cost[r, c].mean()))
-    approx = w2_distance(a, b)
-    assert abs(approx - exact) / exact < 0.05
+def test_near_distribution_matches_lp_oracle():
+    # two draws of one checkerboard: the near-target regime the bench reports
+    dist = ToyDistribution("checkerboard")
+    a = sample_data(dist, 64, 1)
+    b = sample_data(dist, 64, 2)
+    assert abs(w2_distance(a, b) - lp_w2(a, b)) < 1e-9
 
 
 def test_entropic_identical_sets_zero(rng):
+    # above the size where an entropic approximation would once take over,
+    # identical sets must still give exactly zero
     a = rng.standard_normal((600, 2))
     assert w2_distance(a, a.copy()) == 0.0
 
@@ -101,9 +100,10 @@ def test_mismatched_counts_rejected(rng):
 
 def test_translation_lower_bound(rng):
     # W2 between X and X + delta is exactly |delta|
-    a = rng.standard_normal((128, 2))
     delta = np.array([0.8, -0.6])
-    assert abs(w2_distance(a, a + delta) - 1.0) < 1e-9
+    for n in (128, 1024):
+        a = rng.standard_normal((n, 2))
+        assert abs(w2_distance(a, a + delta) - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -140,3 +140,24 @@ def test_energy_nonnegative_random(rng):
         a = rng.standard_normal((50, 2))
         b = rng.standard_normal((60, 2)) + rng.standard_normal(2)
         assert energy_distance(a, b) >= 0.0
+
+
+def pairwise_energy(a, b):
+    """The V-statistic from all-pairs distance matrices."""
+    return (2.0 * cdist(a, b).mean() - cdist(a, a).mean()
+            - cdist(b, b).mean())
+
+
+def test_energy_1d_matches_pairwise_oracle(rng):
+    unequal = (rng.standard_normal((37, 1)),
+               0.5 * rng.standard_normal((101, 1)) + 0.3)
+    # rounding to one decimal leaves many ties within and across the sets
+    ties = (np.round(rng.standard_normal((300, 1)), 1),
+            np.round(rng.standard_normal((250, 1)) + 0.2, 1))
+    duplicates = (np.repeat([[0.0], [1.0], [1.0]], 5, axis=0),
+                  np.array([[1.0], [1.0], [2.0]]))
+    large = (0.25 * rng.standard_normal((4096, 1)),
+             0.25 * rng.standard_normal((4096, 1)) + 0.01)
+    for a, b in (unequal, ties, duplicates, large):
+        assert abs(energy_distance(a, b) - pairwise_energy(a, b)) < 1e-12
+        assert abs(energy_distance(b, a) - pairwise_energy(a, b)) < 1e-12
