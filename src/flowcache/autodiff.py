@@ -117,10 +117,6 @@ def leaf(value, tangent=None) -> Node:
     return Node(as_f64(value), tangent=None if tangent is None else as_f64(tangent))
 
 
-def is_node(x) -> bool:
-    return isinstance(x, Node)
-
-
 def _any_node(*xs) -> bool:
     return any(isinstance(x, Node) for x in xs)
 
@@ -496,12 +492,18 @@ def backward(root: Node) -> dict[int, Array]:
     return grads
 
 
-def grad_of(grads: dict[int, Array], node: Node, like=None) -> Array:
+def grad_of(grads: dict[int, Array], node: Node) -> Array:
     g = grads.get(id(node))
     if g is None:
-        ref = node.value if like is None else like
-        return np.zeros_like(as_f64(ref))
+        return np.zeros_like(as_f64(node.value))
     return as_f64(g)
+
+
+def param_grads(loss: Node, leaves: dict[str, Node]) -> dict[str, Array]:
+    """Reverse pass from a scalar loss; returns name -> gradient for every
+    named leaf (zeros for leaves the loss does not depend on)."""
+    grads = backward(loss)
+    return {name: grad_of(grads, node) for name, node in leaves.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +551,13 @@ def grad(loss_fn: Callable, params: ParameterSet, *inputs):
     be scalar; raw inputs are passed through untouched (no gradients for
     them -- use jvp or explicit leaves for input sensitivities).
     """
-    leaves = {k: Node(v) for k, v in params.entries.items()}
+    leaves = params.lift()
     out = loss_fn(leaves, *inputs)
     if not isinstance(out, Node):
         raise ContractViolation("loss_fn must return a graph Node")
     if np.shape(out.value) != ():
         raise ContractViolation("loss_fn must return a scalar")
-    grads = backward(out)
-    gs = {
-        name: grad_of(grads, node, like=params.entries[name])
-        for name, node in leaves.items()
-    }
-    return float(out.value), gs
+    return float(out.value), param_grads(out, leaves)
 
 
 def jvp(fn: Callable, primals, tangents):

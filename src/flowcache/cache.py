@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -97,9 +97,6 @@ class StepSchedule:
     def mode_counts(self) -> tuple[int, int]:
         full = sum(1 for s in self.steps if s.mode is StepMode.FULL)
         return full, len(self.steps) - full
-
-    def modes(self) -> list[str]:
-        return [s.mode.value for s in self.steps]
 
     def to_json_obj(self) -> list[dict]:
         return [{"t": s.pair.t, "r": s.pair.r, "mode": s.mode.value}

@@ -2,19 +2,20 @@
 
 Every stochastic choice in a run is a function of the config's seed (plus
 the distribution's own seed); environment variables are never consulted.
-Unknown keys are rejected so typos fail loudly with exit code 2.
+Unknown keys are rejected, at the top level and in every section, so typos
+fail loudly with exit code 2.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .distill import CfgConfig, RestrictConfig
 from .errors import ConfigError, ContractViolation
 from .flow import ToyDistribution
-from .nets import DiscriminatorConfig, PredictorConfig, VelocityModelConfig
+from .nets import PredictorConfig, VelocityModelConfig
 from .predictor_train import PredictorTrainConfig
 
 STRATEGY_NAMES = ("none", "naive", "taylor", "learned")
@@ -60,7 +61,6 @@ class ExperimentConfig:
     sample_cfg_scale: float
     metric_samples: int
     metric_seed: int
-    workers: int
     emit_samples: bool
 
     def velocity_config(self, accepts_r: bool, accepts_cfg: bool) -> VelocityModelConfig:
@@ -100,16 +100,21 @@ DEFAULTS: dict = {
     "sample_cfg_scale": 1.0,
     "metric_samples": 2048,
     "metric_seed": 777,
-    "workers": 1,
     "emit_samples": False,
 }
 
 
-def _take(section: dict, name: str, keys, where: str) -> dict:
-    unknown = set(section) - set(keys)
+def _section(raw: dict, name: str) -> dict:
+    """The merged section `name`, rejecting keys its defaults do not name."""
+    section = raw[name]
+    unknown = set(section) - set(DEFAULTS[name])
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in '{where}'")
-    return {k: section[k] for k in keys if k in section}
+        raise ConfigError(f"unknown keys {sorted(unknown)} in '{name}'")
+    return section
+
+
+def _float_or_none(value):
+    return None if value is None else float(value)
 
 
 def _merged(user: dict) -> dict:
@@ -130,31 +135,29 @@ def config_from_dict(user: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain JSON object."""
     try:
         raw = _merged(user)
-        dist = ToyDistribution(**_take(raw["distribution"], "distribution",
-                                       ("kind", "sigma", "seed"), "distribution"))
-        model = _take(raw["model"], "model",
-                      ("hidden_dim", "depth", "time_embed_dim", "cfg_features"),
-                      "model")
-        base = raw["base_train"]
+        dist = ToyDistribution(**_section(raw, "distribution"))
+        model = _section(raw, "model")
+        base = _section(raw, "base_train")
         base_train = TrainSettings(iters=int(base["iters"]),
                                    batch_size=int(base["batch_size"]),
                                    lr=float(base["lr"]),
-                                   lr_final=base.get("lr_final"),
-                                   p_uncond=float(base.get("p_uncond", 0.1)))
-        cd = raw["cfg_distill"]
+                                   lr_final=_float_or_none(base["lr_final"]),
+                                   p_uncond=float(base["p_uncond"]))
+        cd = _section(raw, "cfg_distill")
         cfg_distill = CfgConfig(g_min=float(cd["g_min"]), g_max=float(cd["g_max"]))
         cfg_train = TrainSettings(iters=int(cd["iters"]),
                                   batch_size=int(cd["batch_size"]),
-                                  lr=float(cd["lr"]), lr_final=cd.get("lr_final"))
-        mf = raw["meanflow"]
+                                  lr=float(cd["lr"]),
+                                  lr_final=_float_or_none(cd["lr_final"]))
+        mf = _section(raw, "meanflow")
         restrict = RestrictConfig(restrict_factor=float(mf["restrict_factor"]))
         meanflow_train = TrainSettings(iters=int(mf["iters"]),
                                        batch_size=int(mf["batch_size"]),
                                        lr=float(mf["lr"]),
-                                       lr_final=mf.get("lr_final"),
+                                       lr_final=_float_or_none(mf["lr_final"]),
                                        groups_per_step=int(mf["groups_per_step"]),
-                                       grad_clip=mf.get("grad_clip"))
-        pr = raw["predictor"]
+                                       grad_clip=_float_or_none(mf["grad_clip"]))
+        pr = _section(raw, "predictor")
         predictor = PredictorConfig(
             hidden_dim=int(pr["hidden_dim"]), depth=int(pr["depth"]),
             time_embed_dim=int(pr["time_embed_dim"]),
@@ -165,12 +168,12 @@ def config_from_dict(user: dict) -> ExperimentConfig:
             lr_predictor=float(pr["lr_predictor"]),
             lr_discriminator=float(pr["lr_discriminator"]),
             batch_size=int(pr["batch_size"]))
-        sc = raw["schedule"]
+        sc = _section(raw, "schedule")
         schedule = ScheduleSpec(total_steps=int(sc["total_steps"]),
                                 max_interval=int(sc["max_interval"]),
                                 warmup_full=int(sc["warmup_full"]),
                                 fixture=bool(sc["fixture"]),
-                                explicit=None if sc.get("explicit") is None
+                                explicit=None if sc["explicit"] is None
                                 else tuple(sc["explicit"]))
         strategies = tuple(raw["strategies"])
         for s in strategies:
@@ -179,8 +182,6 @@ def config_from_dict(user: dict) -> ExperimentConfig:
                                   f"(expected one of {STRATEGY_NAMES})")
         if raw["metric_samples"] < 2:
             raise ConfigError("metric_samples must be >= 2")
-        if raw["workers"] < 1:
-            raise ConfigError("workers must be >= 1")
         return ExperimentConfig(
             seed=int(raw["seed"]), distribution=dist, model=model,
             base_train=base_train, cfg_distill=cfg_distill,
@@ -192,7 +193,7 @@ def config_from_dict(user: dict) -> ExperimentConfig:
             strategies=strategies, taylor_order=int(raw["taylor_order"]),
             sample_cfg_scale=float(raw["sample_cfg_scale"]),
             metric_samples=int(raw["metric_samples"]),
-            metric_seed=int(raw["metric_seed"]), workers=int(raw["workers"]),
+            metric_seed=int(raw["metric_seed"]),
             emit_samples=bool(raw["emit_samples"]))
     except ConfigError:
         raise

@@ -118,9 +118,7 @@ def cfg_distill_step(student: VelocityModel, params: ParameterSet,
     pred = student.forward(leaves, batch.xt, batch.t, None,
                            Condition(cond.class_id, g))
     loss = ad.mean(ad.sum_(ad.square(ad.sub(pred, v_target)), axis=1))
-    grads = ad.backward(loss)
-    gs = {name: ad.grad_of(grads, node, like=params[name])
-          for name, node in leaves.items()}
+    gs = ad.param_grads(loss, leaves)
     norm = global_grad_norm(gs)
     adam_step(params, gs, opt)
     return DistillBatchReport(loss=float(loss.value), grad_norm=norm)
@@ -227,9 +225,7 @@ def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
         g_loss = ad.mean(ad.sum_(ad.square(ad.sub(u, u_tgt)), axis=1))
         total = g_loss if total is None else ad.add(total, g_loss)
     loss = ad.mul(total, 1.0 / len(groups))
-    grads = ad.backward(loss)
-    gs = {name: ad.grad_of(grads, node, like=params[name])
-          for name, node in leaves.items()}
+    gs = ad.param_grads(loss, leaves)
     if clip is not None:
         norm = clip_grad_norm(gs, clip)
     else:

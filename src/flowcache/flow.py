@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, ParameterSet, as_f64, value_of
+from .autodiff import Array, as_f64, value_of
 from .errors import ContractViolation
 from .nets import Condition, VelocityModel
 from .optim import OptimizerState, adam_step
@@ -315,9 +315,7 @@ def train_base(model: VelocityModel, dist: ToyDistribution, *, iters: int,
 
         leaves = params.lift()
         loss = fm_loss(model, leaves, batch, cond)
-        grads = ad.backward(loss)
-        gs = {name: ad.grad_of(grads, node, like=params[name])
-              for name, node in leaves.items()}
+        gs = ad.param_grads(loss, leaves)
         opt.hyper["lr"] = cosine_lr(lr, lr_final, it, iters)
         adam_step(params, gs, opt)
         losses.append(float(loss.value))

@@ -20,13 +20,13 @@ backbone feature taps through spectrally-normalized linear layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Node, ParameterSet, value_of
-from .errors import CacheMissError, ContractViolation, NumericFailure
+from .autodiff import Array, ParameterSet, value_of
+from .errors import ContractViolation, NumericFailure
 from .optim import spectral_normalize
 
 
@@ -266,11 +266,6 @@ class VelocityModel:
         return y, [feats[tap - 1] for tap in taps]
 
 
-def velocity_forward(model: VelocityModel, params, x, t, r=None,
-                     cond: Condition = Condition()):
-    return model.forward(params, x, t, r, cond)
-
-
 def default_taps(depth: int) -> list[int]:
     """Thirds-of-depth feature taps (deduplicated, increasing)."""
     raw = [math.ceil(depth / 3), math.ceil(2 * depth / 3), depth]
@@ -347,15 +342,6 @@ class Predictor:
         return self._core.forward(params, joint, t, r, cond)
 
 
-def predictor_forward(predictor: Predictor, params, cache, x, t, r,
-                      cond: Condition = Condition()):
-    """Predicted mean velocity from a cache (CacheState or raw tensor)."""
-    value = getattr(cache, "value", cache)
-    if value is None:
-        raise CacheMissError("predictor queried before the cache was initialized")
-    return predictor.forward(params, value, x, t, r, cond)
-
-
 # ---------------------------------------------------------------------------
 # Multi-scale discriminator
 # ---------------------------------------------------------------------------
@@ -402,22 +388,10 @@ class Discriminator:
         w = params[name]
         if not self.config.spectral_norm:
             return w
-        wv = value_of(w)
-        if not np.any(wv):
-            return w  # degenerate (all-zero) weight stays unnormalized
-        u = self.u_state[name]
-        v = wv.T @ u
-        v = v / np.linalg.norm(v)
-        u_new = wv @ v
-        u_new = u_new / np.linalg.norm(u_new)
+        w_sn, u, _ = spectral_normalize(w, self.u_state[name])
         if update_u:
-            self.u_state[name] = u_new
-        if isinstance(w, Node):
-            # sigma as a graph scalar so gradients see the normalization
-            wv_col = ad.matmul(w, v.reshape(-1, 1))
-            sigma = ad.sum_(ad.mul(wv_col, u_new.reshape(-1, 1)))
-            return ad.div(w, sigma)
-        return wv / float(u_new @ wv @ v)
+            self.u_state[name] = u
+        return w_sn
 
     def forward(self, params, features, update_u: bool = True):
         """Per-sample scores (batch,) for a list of tapped feature tensors."""
@@ -447,8 +421,3 @@ class Discriminator:
             if name.endswith(".w"):
                 out[name] = value_of(self._weight(self.params, name, update_u=False))
         return out
-
-
-def discriminator_forward(disc: Discriminator, params, features,
-                          update_u: bool = True):
-    return disc.forward(params, features, update_u=update_u)

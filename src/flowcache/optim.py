@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Array, ParameterSet, as_f64
+from . import autodiff as ad
+from .autodiff import Array, Node, ParameterSet, as_f64, value_of
 from .errors import ContractViolation, NumericFailure
 
 
@@ -90,36 +91,44 @@ def clip_grad_norm(grads: dict[str, Array], max_norm: float) -> float:
     return norm
 
 
-def spectral_normalize(weight: Array, u_state: Array) -> tuple[Array, Array, bool]:
+def spectral_normalize(weight: Array | Node,
+                       u_state: Array) -> tuple[Array | Node, Array, bool]:
     """One power-iteration refinement and division by the Rayleigh estimate.
 
     Returns (normalized weight, updated u_state, degenerate). A zero weight
     matrix cannot be normalized; it is returned unchanged with the degeneracy
-    flag set and u_state untouched.
+    flag set and u_state untouched. For a graph ``Node`` weight sigma is built
+    inside the graph with u and v held constant, so gradients see the
+    normalization; u is bit-equal to the raw call's, the weight agrees to
+    rounding (sigma is summed in a different order).
     """
-    weight = as_f64(weight)
+    weight = weight if isinstance(weight, Node) else as_f64(weight)
+    wv = value_of(weight)
     u_state = as_f64(u_state)
-    if weight.ndim != 2:
+    if wv.ndim != 2:
         raise ContractViolation("spectral_normalize expects a rank-2 weight")
-    if u_state.shape != (weight.shape[0],):
+    if u_state.shape != (wv.shape[0],):
         raise ContractViolation(
             f"u_state length {u_state.shape} does not match weight row count "
-            f"{weight.shape[0]}")
+            f"{wv.shape[0]}")
     if not np.any(u_state):
         raise ContractViolation("u_state must be nonzero")
-    if not np.any(weight):
+    if not np.any(wv):
         return weight, u_state, True
 
-    v = weight.T @ u_state
+    v = wv.T @ u_state
     nv = np.linalg.norm(v)
     if nv == 0.0:
         # u_state happens to lie in the left null space; cannot make progress
         return weight, u_state, True
     v = v / nv
-    u = weight @ v
+    u = wv @ v
     nu = np.linalg.norm(u)
     if nu == 0.0:
         return weight, u_state, True
     u = u / nu
-    sigma = float(u @ weight @ v)
-    return weight / sigma, u, False
+    if isinstance(weight, Node):
+        sigma = ad.sum_(ad.mul(ad.matmul(weight, v.reshape(-1, 1)),
+                               u.reshape(-1, 1)))
+        return ad.div(weight, sigma), u, False
+    return wv / float(u @ wv @ v), u, False

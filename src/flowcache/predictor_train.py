@@ -25,7 +25,7 @@ the same batch, which the determinism tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +73,6 @@ class TrainingPair:
     query: TimePair
     cond: Condition
     target_u: np.ndarray
-
-    @property
-    def value(self):
-        # lets a TrainingPair stand in for a CacheState where only the
-        # cached tensor is needed
-        return self.cache_value
 
 
 @dataclass
@@ -159,10 +153,7 @@ def predictor_mse_step(predictor: Predictor, params: ParameterSet,
     """One optimizer step on the squared error to the frozen target."""
     leaves = params.lift()
     _, loss = _predictor_loss_graph(predictor, leaves, pair)
-    grads = ad.backward(loss)
-    gs = {name: ad.grad_of(grads, node, like=params[name])
-          for name, node in leaves.items()}
-    adam_step(params, gs, opt)
+    adam_step(params, ad.param_grads(loss, leaves), opt)
     return float(loss.value)
 
 
@@ -191,10 +182,7 @@ def gan_step(predictor: Predictor, params: ParameterSet,
         loss_p = ad.add(mse, ad.mul(hinge_mean(fake_scores, 1.0), cfg.lambda_adv))
     else:
         loss_p = mse
-    grads = ad.backward(loss_p)
-    gs = {name: ad.grad_of(grads, node, like=params[name])
-          for name, node in leaves.items()}
-    adam_step(params, gs, opt_p)
+    adam_step(params, ad.param_grads(loss_p, leaves), opt_p)
 
     # -- discriminator update (fake re-scored without gradient) --------------
     x_fake_const = pair.x_query - interval * value_of(u_pred)
@@ -207,10 +195,7 @@ def gan_step(predictor: Predictor, params: ParameterSet,
     real_scores = disc.forward(d_leaves, real_feats)
     fake_scores = disc.forward(d_leaves, fake_feats)
     loss_d = ad.add(hinge_mean(real_scores, 1.0), hinge_mean(fake_scores, -1.0))
-    d_grads = ad.backward(loss_d)
-    d_gs = {name: ad.grad_of(d_grads, node, like=disc.params[name])
-            for name, node in d_leaves.items()}
-    adam_step(disc.params, d_gs, opt_d)
+    adam_step(disc.params, ad.param_grads(loss_d, d_leaves), opt_d)
 
     return GanReport(iteration=iteration,
                      loss_p=float(value_of(loss_p.value)),

@@ -2,17 +2,16 @@
 the sampling loop shared by `sample` and `bench`, and the benchmark runner
 with metrics CSV emission.
 
-Sampling sessions (per strategy, class, and quota chunk) each derive their
-own RNG stream from the root seed, are evaluated in a fixed key order and
-may run on a thread pool; worker count therefore never changes any metric.
-Wall-clock time is the only non-deterministic column in the CSV.
+Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
+their own RNG stream from the root seed and run in one loop in fixed key
+order. The keys fix the sample streams, and so every metric value, for a
+given seed. Wall-clock time is the only non-deterministic column in the CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .checkpoint import (Checkpoint, Stage, load_checkpoint, save_checkpoint,
                          verify_parent)
 from .config import ExperimentConfig
 from .errors import ConfigError, ContractViolation, LineageError
-from .flow import ToyDistribution, mean_velocity_sample, sample_data
+from .flow import mean_velocity_sample, sample_data
 from .metrics import energy_distance, w2_distance
 from .nets import (Condition, DiscriminatorConfig, Predictor, PredictorConfig,
                    VelocityModel, VelocityModelConfig)
@@ -261,16 +260,8 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
     runs = []
     for name in config.strategies:
         t0 = time.perf_counter()
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(
-                    lambda key: _run_session(name, key, model, params,
-                                             predictor, pparams, delta_max,
-                                             schedule, config), keys))
-        else:
-            results = [_run_session(name, key, model, params, predictor,
-                                    pparams, delta_max, schedule, config)
-                       for key in keys]
+        results = [_run_session(name, key, model, params, predictor, pparams,
+                                delta_max, schedule, config) for key in keys]
         wall_ms = (time.perf_counter() - t0) * 1e3
         full_evals, predictor_evals, peak = results[0][1]
         for _, counts in results:

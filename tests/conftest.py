@@ -82,17 +82,23 @@ TINY_CONFIG = {
 }
 
 
-@pytest.fixture(scope="session")
-def tiny_pipeline(tmp_path_factory):
-    """Config path and checkpoint folder of a two-iteration pipeline trained
-    through the CLI, stage by stage (each stage reads its parent's file)."""
-    root = tmp_path_factory.mktemp("tiny")
-    config = root / "tiny.json"
-    config.write_text(json.dumps(TINY_CONFIG))
+def train_pipeline(config, root):
+    """Train every stage through the CLI into `root`, each stage reading its
+    parent's file."""
     common = ["--config", str(config), "--out", str(root)]
     assert main(["train-base", *common]) == 0
     for command, parent in (("distill-cfg", "base.fck"),
                             ("distill-meanflow", "cfg.fck"),
                             ("train-predictor", "meanflow.fck")):
         assert main([command, *common, "--checkpoint", str(root / parent)]) == 0
+
+
+@pytest.fixture(scope="session")
+def tiny_pipeline(tmp_path_factory):
+    """Config path and checkpoint folder of a two-iteration pipeline trained
+    through the CLI."""
+    root = tmp_path_factory.mktemp("tiny")
+    config = root / "tiny.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    train_pipeline(config, root)
     return config, root

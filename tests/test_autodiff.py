@@ -35,6 +35,14 @@ def test_grad_perfect_fit_is_zero():
     assert np.array_equal(gs["w"], np.array([0.0]))
 
 
+def test_param_grads_zero_for_unreached_leaf():
+    leaves = ad.ParameterSet({"w": np.array([3.0]),
+                              "unused": np.ones((2, 3))}).lift()
+    gs = ad.param_grads(ad.sum_(ad.square(leaves["w"])), leaves)
+    assert np.array_equal(gs["w"], np.array([6.0]))
+    assert np.array_equal(gs["unused"], np.zeros((2, 3)))
+
+
 def test_jvp_square_scalar():
     out, tan = ad.jvp(lambda x: ad.square(x), [3.0], [1.0])
     assert out == 9.0

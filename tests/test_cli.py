@@ -4,8 +4,15 @@ errors, and the files bench and sample write."""
 import csv
 import json
 
-from flowcache.cli import EXIT_CONFIG, EXIT_LINEAGE, EXIT_OK, main
+import pytest
+
+from flowcache.cli import EXIT_CONFIG, EXIT_LINEAGE, EXIT_NUMERIC, EXIT_OK, main
 from flowcache.runner import METRICS_COLUMNS
+
+from conftest import TINY_CONFIG, train_pipeline
+
+CHECKPOINTS = ("base.fck", "cfg.fck", "meanflow.fck", "predictor.fck",
+               "discriminator.fck")
 
 
 def checkpoint_args(root):
@@ -24,6 +31,25 @@ def test_unknown_model_key_exits_2(tmp_path):
     config.write_text(json.dumps({"model": {"hiden_dim": 8}}))
     assert main(["train-base", "--config", str(config),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_numeric_failure_exits_4(tmp_path, capsys):
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({
+        **TINY_CONFIG,
+        "base_train": {"iters": 3, "batch_size": 8, "lr": 1e300,
+                       "lr_final": 1e300}}))
+    assert main(["train-base", "--config", str(config),
+                 "--out", str(tmp_path)]) == EXIT_NUMERIC
+    assert "non-finite value" in capsys.readouterr().err
+
+
+def test_pipeline_is_bit_reproducible(tmp_path, tiny_pipeline):
+    config, root = tiny_pipeline
+    train_pipeline(config, tmp_path)
+    for name in CHECKPOINTS:
+        assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name
 
 
 def test_missing_checkpoint_exits_3(tmp_path, capsys):

@@ -150,3 +150,24 @@ def test_u_state_contract():
         spectral_normalize(w, np.zeros(2))
     with pytest.raises(ContractViolation):
         spectral_normalize(w, np.ones(3))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (16, 1)])
+def test_graph_weight_matches_raw_call(shape):
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal(shape)
+    u = rng.standard_normal(shape[0])
+    raw, u_raw, raw_degenerate = spectral_normalize(w, u)
+    node, u_node, node_degenerate = spectral_normalize(ad.leaf(w), u)
+    assert isinstance(node, ad.Node)
+    assert not raw_degenerate and not node_degenerate
+    assert np.array_equal(u_node, u_raw)
+    # sigma is summed in a different order in the graph: equal to rounding
+    assert np.max(np.abs(node.value - raw)) <= 1e-14 * np.max(np.abs(raw))
+
+
+def test_graph_zero_weight_passes_through():
+    leaf = ad.leaf(np.zeros((3, 2)))
+    u = np.ones(3)
+    out, u_out, degenerate = spectral_normalize(leaf, u)
+    assert degenerate and out is leaf and u_out is u
