@@ -526,9 +526,6 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet({k: v.copy() for k, v in self.entries.items()}, self.version)
 
-    def n_params(self) -> int:
-        return int(sum(v.size for v in self.entries.values()))
-
     def __getitem__(self, name: str) -> Array:
         return self.entries[name]
 

@@ -4,8 +4,9 @@ predictor) with exact evaluation and memory accounting.
 
 A schedule walks a contiguous decreasing-t grid; FULL steps run the backbone
 and refresh the cache, PREDICT steps ask the strategy for the mean velocity.
-In naive and learned modes exactly one tensor is held, whatever the schedule
-length; Taylor mode keeps a short ring of recent full evaluations.
+Every strategy caches into one ring of recent full evaluations: naive reuse
+and the learned predictor keep a ring of one, whatever the schedule length;
+Taylor order m keeps m+1 entries. Naive reuse is the order-0 forecast.
 
 Taylor forecasting extrapolates the cached history k sub-steps past the
 newest entry. With history values F0 (newest), F1, F2, ... spaced N steps
@@ -174,70 +175,53 @@ class NfeReport:
         self.cache_bytes_peak = max(self.cache_bytes_peak, n)
 
 
-@dataclass
 class CacheState:
-    """The cached mean velocity plus its origin pair; Taylor mode keeps a
-    ring of the most recent full evaluations (newest last, t decreasing)."""
+    """A ring of the most recent full evaluations, (pair, u) entries with the
+    newest last and t strictly decreasing. Order m keeps m+1 entries."""
 
-    value: Array | None = None
-    origin: TimePair | None = None
-    history: deque | None = None  # (TimePair, Array) entries, or None
-
-    @classmethod
-    def single(cls) -> "CacheState":
-        return cls()
-
-    @classmethod
-    def taylor(cls, order: int) -> "CacheState":
+    def __init__(self, order: int = 0):
         if order < 0:
-            raise ContractViolation("taylor order must be >= 0")
-        return cls(history=deque(maxlen=order + 1))
+            raise ContractViolation("cache order must be >= 0")
+        self.history: deque[tuple[TimePair, Array]] = deque(maxlen=order + 1)
 
     @property
     def initialized(self) -> bool:
-        return self.value is not None
+        return len(self.history) > 0
+
+    @property
+    def value(self) -> Array | None:
+        return self.history[-1][1] if self.history else None
+
+    @property
+    def origin(self) -> TimePair | None:
+        return self.history[-1][0] if self.history else None
 
     def bytes_held(self) -> int:
-        if self.value is None:
-            return 0
-        total = self.value.nbytes + _PAIR_BYTES
-        if self.history is not None:
-            total = sum(v.nbytes + _PAIR_BYTES for _, v in self.history)
-        return total
+        return sum(u.nbytes + _PAIR_BYTES for _, u in self.history)
 
 
 def cache_init(model: VelocityModel, params: ParameterSet, x_t, pair: TimePair,
                cond: Condition, state: CacheState,
-               report: NfeReport | None = None) -> tuple[Array, CacheState]:
-    """One full backbone evaluation; cache value and origin are replaced
-    (Taylor mode also appends to the history ring)."""
+               report: NfeReport | None = None) -> Array:
+    """One full backbone evaluation, appended to the ring as its newest
+    entry; returns the velocity."""
     u = as_f64(value_of(model.forward(params.entries, x_t, pair.t, pair.r, cond)))
     if not np.all(np.isfinite(u)):
         raise NumericFailure("backbone produced non-finite velocity at cache refresh")
-    state.value = u
-    state.origin = pair
-    if state.history is not None:
-        if len(state.history) and not pair.t < state.history[-1][0].t:
-            raise ContractViolation("history must have strictly decreasing t")
-        state.history.append((pair, u))
+    if state.initialized and not pair.t < state.origin.t:
+        raise ContractViolation("history must have strictly decreasing t")
+    state.history.append((pair, u))
     if report is not None:
         report.full_evals += 1
         report.observe_bytes(state.bytes_held())
-    return u, state
-
-
-def naive_reuse(state: CacheState) -> Array:
-    """Return the cached tensor unchanged."""
-    if not state.initialized:
-        raise CacheMissError("naive reuse before cache initialization")
-    return state.value
+    return u
 
 
 def taylor_forecast(state: CacheState, k: int, N: int, m: int) -> Array:
     """Forecast k sub-steps past the newest history entry (spacing N).
 
     Falls back to the highest order the history supports (warm-up
-    behavior); m=0 is bitwise identical to naive reuse.
+    behavior); m=0 is naive reuse and returns the cached value itself.
     """
     if k < 1:
         raise ContractViolation("forecast offset k must be >= 1")
@@ -245,10 +229,8 @@ def taylor_forecast(state: CacheState, k: int, N: int, m: int) -> Array:
         raise ContractViolation("history spacing N must be >= 1")
     if m < 0:
         raise ContractViolation("taylor order m must be >= 0")
-    if state.history is None or len(state.history) == 0:
-        if not state.initialized:
-            raise CacheMissError("taylor forecast before cache initialization")
-        return state.value  # no history ring: degenerate to reuse
+    if not state.initialized:
+        raise CacheMissError("forecast before cache initialization")
     newest_first = [v for _, v in reversed(state.history)]
     m_eff = min(m, len(newest_first) - 1)
     # iterated differences of [F0, F1, ...] (newest first)
@@ -270,22 +252,18 @@ def taylor_forecast(state: CacheState, k: int, N: int, m: int) -> Array:
 
 def learned_predict(predictor: Predictor, params: ParameterSet,
                     state: CacheState, x, pair: TimePair, cond: Condition,
-                    report: NfeReport | None = None,
                     delta_max: float | None = None) -> Array:
     """Predictor evaluation against the cache; out-of-horizon queries (pair
     farther than delta_max from the origin) are logged, not rejected."""
     if not state.initialized:
         raise CacheMissError("learned prediction before cache initialization")
-    if delta_max is not None and state.origin is not None:
+    if delta_max is not None:
         offset = state.origin.t - pair.t
         if offset > delta_max + 1e-12:
             log.warning("cache query %.4f past origin exceeds trained horizon %.4f",
                         offset, delta_max)
-    u = as_f64(value_of(predictor.forward(params.entries, state.value, x,
-                                          pair.t, pair.r, cond)))
-    if report is not None:
-        report.predictor_evals += 1
-    return u
+    return as_f64(value_of(predictor.forward(params.entries, state.value, x,
+                                             pair.t, pair.r, cond)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,37 +280,33 @@ def cached_sample(model: VelocityModel, params: ParameterSet,
     """Walk the schedule with mean-velocity steps; FULL steps refresh the
     cache, PREDICT steps consult the strategy. Returns (x0, NfeReport).
 
-    Taylor differences are scaled by the spacing actually observed between
-    the full evaluations feeding them (equal to the schedule's N on uniform
-    schedules); on locally non-uniform history the order falls back so the
-    extrapolation stays well-scaled.
+    Naive reuse is the Taylor forecast of order 0. Taylor differences are
+    scaled by the spacing actually observed between the full evaluations
+    feeding them (equal to the schedule's N on uniform schedules); on locally
+    non-uniform history the order falls back so the extrapolation stays
+    well-scaled.
     """
     if strategy is Strategy.LEARNED and (predictor is None or predictor_params is None):
         raise ContractViolation("LEARNED strategy requires a predictor and its parameters")
-    if strategy is Strategy.TAYLOR and taylor_order < 0:
-        raise ContractViolation("taylor_order must be >= 0")
 
-    state = CacheState.taylor(taylor_order) if strategy is Strategy.TAYLOR \
-        else CacheState.single()
+    order = taylor_order if strategy is Strategy.TAYLOR else 0
+    state = CacheState(order)
     report = NfeReport()
     x = as_f64(x1)
     full_indices: list[int] = []
     for idx, step in enumerate(schedule.steps):
         if step.mode is StepMode.FULL:
-            u, state = cache_init(model, params, x, step.pair, cond, state, report)
+            u = cache_init(model, params, x, step.pair, cond, state, report)
             full_indices.append(idx)
         else:
-            k = idx - full_indices[-1]
-            if strategy is Strategy.NAIVE:
-                u = naive_reuse(state)
-                report.predictor_evals += 1
-            elif strategy is Strategy.TAYLOR:
-                n_eff, usable = _history_spacing(full_indices)
-                u = taylor_forecast(state, k, n_eff, min(taylor_order, usable))
-                report.predictor_evals += 1
-            else:
+            if strategy is Strategy.LEARNED:
                 u = learned_predict(predictor, predictor_params, state, x,
-                                    step.pair, cond, report, delta_max)
+                                    step.pair, cond, delta_max)
+            else:
+                n_eff, usable = _history_spacing(full_indices)
+                u = taylor_forecast(state, idx - full_indices[-1], n_eff,
+                                    min(order, usable))
+            report.predictor_evals += 1
         x = mean_velocity_step(x, step.pair, u)
     if report.full_evals + report.predictor_evals != schedule.total_steps:
         raise ContractViolation(

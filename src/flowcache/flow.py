@@ -193,20 +193,19 @@ def euler_walk(field, x1: Array, steps: int) -> Array:
 
 
 def euler_sample(model: VelocityModel, params, x1: Array, steps: int,
-                 cond: Condition = Condition(), cfg_scale: float | None = None,
-                 uncond_params=None) -> Array:
+                 cond: Condition = Condition(),
+                 cfg_scale: float | None = None) -> Array:
     """Euler integration of the learned field; with cfg_scale set, each step
     uses the guided mixture g*v_c + (1-g)*v_uc (null-condition branch)."""
     if cfg_scale is None:
         def field(x, t):
             return value_of(model.forward(params, x, t, None, cond))
     else:
-        uparams = params if uncond_params is None else uncond_params
         uncond = Condition(class_id=None, cfg_scale=cond.cfg_scale)
 
         def field(x, t):
             vc = value_of(model.forward(params, x, t, None, cond))
-            vu = value_of(model.forward(uparams, x, t, None, uncond))
+            vu = value_of(model.forward(params, x, t, None, uncond))
             return cfg_scale * vc + (1.0 - cfg_scale) * vu
 
     return euler_walk(field, x1, steps)

@@ -91,8 +91,7 @@ class GanReport:
 def build_training_pair(model: VelocityModel, params: ParameterSet,
                         dist: ToyDistribution, restrict: RestrictConfig,
                         cfg: PredictorTrainConfig, rng, *,
-                        batch_size: int | None = None,
-                        cfg_range=None) -> TrainingPair:
+                        batch_size: int | None = None) -> TrainingPair:
     """Sample one batched training draw from the frozen distilled model.
 
     Consumes, in order: the restricted pair, Delta, the class label, the
@@ -104,9 +103,7 @@ def build_training_pair(model: VelocityModel, params: ParameterSet,
     k = int(rng.integers(0, dist.n_classes))
     g = None
     if model.config.accepts_cfg:
-        lo, hi = cfg_range if cfg_range is not None else (model.config.cfg_min,
-                                                          model.config.cfg_max)
-        g = float(rng.uniform(lo, hi))
+        g = float(rng.uniform(model.config.cfg_min, model.config.cfg_max))
     cond = Condition(k, g)
     x0 = dist.sample_class(k, n, rng)
     eps = rng.standard_normal(x0.shape)
@@ -217,8 +214,7 @@ def train_predictor(backbone: VelocityModel, backbone_params: ParameterSet,
                     predictor: Predictor, dist: ToyDistribution, *,
                     restrict: RestrictConfig, cfg: PredictorTrainConfig,
                     seed: int = 0, adversarial: bool = True,
-                    disc_config: DiscriminatorConfig | None = None,
-                    cfg_range=None):
+                    disc_config: DiscriminatorConfig | None = None):
     """MSE phase then (optionally) GAN phase against the frozen backbone.
 
     Every iteration consumes the same data-stream draws whether or not the
@@ -248,7 +244,7 @@ def train_predictor(backbone: VelocityModel, backbone_params: ParameterSet,
     gan_reports: list[GanReport] = []
     for it in range(cfg.mse_iters + cfg.gan_iters):
         pair = build_training_pair(backbone, backbone_params, dist, restrict,
-                                   cfg, rng, cfg_range=cfg_range)
+                                   cfg, rng)
         if it < cfg.mse_iters or not adversarial:
             mse_losses.append(predictor_mse_step(predictor, params, pair, opt_p))
         else:

@@ -6,6 +6,12 @@ Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
 their own RNG stream from the root seed and run in one loop in fixed key
 order. The keys fix the sample streams, and so every metric value, for a
 given seed. Wall-clock time is the only non-deterministic column in the CSV.
+
+The 512-row chunk is a measured memory and locality choice, not a leftover:
+it keeps every step's activations a few hundred kilobytes. Sampling the
+4096-point gaussian1d sweep (one class; N=2,3,4, all four strategies) in one
+4096-row batch instead raised peak RSS from 84 MB to 105 MB (+24%) and took
+10.5-12.2 s against 8.5 s (3 runs each, 2-vCPU x86 VM, BLAS 1 thread).
 """
 
 from __future__ import annotations
@@ -57,6 +63,15 @@ class MetricsRecord:
 # Stage runners (each emits a lineage-stamped checkpoint)
 # ---------------------------------------------------------------------------
 
+def _load_stage(path, stage: Stage) -> Checkpoint:
+    """Load a checkpoint and check that it holds the given stage."""
+    ckpt = load_checkpoint(path)
+    if ckpt.stage is not stage:
+        raise LineageError(f"{path}: expected a {stage.name} checkpoint, "
+                           f"found {ckpt.stage.name}")
+    return ckpt
+
+
 def _model_from_snapshot(snapshot: dict) -> VelocityModel:
     return VelocityModel(VelocityModelConfig(**snapshot["velocity"]))
 
@@ -76,10 +91,7 @@ def run_train_base(config: ExperimentConfig, out_path) -> Path:
 
 
 def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
-    base = load_checkpoint(base_path)
-    if base.stage is not Stage.BASE_FM:
-        raise LineageError(f"{base_path}: expected a BASE_FM checkpoint, "
-                           f"found {base.stage.name}")
+    base = _load_stage(base_path, Stage.BASE_FM)
     teacher = _model_from_snapshot(base.config)
     vcfg = config.velocity_config(accepts_r=True, accepts_cfg=True)
     student = VelocityModel(vcfg)
@@ -98,10 +110,7 @@ def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
 
 
 def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
-    parent = load_checkpoint(cfg_path)
-    if parent.stage is not Stage.CFG_DISTILLED:
-        raise LineageError(f"{cfg_path}: expected a CFG_DISTILLED checkpoint, "
-                           f"found {parent.stage.name}")
+    parent = _load_stage(cfg_path, Stage.CFG_DISTILLED)
     model = _model_from_snapshot(parent.config)
     ts = config.meanflow_train
     params, _ = distill.train_meanflow(
@@ -120,10 +129,7 @@ def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
 
 def run_train_predictor(config: ExperimentConfig, meanflow_path,
                         out_pred, out_disc) -> tuple[Path, Path]:
-    parent = load_checkpoint(meanflow_path)
-    if parent.stage is not Stage.MEANFLOW:
-        raise LineageError(f"{meanflow_path}: expected a MEANFLOW checkpoint, "
-                           f"found {parent.stage.name}")
+    parent = _load_stage(meanflow_path, Stage.MEANFLOW)
     backbone = _model_from_snapshot(parent.config)
     predictor = Predictor(config.predictor, backbone)
     restrict = distill.RestrictConfig(**parent.config["restrict"])
@@ -158,17 +164,11 @@ def run_train_predictor(config: ExperimentConfig, meanflow_path,
 def load_sampler(meanflow_path, predictor_path=None):
     """Rebuild (model, params, predictor, predictor_params, delta_max) from
     checkpoints, verifying the lineage chain when both are given."""
-    mf = load_checkpoint(meanflow_path)
-    if mf.stage is not Stage.MEANFLOW:
-        raise LineageError(f"{meanflow_path}: expected a MEANFLOW checkpoint, "
-                           f"found {mf.stage.name}")
+    mf = _load_stage(meanflow_path, Stage.MEANFLOW)
     model = _model_from_snapshot(mf.config)
     predictor = pparams = delta_max = None
     if predictor_path is not None:
-        pc = load_checkpoint(predictor_path)
-        if pc.stage is not Stage.PREDICTOR:
-            raise LineageError(f"{predictor_path}: expected a PREDICTOR "
-                               f"checkpoint, found {pc.stage.name}")
+        pc = _load_stage(predictor_path, Stage.PREDICTOR)
         verify_parent(pc, mf, child_path=str(predictor_path))
         predictor = Predictor(PredictorConfig(**pc.config["predictor"]), model)
         pparams = pc.params
@@ -330,16 +330,3 @@ def dump_samples(path, samples: np.ndarray):
         for row in samples:
             writer.writerow([repr(v) for v in row])
 
-
-def run_full_pipeline(config: ExperimentConfig, out_dir) -> dict[str, Path]:
-    """Train every stage in order and benchmark; returns checkpoint paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = run_train_base(config, out_dir / "base.fck")
-    cfgd = run_distill_cfg(config, base, out_dir / "cfg.fck")
-    mf = run_distill_meanflow(config, cfgd, out_dir / "meanflow.fck")
-    pred, disc = run_train_predictor(config, mf, out_dir / "predictor.fck",
-                                     out_dir / "discriminator.fck")
-    run_experiment(config, mf, pred, out_dir=out_dir)
-    return {"base": base, "cfg": cfgd, "meanflow": mf, "predictor": pred,
-            "discriminator": disc}

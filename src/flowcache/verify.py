@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .cache import CacheState, fixture_schedule, naive_reuse, taylor_forecast
+from .cache import CacheState, fixture_schedule, taylor_forecast
 from .checkpoint import Checkpoint, Stage, load_checkpoint, save_checkpoint
 from .distill import RestrictConfig, sample_t_r
 from .flow import (TimePair, analytic_gaussian_velocity,
@@ -107,24 +107,22 @@ def check_taylor_exactness(seed: int) -> tuple[bool, str]:
     for m in (0, 1, 2):
         coeffs = rng.standard_normal(m + 1)
         grid = [1.0 - j / 20 for j in range(21)]
-        state = CacheState.taylor(m)
+        state = CacheState(m)
         for j in range(0, 2 * (m + 1), 2):
             value = np.array([sum(c * grid[j] ** i for i, c in enumerate(coeffs))])
             state.history.append((TimePair(grid[j], grid[j + 1]), value))
-        state.value = state.history[-1][1]
         newest_j = 2 * m
         for k in (1, 2):
             want = sum(c * grid[newest_j + k] ** i for i, c in enumerate(coeffs))
             got = float(taylor_forecast(state, k, 2, m)[0])
             worst = max(worst, abs(got - want))
     ok = worst < 1e-9
-    state0 = CacheState.taylor(1)
-    state0.history.append((TimePair(0.9, 0.8), np.array([3.7])))
-    state0.value = state0.history[-1][1]
-    bitwise = taylor_forecast(state0, 1, 2, 0).tobytes() == \
-        naive_reuse(state0).tobytes()
-    return ok and bitwise, (f"polynomial forecast error {worst:.1e}; "
-                            f"m=0 bitwise==reuse: {bitwise}")
+    state0 = CacheState(1)
+    state0.history.append((TimePair(0.9, 0.8), np.array([1.5])))
+    state0.history.append((TimePair(0.7, 0.6), np.array([3.7])))
+    reuse = taylor_forecast(state0, 1, 2, 0) is state0.value
+    return ok and reuse, (f"polynomial forecast error {worst:.1e}; "
+                          f"m=0 returns the cached value: {reuse}")
 
 
 def check_schedule_counts(_seed: int) -> tuple[bool, str]:

@@ -10,8 +10,7 @@ from flowcache import cache as fc
 from flowcache.autodiff import ParameterSet
 from flowcache.cache import (CacheState, NfeReport, StepMode, Strategy,
                              cache_init, cached_sample, fixture_schedule,
-                             learned_predict, naive_reuse, plan_schedule,
-                             taylor_forecast)
+                             learned_predict, plan_schedule, taylor_forecast)
 from flowcache.errors import CacheMissError, ContractViolation
 from flowcache.flow import TimePair, mean_velocity_sample
 from flowcache.nets import (Condition, Predictor, PredictorConfig,
@@ -86,43 +85,54 @@ def test_schedule_json_roundtrip_shape():
 
 
 # ---------------------------------------------------------------------------
-# cache_init / naive_reuse
+# cache_init / naive reuse (the order-0 forecast)
 # ---------------------------------------------------------------------------
 
 def test_cache_init_accounting_and_bit_exact_value(rng):
     model, params = make_model(rng)
-    state = CacheState.single()
+    state = CacheState()
     report = NfeReport()
     x = rng.standard_normal((4, 2))
     pair = TimePair(0.9, 0.85)
-    u, state = cache_init(model, params, x, pair, Condition(0), state, report)
+    u = cache_init(model, params, x, pair, Condition(0), state, report)
     assert report.full_evals == 1
+    assert report.cache_bytes_peak == state.bytes_held() == x.nbytes + 16
     direct = model.forward(params.entries, x, pair.t, pair.r, Condition(0))
     assert np.array_equal(u, direct)
-    assert np.array_equal(state.value, direct)
+    assert state.value is u
     assert state.origin == pair
 
 
 def test_taylor_history_ring(rng):
     model, params = make_model(rng)
-    state = CacheState.taylor(order=1)
+    state = CacheState(order=1)
     x = rng.standard_normal((2, 2))
     for pair in [TimePair(0.9, 0.8), TimePair(0.7, 0.6), TimePair(0.5, 0.4)]:
         cache_init(model, params, x, pair, Condition(0), state)
     assert len(state.history) == 2  # ring holds the two most recent
     assert state.history[0][0].t == 0.7
     assert state.history[1][0].t == 0.5
+    assert state.origin is state.history[-1][0]
+    assert state.value is state.history[-1][1]
+    with pytest.raises(ContractViolation, match="decreasing"):
+        cache_init(model, params, x, TimePair(0.5, 0.4), Condition(0), state)
 
 
 def test_naive_reuse_identity(rng):
-    state = CacheState.single()
+    # naive reuse is the order-0 forecast on a ring of one: it returns the
+    # cached tensor itself, for every offset and spacing
+    state = CacheState()
+    assert not state.initialized and state.value is None
+    assert state.bytes_held() == 0
     with pytest.raises(CacheMissError):
-        naive_reuse(state)
-    v = rng.standard_normal((3, 2))
-    state.value = v
-    state.origin = TimePair(0.5, 0.4)
-    assert naive_reuse(state) is state.value
-    assert np.array_equal(naive_reuse(state), naive_reuse(state))
+        taylor_forecast(state, 1, 1, 0)
+    model, params = make_model(rng)
+    x = rng.standard_normal((3, 2))
+    cache_init(model, params, x, TimePair(0.5, 0.4), Condition(0), state)
+    u = cache_init(model, params, x, TimePair(0.4, 0.3), Condition(0), state)
+    assert len(state.history) == 1 and state.value is u
+    for k, N in ((1, 1), (1, 2), (3, 4)):
+        assert taylor_forecast(state, k, N, 0) is state.value
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +140,9 @@ def test_naive_reuse_identity(rng):
 # ---------------------------------------------------------------------------
 
 def hist_state(entries, order):
-    state = CacheState.taylor(order)
+    state = CacheState(order)
     for pair, v in entries:
         state.history.append((pair, np.asarray(v, dtype=np.float64)))
-    state.value = state.history[-1][1]
-    state.origin = state.history[-1][0]
     return state
 
 
@@ -177,12 +185,24 @@ def test_polynomial_history_exact(m):
         assert abs(float(got[0]) - float(poly(target_t)[0])) < 1e-9
 
 
-def test_m0_bitwise_equals_naive():
+def test_m0_bitwise_equals_naive(rng):
+    # m=0 on a longer ring still returns the newest entry itself
     state = hist_state([(TimePair(0.9, 0.8), [1.234567891234]),
                         (TimePair(0.7, 0.6), [9.87654321])], order=1)
-    f = taylor_forecast(state, k=1, N=2, m=0)
-    assert f is naive_reuse(state) or np.array_equal(f, naive_reuse(state))
-    assert f.tobytes() == naive_reuse(state).tobytes()
+    assert taylor_forecast(state, k=1, N=2, m=0) is state.value
+    # and sampling with order-0 Taylor is sampling with naive reuse
+    model, params = make_model(rng)
+    x1 = rng.standard_normal((5, 2))
+    for sched in (fixture_schedule(2), fixture_schedule(3), fixture_schedule(4),
+                  plan_schedule(10, N=3, warmup_full=1)):
+        naive, rep_naive = cached_sample(model, params, sched, Strategy.NAIVE,
+                                         x1, Condition(1))
+        taylor, rep_taylor = cached_sample(model, params, sched,
+                                           Strategy.TAYLOR, x1, Condition(1),
+                                           taylor_order=0)
+        assert naive.tobytes() == taylor.tobytes()
+        assert rep_naive == rep_taylor
+        assert rep_naive.cache_bytes_peak == x1.nbytes + 16
 
 
 def test_insufficient_history_falls_back():
@@ -197,7 +217,7 @@ def test_taylor_contract_errors():
     with pytest.raises(ContractViolation):
         taylor_forecast(state, 1, 0, 1)
     with pytest.raises(CacheMissError):
-        taylor_forecast(CacheState.taylor(1), 1, 2, 1)
+        taylor_forecast(CacheState(1), 1, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +228,14 @@ def test_learned_predict_cache_miss(rng):
     model, _ = make_model(rng)
     pred, pp = make_predictor(rng, model)
     with pytest.raises(CacheMissError):
-        learned_predict(pred, pp, CacheState.single(), np.zeros((1, 2)),
+        learned_predict(pred, pp, CacheState(), np.zeros((1, 2)),
                         TimePair(0.5, 0.4), Condition(0))
 
 
 def test_learned_out_of_horizon_logged(rng, caplog):
     model, params = make_model(rng)
     pred, pp = make_predictor(rng, model)
-    state = CacheState.single()
+    state = CacheState()
     cache_init(model, params, np.zeros((1, 2)), TimePair(0.9, 0.85),
                Condition(0), state)
     with caplog.at_level(logging.WARNING, logger="flowcache.cache"):
@@ -227,7 +247,7 @@ def test_learned_out_of_horizon_logged(rng, caplog):
 def test_zero_init_predictor_outputs_zero(rng):
     model, params = make_model(rng)
     pred, pp = make_predictor(rng, model)
-    state = CacheState.single()
+    state = CacheState()
     cache_init(model, params, np.ones((2, 2)), TimePair(0.9, 0.85),
                Condition(0), state)
     u = learned_predict(pred, pp, state, np.ones((2, 2)),
@@ -302,6 +322,13 @@ def test_single_tensor_memory_invariant(rng):
                                   Strategy.TAYLOR, x1, Condition(0),
                                   taylor_order=1)
     assert rep_taylor.cache_bytes_peak == 2 * expected
+
+
+def test_negative_taylor_order_rejected(rng):
+    model, params = make_model(rng)
+    with pytest.raises(ContractViolation, match="order"):
+        cached_sample(model, params, fixture_schedule(2), Strategy.TAYLOR,
+                      np.zeros((1, 2)), Condition(0), taylor_order=-1)
 
 
 def test_taylor_adapts_to_fixture_spacing(rng):

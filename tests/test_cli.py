@@ -3,10 +3,12 @@ errors, and the files bench and sample write."""
 
 import csv
 import json
+import math
 
 import pytest
 
 from flowcache.cli import EXIT_CONFIG, EXIT_LINEAGE, EXIT_NUMERIC, EXIT_OK, main
+from flowcache.config import load_config
 from flowcache.runner import METRICS_COLUMNS
 
 from conftest import TINY_CONFIG, train_pipeline
@@ -67,6 +69,70 @@ def test_digest_corrupted_checkpoint_exits_3(tmp_path, tiny_pipeline, capsys):
     assert main(["distill-cfg", "--config", str(config), "--checkpoint",
                  str(broken), "--out", str(tmp_path)]) == EXIT_LINEAGE
     assert "digest mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,given,message", [
+    ("distill-cfg", ["meanflow.fck"],
+     "expected a BASE_FM checkpoint, found MEANFLOW"),
+    ("distill-meanflow", ["base.fck"],
+     "expected a CFG_DISTILLED checkpoint, found BASE_FM"),
+    ("train-predictor", ["predictor.fck"],
+     "expected a MEANFLOW checkpoint, found PREDICTOR"),
+    ("bench", ["cfg.fck"],
+     "expected a MEANFLOW checkpoint, found CFG_DISTILLED"),
+    ("bench", ["meanflow.fck", "discriminator.fck"],
+     "expected a PREDICTOR checkpoint, found DISCRIMINATOR"),
+])
+def test_wrong_stage_checkpoint_exits_3(tmp_path, tiny_pipeline, capsys,
+                                        command, given, message):
+    config, root = tiny_pipeline
+    checkpoints = [arg for name in given
+                   for arg in ("--checkpoint", str(root / name))]
+    assert main([command, "--config", str(config), "--out", str(tmp_path),
+                 *checkpoints]) == EXIT_LINEAGE
+    assert message in capsys.readouterr().err
+
+
+def test_predictor_of_another_meanflow_exits_3(tmp_path, tiny_pipeline, capsys):
+    config, root = tiny_pipeline
+    assert main(["distill-meanflow", "--config", str(config), "--seed", "1",
+                 "--checkpoint", str(root / "cfg.fck"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "meanflow.fck").read_bytes() != \
+        (root / "meanflow.fck").read_bytes()
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path),
+                 "--checkpoint", str(tmp_path / "meanflow.fck"),
+                 "--checkpoint", str(root / "predictor.fck")]) == EXIT_LINEAGE
+    assert "parent digest does not match" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_metrics_row_schema(tmp_path, tiny_pipeline):
+    # 550 points per class: each class samples a 512-row and a 38-row chunk,
+    # and the cache peak is the larger chunk's
+    config, root = tiny_pipeline
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({**TINY_CONFIG, "metric_samples": 1100}))
+    assert main(["bench", "--config", str(wide), "--out", str(tmp_path),
+                 *checkpoint_args(root)]) == EXIT_OK
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cfg = load_config(wide)
+    one_entry = 512 * cfg.distribution.dim * 8 + 16
+    peaks = {"none": 0, "naive": one_entry,
+             "taylor": (cfg.taylor_order + 1) * one_entry,
+             "learned": one_entry}
+    assert [row["strategy"] for row in rows] == list(peaks)
+    for row in rows:
+        full, predicted = int(row["full_evals"]), int(row["predictor_evals"])
+        assert row["full_evals"] == str(full)
+        assert row["predictor_evals"] == str(predicted)
+        assert full + predicted == cfg.schedule.total_steps
+        for column in ("w2", "energy_distance"):
+            value = float(row[column])
+            assert math.isfinite(value) and value >= 0, column
+        assert float(row["wall_clock_ms"]) > 0
+        assert row["cache_bytes_peak"] == str(peaks[row["strategy"]])
 
 
 def test_bench_writes_metrics_csv(tmp_path, tiny_pipeline):
