@@ -6,8 +6,15 @@ rule, a reverse (VJP) rule, and a forward (tangent) rule — and each one is
 covered by a finite-difference test. Adding a primitive means adding all
 three pieces plus the test.
 
-    add sub neg mul div matmul sin cos tanh gelu square sqrt
-    sum mean maximum_const concat narrow reshape stopgrad
+The elementwise primitives state one local partial per operand (the
+derivative of the output with respect to that operand, applied to an array);
+the VJP and the tangent both follow from it:
+
+    add sub neg mul div sin cos tanh gelu square sqrt maximum_const
+
+The structural primitives write their VJP and tangent out in full:
+
+    matmul sum mean concat narrow reshape stopgrad
 
 ``affine`` is provided as a composite of matmul+add. ``maximum_const`` is
 the hinge primitive; its subgradient at the kink (input exactly equal to the
@@ -26,6 +33,7 @@ the rules are not reliable in 32-bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,8 +68,8 @@ class Node:
 
     __slots__ = ("value", "tangent", "parents", "vjp", "op")
 
-    # Keep numpy from absorbing Nodes into object arrays; binary ops with an
-    # ndarray on the left then dispatch to our reflected operators.
+    # Keep numpy from absorbing Nodes into object arrays: an ndarray-Node
+    # operator mix raises TypeError; combine them through the primitives.
     __array_ufunc__ = None
 
     def __init__(self, value, op="leaf", parents=(), vjp=None, tangent=None):
@@ -81,35 +89,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={np.shape(self.value)})"
-
-    # arithmetic sugar; all routed through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def leaf(value, tangent=None) -> Node:
@@ -131,7 +110,7 @@ def value_of(x):
 
 
 # ---------------------------------------------------------------------------
-# Broadcasting helpers
+# Shared rule plumbing
 # ---------------------------------------------------------------------------
 
 def _unbroadcast(g: Array, shape) -> Array:
@@ -147,15 +126,39 @@ def _unbroadcast(g: Array, shape) -> Array:
     return g
 
 
-def _tan_linear2(a: Node, b: Node, fa, fb):
-    """Tangent of a bilinear-ish op: fa(a.tangent) + fb(b.tangent)."""
-    ta = None if a.tangent is None else fa(a.tangent)
-    tb = None if b.tangent is None else fb(b.tangent)
-    if ta is None:
-        return tb
-    if tb is None:
-        return ta
-    return ta + tb
+def _tangent(nodes, rules):
+    """Sum of rule(node.tangent) over the nodes that carry a tangent; None
+    when none does."""
+    tan = None
+    for node, rule in zip(nodes, rules):
+        if node.tangent is not None:
+            t = rule(node.tangent)
+            tan = t if tan is None else tan + t
+    return tan
+
+
+def _elementwise(op: str, raw: Callable, rule: Callable, *operands):
+    """Value, VJP and tangent of an elementwise primitive.
+
+    ``raw(*operands)`` is the value rule on plain operands. ``rule(*values)``
+    returns the output and one local partial per operand: a callable that
+    multiplies an array by d(output)/d(operand). The VJP is each partial of
+    the output cotangent, summed down to its operand's shape; the tangent is
+    the sum of the partials of the operand tangents.
+    """
+    if not _any_node(*operands):
+        return raw(*operands)
+    nodes = tuple(map(_lift, operands))
+    value, partials = rule(*[n.value for n in nodes])
+
+    def vjp(g):
+        return [_unbroadcast(d(g), n.value.shape) for d, n in zip(partials, nodes)]
+
+    return Node(value, op, nodes, vjp, _tangent(nodes, partials))
+
+
+def _same(t):
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -163,69 +166,30 @@ def _tan_linear2(a: Node, b: Node, fa, fb):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    if not _any_node(a, b):
-        return a + b
-    a, b = _lift(a), _lift(b)
-    sa, sb = np.shape(a.value), np.shape(b.value)
-
-    def vjp(g):
-        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
-
-    tan = _tan_linear2(a, b, lambda t: t, lambda t: t)
-    return Node(a.value + b.value, "add", (a, b), vjp, tan)
+    return _elementwise("add", operator.add,
+                        lambda x, y: (x + y, (_same, _same)), a, b)
 
 
 def sub(a, b):
-    if not _any_node(a, b):
-        return a - b
-    a, b = _lift(a), _lift(b)
-    sa, sb = np.shape(a.value), np.shape(b.value)
-
-    def vjp(g):
-        return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
-
-    tan = _tan_linear2(a, b, lambda t: t, lambda t: -t)
-    return Node(a.value - b.value, "sub", (a, b), vjp, tan)
+    return _elementwise("sub", operator.sub,
+                        lambda x, y: (x - y, (_same, operator.neg)), a, b)
 
 
 def neg(a):
-    if not _any_node(a):
-        return -a
-    a = _lift(a)
-
-    def vjp(g):
-        return (-g,)
-
-    tan = None if a.tangent is None else -a.tangent
-    return Node(-a.value, "neg", (a,), vjp, tan)
+    return _elementwise("neg", operator.neg,
+                        lambda x: (-x, (operator.neg,)), a)
 
 
 def mul(a, b):
-    if not _any_node(a, b):
-        return a * b
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
-    sa, sb = np.shape(av), np.shape(bv)
-
-    def vjp(g):
-        return (_unbroadcast(g * bv, sa), _unbroadcast(g * av, sb))
-
-    tan = _tan_linear2(a, b, lambda t: t * bv, lambda t: av * t)
-    return Node(av * bv, "mul", (a, b), vjp, tan)
+    def rule(x, y):
+        return x * y, (lambda t: t * y, lambda t: t * x)
+    return _elementwise("mul", operator.mul, rule, a, b)
 
 
 def div(a, b):
-    if not _any_node(a, b):
-        return a / b
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
-    sa, sb = np.shape(av), np.shape(bv)
-
-    def vjp(g):
-        return (_unbroadcast(g / bv, sa), _unbroadcast(-g * av / (bv * bv), sb))
-
-    tan = _tan_linear2(a, b, lambda t: t / bv, lambda t: -av * t / (bv * bv))
-    return Node(av / bv, "div", (a, b), vjp, tan)
+    def rule(x, y):
+        return x / y, (lambda t: t / y, lambda t: -t * x / (y * y))
+    return _elementwise("div", operator.truediv, rule, a, b)
 
 
 def matmul(a, b):
@@ -243,48 +207,30 @@ def matmul(a, b):
     else:
         raise ContractViolation("matmul supports 1-D or 2-D left operands only")
 
-    tan = _tan_linear2(a, b, lambda t: t @ bv, lambda t: av @ t)
+    tan = _tangent((a, b), (lambda t: t @ bv, lambda t: av @ t))
     return Node(av @ bv, "matmul", (a, b), vjp, tan)
 
 
 def sin(a):
-    if not _any_node(a):
-        return np.sin(a)
-    a = _lift(a)
-    c = np.cos(a.value)
-
-    def vjp(g):
-        return (g * c,)
-
-    tan = None if a.tangent is None else c * a.tangent
-    return Node(np.sin(a.value), "sin", (a,), vjp, tan)
+    def rule(x):
+        c = np.cos(x)
+        return np.sin(x), (lambda t: t * c,)
+    return _elementwise("sin", np.sin, rule, a)
 
 
 def cos(a):
-    if not _any_node(a):
-        return np.cos(a)
-    a = _lift(a)
-    s = np.sin(a.value)
-
-    def vjp(g):
-        return (-g * s,)
-
-    tan = None if a.tangent is None else -s * a.tangent
-    return Node(np.cos(a.value), "cos", (a,), vjp, tan)
+    def rule(x):
+        s = np.sin(x)
+        return np.cos(x), (lambda t: -t * s,)
+    return _elementwise("cos", np.cos, rule, a)
 
 
 def tanh(a):
-    if not _any_node(a):
-        return np.tanh(a)
-    a = _lift(a)
-    y = np.tanh(a.value)
-    d = 1.0 - y * y
-
-    def vjp(g):
-        return (g * d,)
-
-    tan = None if a.tangent is None else d * a.tangent
-    return Node(y, "tanh", (a,), vjp, tan)
+    def rule(x):
+        y = np.tanh(x)
+        d = 1.0 - y * y
+        return y, (lambda t: t * d,)
+    return _elementwise("tanh", np.tanh, rule, a)
 
 
 def _gelu_raw(x):
@@ -293,45 +239,23 @@ def _gelu_raw(x):
 
 def gelu(a):
     """Exact (erf-based) gelu: x * Phi(x)."""
-    if not _any_node(a):
-        return _gelu_raw(a)
-    a = _lift(a)
-    x = a.value
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    d = cdf + x * pdf
-
-    def vjp(g):
-        return (g * d,)
-
-    tan = None if a.tangent is None else d * a.tangent
-    return Node(x * cdf, "gelu", (a,), vjp, tan)
+    def rule(x):
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        d = cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+        return x * cdf, (lambda t: t * d,)
+    return _elementwise("gelu", _gelu_raw, rule, a)
 
 
 def square(a):
-    if not _any_node(a):
-        return a * a
-    a = _lift(a)
-    x = a.value
-
-    def vjp(g):
-        return (2.0 * x * g,)
-
-    tan = None if a.tangent is None else 2.0 * x * a.tangent
-    return Node(x * x, "square", (a,), vjp, tan)
+    return _elementwise("square", lambda x: x * x,
+                        lambda x: (x * x, (lambda t: 2.0 * x * t,)), a)
 
 
 def sqrt(a):
-    if not _any_node(a):
-        return np.sqrt(a)
-    a = _lift(a)
-    y = np.sqrt(a.value)
-
-    def vjp(g):
-        return (g / (2.0 * y),)
-
-    tan = None if a.tangent is None else a.tangent / (2.0 * y)
-    return Node(y, "sqrt", (a,), vjp, tan)
+    def rule(x):
+        y = np.sqrt(x)
+        return y, (lambda t: t / (2.0 * y),)
+    return _elementwise("sqrt", np.sqrt, rule, a)
 
 
 def sum_(a, axis=None):
@@ -370,16 +294,10 @@ def maximum_const(a, c: float):
 
     Subgradient at a == c is 0 (the hinge tie-break used by the GAN losses).
     """
-    if not _any_node(a):
-        return np.maximum(a, c)
-    a = _lift(a)
-    mask = a.value > c
-
-    def vjp(g):
-        return (g * mask,)
-
-    tan = None if a.tangent is None else a.tangent * mask
-    return Node(np.maximum(a.value, c), "maximum_const", (a,), vjp, tan)
+    def rule(x):
+        mask = x > c
+        return np.maximum(x, c), (lambda t: t * mask,)
+    return _elementwise("maximum_const", lambda x: np.maximum(x, c), rule, a)
 
 
 def concat(parts, axis=0):

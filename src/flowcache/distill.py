@@ -29,7 +29,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, as_f64, value_of
 from .errors import ContractViolation, NumericFailure
-from .flow import PathSample, TimePair, ToyDistribution, cosine_lr
+from .flow import (PathSample, TimePair, ToyDistribution, cosine_lr,
+                   squared_error_loss)
 from .nets import Condition, VelocityModel
 from .optim import OptimizerState, adam_step, clip_grad_norm, global_grad_norm
 
@@ -117,7 +118,7 @@ def cfg_distill_step(student: VelocityModel, params: ParameterSet,
     leaves = params.lift()
     pred = student.forward(leaves, batch.xt, batch.t, None,
                            Condition(cond.class_id, g))
-    loss = ad.mean(ad.sum_(ad.square(ad.sub(pred, v_target)), axis=1))
+    loss = squared_error_loss(pred, v_target)
     gs = ad.param_grads(loss, leaves)
     norm = global_grad_norm(gs)
     adam_step(params, gs, opt)
@@ -222,7 +223,7 @@ def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
         v = value_of(teacher.forward(teacher_params.entries, x_t, pair.t,
                                      None, cond))
         u, u_tgt = _interval_forward(model, leaves, x_t, pair, v, cond)
-        g_loss = ad.mean(ad.sum_(ad.square(ad.sub(u, u_tgt)), axis=1))
+        g_loss = squared_error_loss(u, u_tgt)
         total = g_loss if total is None else ad.add(total, g_loss)
     loss = ad.mul(total, 1.0 / len(groups))
     gs = ad.param_grads(loss, leaves)

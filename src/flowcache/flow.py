@@ -164,10 +164,14 @@ def sample_data_labeled(dist: ToyDistribution, n: int, seed: int):
 # Losses and samplers
 # ---------------------------------------------------------------------------
 
+def squared_error_loss(pred, target):
+    """Mean over the batch (rows) of the squared L2 distance to target."""
+    return ad.mean(ad.sum_(ad.square(ad.sub(pred, target)), axis=1))
+
+
 def fm_loss_from_output(pred, batch: PathSample):
     """Mean over the batch of the squared L2 distance to x1 - x0."""
-    target = batch.x1 - batch.x0
-    return ad.mean(ad.sum_(ad.square(ad.sub(pred, target)), axis=1))
+    return squared_error_loss(pred, batch.x1 - batch.x0)
 
 
 def fm_loss(model: VelocityModel, params, batch: PathSample,

@@ -97,10 +97,10 @@ def spectral_normalize(weight: Array | Node,
 
     Returns (normalized weight, updated u_state, degenerate). A zero weight
     matrix cannot be normalized; it is returned unchanged with the degeneracy
-    flag set and u_state untouched. For a graph ``Node`` weight sigma is built
-    inside the graph with u and v held constant, so gradients see the
-    normalization; u is bit-equal to the raw call's, the weight agrees to
-    rounding (sigma is summed in a different order).
+    flag set and u_state untouched. Sigma is built with the autodiff
+    primitives, with u and v held constant, so a graph ``Node`` weight gets
+    gradients through the normalization and a raw weight gets the bit-equal
+    value.
     """
     weight = weight if isinstance(weight, Node) else as_f64(weight)
     wv = value_of(weight)
@@ -127,8 +127,5 @@ def spectral_normalize(weight: Array | Node,
     if nu == 0.0:
         return weight, u_state, True
     u = u / nu
-    if isinstance(weight, Node):
-        sigma = ad.sum_(ad.mul(ad.matmul(weight, v.reshape(-1, 1)),
-                               u.reshape(-1, 1)))
-        return ad.div(weight, sigma), u, False
-    return wv / float(u @ wv @ v), u, False
+    sigma = ad.sum_(ad.mul(ad.matmul(weight, v.reshape(-1, 1)), u.reshape(-1, 1)))
+    return ad.div(weight, sigma), u, False

@@ -33,7 +33,7 @@ from . import autodiff as ad
 from .autodiff import ParameterSet, as_f64, value_of
 from .distill import RestrictConfig, sample_t_r
 from .errors import ContractViolation, NumericFailure
-from .flow import TimePair, ToyDistribution
+from .flow import TimePair, ToyDistribution, squared_error_loss
 from .nets import (Condition, Discriminator, DiscriminatorConfig, Predictor,
                    VelocityModel, default_taps)
 from .optim import OptimizerState, adam_step
@@ -141,7 +141,7 @@ def extract_features(extractor: VelocityModel, params: ParameterSet, x,
 def _predictor_loss_graph(predictor: Predictor, leaves, pair: TrainingPair):
     u_pred = predictor.forward(leaves, pair.cache_value, pair.x_query,
                                pair.query.t, pair.query.r, pair.cond)
-    mse = ad.mean(ad.sum_(ad.square(ad.sub(u_pred, pair.target_u)), axis=1))
+    mse = squared_error_loss(u_pred, pair.target_u)
     return u_pred, mse
 
 
@@ -213,31 +213,27 @@ def hinge_d_loss_values(d_real: float, d_fake: float) -> float:
 def train_predictor(backbone: VelocityModel, backbone_params: ParameterSet,
                     predictor: Predictor, dist: ToyDistribution, *,
                     restrict: RestrictConfig, cfg: PredictorTrainConfig,
-                    seed: int = 0, adversarial: bool = True,
+                    seed: int = 0,
                     disc_config: DiscriminatorConfig | None = None):
-    """MSE phase then (optionally) GAN phase against the frozen backbone.
+    """MSE phase then GAN phase against the frozen backbone.
 
-    Every iteration consumes the same data-stream draws whether or not the
-    adversarial phase is enabled, so a lambda=0 (or adversarial=False) run
-    walks the identical predictor trajectory as a pure-MSE run.
+    Every iteration consumes the same data-stream draws in either phase and
+    the discriminator draws from its own stream, so a lambda=0 run walks the
+    identical predictor trajectory as a pure-MSE run (gan_iters=0 with as
+    many MSE iterations).
 
-    Returns (predictor params, discriminator or None, mse losses, gan reports).
+    Returns (predictor params, discriminator, mse losses, gan reports).
     """
     rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 53]))
     disc_rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 54]))
     params = predictor.init_params(rng)
     opt_p = OptimizerState.init(params, lr=cfg.lr_predictor)
 
-    taps = default_taps(backbone.config.depth)
-    disc = None
-    opt_d = None
-    if adversarial:
-        dc = disc_config or DiscriminatorConfig(scales=tuple(taps))
-        if list(dc.scales) != list(taps):
-            taps = list(dc.scales)
-        disc = Discriminator(dc, feature_dim=backbone.config.hidden_dim,
-                             rng=disc_rng)
-        opt_d = OptimizerState.init(disc.params, lr=cfg.lr_discriminator)
+    dc = disc_config or DiscriminatorConfig(
+        scales=tuple(default_taps(backbone.config.depth)))
+    taps = list(dc.scales)
+    disc = Discriminator(dc, feature_dim=backbone.config.hidden_dim, rng=disc_rng)
+    opt_d = OptimizerState.init(disc.params, lr=cfg.lr_discriminator)
 
     before = {k: v.copy() for k, v in backbone_params.entries.items()}
     mse_losses: list[float] = []
@@ -245,7 +241,7 @@ def train_predictor(backbone: VelocityModel, backbone_params: ParameterSet,
     for it in range(cfg.mse_iters + cfg.gan_iters):
         pair = build_training_pair(backbone, backbone_params, dist, restrict,
                                    cfg, rng)
-        if it < cfg.mse_iters or not adversarial:
+        if it < cfg.mse_iters:
             mse_losses.append(predictor_mse_step(predictor, params, pair, opt_p))
         else:
             gan_reports.append(gan_step(predictor, params, disc, backbone,

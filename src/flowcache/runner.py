@@ -141,7 +141,7 @@ def run_train_predictor(config: ExperimentConfig, meanflow_path,
     params, disc, _, _ = predictor_train.train_predictor(
         backbone, parent.params, predictor, config.distribution,
         restrict=restrict, cfg=config.predictor_train, seed=config.seed,
-        adversarial=True, disc_config=disc_cfg)
+        disc_config=disc_cfg)
     snapshot = {"velocity": parent.config["velocity"],
                 "predictor": asdict(config.predictor),
                 "delta_max": config.predictor_train.delta_max}

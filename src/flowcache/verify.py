@@ -17,7 +17,8 @@ from .cache import CacheState, fixture_schedule, taylor_forecast
 from .checkpoint import Checkpoint, Stage, load_checkpoint, save_checkpoint
 from .distill import RestrictConfig, sample_t_r
 from .flow import (TimePair, analytic_gaussian_velocity,
-                   analytic_mean_velocity, mean_velocity_step, uniform_pairs)
+                   analytic_mean_velocity, mean_velocity_step,
+                   squared_error_loss, uniform_pairs)
 from .metrics import w2_distance
 from .nets import Condition, VelocityModel, VelocityModelConfig
 
@@ -54,7 +55,7 @@ def check_autodiff(seed: int) -> tuple[bool, str]:
 
     def loss_fn(p):
         y = model.forward(p, x, 0.6, 0.2, Condition(0))
-        return ad.mean(ad.sum_(ad.square(ad.sub(y, target)), axis=1))
+        return squared_error_loss(y, target)
 
     _, gs = ad.grad(loss_fn, params)
     name = "block0.fc1.w"

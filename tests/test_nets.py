@@ -282,6 +282,19 @@ def test_spectral_norm_gradient_matches_fd(rng):
     assert all(d.u_state[k] is u for k, u in u_before.items())
 
 
+def test_discriminator_raw_and_graph_scores_bit_equal(rng):
+    # raw and graph spectral normalization build sigma with the same ops
+    for _ in range(20):
+        d = make_disc(rng)
+        for k in d.params.entries:
+            d.params.entries[k] = 0.5 * rng.standard_normal(d.params.entries[k].shape)
+        feats = [rng.standard_normal((6, 24)) for _ in range(3)]
+        raw = d.forward(d.params.entries, feats, update_u=False)
+        graph = d.forward(d.params.lift(), [ad.leaf(f) for f in feats],
+                          update_u=False)
+        assert np.array_equal(graph.value, raw)
+
+
 def test_scale_config_validation():
     with pytest.raises(ContractViolation):
         DiscriminatorConfig(scales=())

@@ -162,8 +162,7 @@ def test_graph_weight_matches_raw_call(shape):
     assert isinstance(node, ad.Node)
     assert not raw_degenerate and not node_degenerate
     assert np.array_equal(u_node, u_raw)
-    # sigma is summed in a different order in the graph: equal to rounding
-    assert np.max(np.abs(node.value - raw)) <= 1e-14 * np.max(np.abs(raw))
+    assert np.array_equal(node.value, raw)
 
 
 def test_graph_zero_weight_passes_through():

@@ -154,8 +154,7 @@ def test_short_training_beats_naive_reuse_on_gaussian(rng):
     cfg = PredictorTrainConfig(mse_iters=500, gan_iters=0, batch_size=64,
                                lr_predictor=3e-3)
     pp, _, losses, _ = train_predictor(backbone, params, pred, dist,
-                                       restrict=restrict, cfg=cfg, seed=0,
-                                       adversarial=False)
+                                       restrict=restrict, cfg=cfg, seed=0)
     assert np.isfinite(losses).all()
     # held-out evaluation at a fixed half-horizon offset
     gen = np.random.default_rng(99)
@@ -224,14 +223,14 @@ def test_lambda_zero_matches_pure_mse_run(rng):
     restrict = RestrictConfig(0.2)
     cfg0 = PredictorTrainConfig(mse_iters=20, gan_iters=30, lambda_adv=0.0,
                                 batch_size=8, lr_predictor=1e-3)
+    cfg_mse = PredictorTrainConfig(mse_iters=50, gan_iters=0, lambda_adv=0.0,
+                                   batch_size=8, lr_predictor=1e-3)
     pred_a, _ = small_predictor(backbone, rng)
     pa, _, _, reports = train_predictor(backbone, params, pred_a, dist,
-                                        restrict=restrict, cfg=cfg0, seed=4,
-                                        adversarial=True)
+                                        restrict=restrict, cfg=cfg0, seed=4)
     pred_b, _ = small_predictor(backbone, rng)
     pb, _, _, _ = train_predictor(backbone, params, pred_b, dist,
-                                  restrict=restrict, cfg=cfg0, seed=4,
-                                  adversarial=False)
+                                  restrict=restrict, cfg=cfg_mse, seed=4)
     for k in pa.entries:
         assert np.array_equal(pa[k], pb[k]), k
     assert len(reports) == 30
@@ -244,7 +243,7 @@ def test_frozen_backbone_verified(rng):
     snapshot = params.copy()
     cfg = PredictorTrainConfig(mse_iters=5, gan_iters=5, batch_size=8)
     train_predictor(backbone, params, pred, dist, restrict=RestrictConfig(0.2),
-                    cfg=cfg, seed=0, adversarial=True)
+                    cfg=cfg, seed=0)
     for k in params.entries:
         assert np.array_equal(params[k], snapshot[k])
 
