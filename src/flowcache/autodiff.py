@@ -346,6 +346,9 @@ def narrow(a, axis: int, start: int, length: int):
 
 
 def reshape(a, shape):
+    """Reshape; an operand already of that shape is returned as it is."""
+    if np.shape(value_of(a)) == tuple(shape):
+        return a
     if not _any_node(a):
         return np.reshape(a, shape)
     a = _lift(a)

@@ -31,6 +31,17 @@ class TrainSettings:
     groups_per_step: int = 4  # mean-velocity stage only
     grad_clip: float | None = 1.0  # mean-velocity stage only
 
+    def __post_init__(self):
+        for name in ("iters", "batch_size", "groups_per_step"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "lr_final", "grad_clip"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        if not (0.0 <= self.p_uncond <= 1.0):
+            raise ConfigError(f"p_uncond must lie in [0, 1], got {self.p_uncond}")
+
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -113,6 +124,14 @@ def _section(raw: dict, name: str) -> dict:
     return section
 
 
+def _train_settings(section: str, **fields) -> TrainSettings:
+    """The TrainSettings of one section; a rejected value names the section."""
+    try:
+        return TrainSettings(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"'{section}': {exc}") from exc
+
+
 def _float_or_none(value):
     return None if value is None else float(value)
 
@@ -138,25 +157,28 @@ def config_from_dict(user: dict) -> ExperimentConfig:
         dist = ToyDistribution(**_section(raw, "distribution"))
         model = _section(raw, "model")
         base = _section(raw, "base_train")
-        base_train = TrainSettings(iters=int(base["iters"]),
-                                   batch_size=int(base["batch_size"]),
-                                   lr=float(base["lr"]),
-                                   lr_final=_float_or_none(base["lr_final"]),
-                                   p_uncond=float(base["p_uncond"]))
+        base_train = _train_settings("base_train", iters=int(base["iters"]),
+                                     batch_size=int(base["batch_size"]),
+                                     lr=float(base["lr"]),
+                                     lr_final=_float_or_none(base["lr_final"]),
+                                     p_uncond=float(base["p_uncond"]))
         cd = _section(raw, "cfg_distill")
         cfg_distill = CfgConfig(g_min=float(cd["g_min"]), g_max=float(cd["g_max"]))
-        cfg_train = TrainSettings(iters=int(cd["iters"]),
-                                  batch_size=int(cd["batch_size"]),
-                                  lr=float(cd["lr"]),
-                                  lr_final=_float_or_none(cd["lr_final"]))
+        cfg_train = _train_settings("cfg_distill", iters=int(cd["iters"]),
+                                    batch_size=int(cd["batch_size"]),
+                                    lr=float(cd["lr"]),
+                                    lr_final=_float_or_none(cd["lr_final"]))
         mf = _section(raw, "meanflow")
         restrict = RestrictConfig(restrict_factor=float(mf["restrict_factor"]))
-        meanflow_train = TrainSettings(iters=int(mf["iters"]),
-                                       batch_size=int(mf["batch_size"]),
-                                       lr=float(mf["lr"]),
-                                       lr_final=_float_or_none(mf["lr_final"]),
-                                       groups_per_step=int(mf["groups_per_step"]),
-                                       grad_clip=_float_or_none(mf["grad_clip"]))
+        meanflow_train = _train_settings(
+            "meanflow", iters=int(mf["iters"]), batch_size=int(mf["batch_size"]),
+            lr=float(mf["lr"]), lr_final=_float_or_none(mf["lr_final"]),
+            groups_per_step=int(mf["groups_per_step"]),
+            grad_clip=_float_or_none(mf["grad_clip"]))
+        if meanflow_train.batch_size % meanflow_train.groups_per_step:
+            raise ConfigError(
+                f"'meanflow': batch_size {meanflow_train.batch_size} is not a "
+                f"multiple of groups_per_step {meanflow_train.groups_per_step}")
         pr = _section(raw, "predictor")
         predictor = PredictorConfig(
             hidden_dim=int(pr["hidden_dim"]), depth=int(pr["depth"]),

@@ -18,6 +18,11 @@ sampling trajectory, and
 
 used under stop-gradient, i.e. the loss is ||u_theta - sg(u_tgt)||^2. Here
 that is literal: u_tgt is a plain array, never part of the student's graph.
+
+A mean-velocity step is one graph: the groups of a step (one time pair and
+condition each) are stacked into one batch, the teacher and the student are
+each called once with per-group conditioning, and the target subtracts each
+row's own interval, v - (t - r)[row] * du/dt.
 """
 
 from __future__ import annotations
@@ -166,24 +171,26 @@ def train_cfg(student: VelocityModel, teacher: VelocityModel,
 # Mean-velocity target and distillation
 # ---------------------------------------------------------------------------
 
-def _interval_forward(model: VelocityModel, params, x_t, pair: TimePair, v,
-                      cond: Condition):
+def _interval_forward(model: VelocityModel, params, x_t, t, r, v, cond):
     """Graph forward of u_theta at (x_t, r, t) with jvp tangents (v, 0, 1).
 
-    Returns (u node, u_tgt array). u_tgt is detached by construction. At
-    t == r the target is exactly v (zero interval), bit-for-bit.
+    t and r hold one time per group (scalars for a single group) and cond
+    one Condition per group; the rows of x_t split evenly across the groups.
+    Returns (u node, u_tgt array). u_tgt is detached by construction. In the
+    rows of a group with t == r the target is exactly v (zero interval),
+    bit-for-bit.
     """
     v = as_f64(v)
+    t, r = as_f64(t), as_f64(r)
     x_node = ad.leaf(value_of(x_t), tangent=v)
-    t_node = ad.leaf(pair.t, tangent=1.0)
-    r_node = ad.leaf(pair.r)
+    t_node = ad.leaf(t, tangent=np.ones_like(t))
+    r_node = ad.leaf(r)
     u = model.forward(params, x_node, t_node, r_node, cond)
-    if pair.t == pair.r:
-        return u, v.copy()
     dudt = u.tangent
     if dudt is None:
         dudt = np.zeros_like(v)
-    u_tgt = v - pair.interval * dudt
+    interval = np.repeat(np.reshape(t - r, -1), len(v) // t.size)[:, None]
+    u_tgt = np.where(interval == 0.0, v, v - interval * dudt)
     if not np.all(np.isfinite(u_tgt)):
         raise NumericFailure("mean-velocity target is non-finite")
     return u, u_tgt
@@ -197,7 +204,8 @@ def meanflow_target(model: VelocityModel, params: ParameterSet, x_t,
     v = as_f64(v)
     if v.shape != np.shape(value_of(x_t)):
         raise ContractViolation("v must shape-match x_t")
-    _, u_tgt = _interval_forward(model, params.entries, x_t, pair, v, cond)
+    _, u_tgt = _interval_forward(model, params.entries, x_t, pair.t, pair.r,
+                                 v, cond)
     return u_tgt
 
 
@@ -207,25 +215,30 @@ def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
                           clip: float | None = 1.0) -> DistillBatchReport:
     """One optimizer step over several (pair, sub-batch) groups.
 
-    Each group carries (PathSample-like states, TimePair, Condition). The
-    teacher provides v at (x_t, t) in instantaneous mode; gradient descends
-    mean over groups of ||u - sg(u_tgt)||^2.
+    Each group carries (PathSample-like states, TimePair, Condition), and
+    every group has the same number of rows. The groups are stacked into one
+    batch: one teacher call gives v at (x_t, t) in instantaneous mode, one
+    graph gives u and its tangent, and the gradient descends the mean over
+    all rows of ||u - sg(u_tgt)||^2.
     """
     intervals = [pair.interval for _, pair, _ in groups]
     if max(intervals) > restrict.restrict_factor + 1e-12:
         raise ContractViolation(
             f"sampled interval {max(intervals)} escaped the restriction "
             f"{restrict.restrict_factor}")
+    states = [as_f64(value_of(x_t)) for x_t, _, _ in groups]
+    if len({len(x) for x in states}) != 1:
+        raise ContractViolation(
+            f"groups must have equal row counts, got {[len(x) for x in states]}")
+    x_t = np.concatenate(states)
+    t = np.array([pair.t for _, pair, _ in groups])
+    r = np.array([pair.r for _, pair, _ in groups])
+    conds = [cond for _, _, cond in groups]
 
+    v = value_of(teacher.forward(teacher_params.entries, x_t, t, None, conds))
     leaves = params.lift()
-    total = None
-    for x_t, pair, cond in groups:
-        v = value_of(teacher.forward(teacher_params.entries, x_t, pair.t,
-                                     None, cond))
-        u, u_tgt = _interval_forward(model, leaves, x_t, pair, v, cond)
-        g_loss = squared_error_loss(u, u_tgt)
-        total = g_loss if total is None else ad.add(total, g_loss)
-    loss = ad.mul(total, 1.0 / len(groups))
+    u, u_tgt = _interval_forward(model, leaves, x_t, t, r, v, conds)
+    loss = squared_error_loss(u, u_tgt)
     gs = ad.param_grads(loss, leaves)
     if clip is not None:
         norm = clip_grad_norm(gs, clip)
@@ -247,15 +260,20 @@ def train_meanflow(model: VelocityModel, init_params: ParameterSet,
     """Mean-velocity distillation loop starting from the CFG student.
 
     Every step draws `groups_per_step` restricted pairs and splits the batch
-    across them, giving the report meaningful interval statistics.
+    evenly across them, giving the report meaningful interval statistics.
+    Each step is one teacher call and one graph over the whole batch.
     """
     if not model.config.accepts_r:
         raise ContractViolation("mean-velocity distillation needs accepts_r")
+    if groups_per_step < 1 or batch_size < 1 or batch_size % groups_per_step:
+        raise ContractViolation(
+            f"batch_size {batch_size} does not split into {groups_per_step} "
+            f"equal groups")
     rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 37]))
     params = init_params.copy()
     opt = OptimizerState.init(params, lr=lr)
     lr_final = lr if lr_final is None else lr_final
-    per_group = max(1, batch_size // groups_per_step)
+    per_group = batch_size // groups_per_step
     reports = []
     for it in range(iters):
         groups = []

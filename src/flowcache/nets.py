@@ -6,6 +6,13 @@ class, and guidance-scale embeddings). Modulation affines and output heads
 start at zero, so a fresh model is the zero velocity field and blocks open
 up through their gates during training.
 
+Conditioning is per group. One forward call takes G conditions (t, r and
+class/guidance per group) and splits the rows of x into G equal contiguous
+blocks. The embeddings and every modulation are built once per group, as
+(G, .) arrays, and each group's shift, scale and gate broadcast over its own
+rows through a (G, rows/G, H) view of the hidden state. A call with one
+condition is the G = 1 case of the same code.
+
 The guidance-scale head carries a linear bypass alongside its small FFN:
 the guided-mixture family g*v_c + (1-g)*v_uc is affine in g, and the bypass
 makes that family exactly representable, which the distillation tests rely
@@ -44,16 +51,17 @@ class Condition:
 
 
 def time_embed(s, dim: int):
-    """Sinusoidal features [sin(w_k s) .. , cos(w_k s) ..] of a scalar time.
+    """Sinusoidal features [sin(w_k s) .. , cos(w_k s) ..] of a time.
 
-    Frequencies are geometric, w_k = 10000^(-2k/dim); output length is dim.
+    Frequencies are geometric, w_k = 10000^(-2k/dim). A scalar time gives a
+    vector of length dim; a (G, 1) column of times gives (G, dim).
     """
     if dim % 2 != 0:
         raise ContractViolation("time_embed dim must be even")
     k = np.arange(dim // 2, dtype=np.float64)
     freqs = np.power(10000.0, -2.0 * k / dim)
     ang = ad.mul(s, freqs)
-    return ad.concat([ad.sin(ang), ad.cos(ang)], axis=0)
+    return ad.concat([ad.sin(ang), ad.cos(ang)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +110,14 @@ class VelocityModelConfig:
 
 
 def cfg_embed(g, params, cfg: VelocityModelConfig):
-    """Guidance-scale embedding: small FFN plus a linear bypass, width H."""
-    gval = float(value_of(g))
-    if not (cfg.cfg_min <= gval <= cfg.cfg_max):
-        raise ContractViolation(
-            f"cfg_scale {gval} outside [{cfg.cfg_min}, {cfg.cfg_max}]")
+    """Guidance-scale embedding: small FFN plus a linear bypass, width H.
+
+    A scalar g gives (H,); a (G, 1) column of scales gives (G, H).
+    """
+    for gval in np.reshape(value_of(g), -1).tolist():
+        if not (cfg.cfg_min <= gval <= cfg.cfg_max):
+            raise ContractViolation(
+                f"cfg_scale {gval} outside [{cfg.cfg_min}, {cfg.cfg_max}]")
     if cfg.cfg_max > cfg.cfg_min:
         gn = ad.mul(ad.add(ad.mul(g, 2.0), -(cfg.cfg_min + cfg.cfg_max)),
                     1.0 / (cfg.cfg_max - cfg.cfg_min))
@@ -115,6 +126,18 @@ def cfg_embed(g, params, cfg: VelocityModelConfig):
     h = ad.gelu(ad.add(ad.mul(gn, params["cfg.w1"]), params["cfg.b1"]))
     h = ad.affine(h, params["cfg.w2"], params["cfg.b2"])
     return ad.add(h, ad.mul(gn, params["cfg.skip"]))
+
+
+def _unit_times(name: str, value) -> list[float]:
+    """The times of a scalar or vector operand, each checked to lie in [0, 1]."""
+    values = np.asarray(value_of(value), dtype=np.float64)
+    if values.ndim > 1:
+        raise ContractViolation(f"{name} must be a scalar or a vector")
+    times = values.reshape(-1).tolist()
+    for v in times:
+        if not (0.0 <= v <= 1.0):
+            raise ContractViolation(f"{name}={v} outside [0, 1]")
+    return times
 
 
 class VelocityModel:
@@ -184,51 +207,68 @@ class VelocityModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _condition_vector(self, params, t, r, cond: Condition):
-        c = self.config
-        e = ad.affine(time_embed(t, c.time_embed_dim),
-                      params["time_t.w"], params["time_t.b"])
-        if c.accepts_r:
-            e = ad.add(e, ad.affine(time_embed(r, c.time_embed_dim),
-                                    params["time_r.w"], params["time_r.b"]))
-        row = c.condition_vocab if cond.class_id is None else cond.class_id
-        if not (0 <= row <= c.condition_vocab):
-            raise ContractViolation(
-                f"class_id {cond.class_id} outside vocab of size {c.condition_vocab}")
-        class_row = ad.reshape(
-            ad.narrow(params["class_emb"], 0, row, 1), (c.hidden_dim,))
-        e = ad.add(e, class_row)
-        if c.accepts_cfg:
-            if cond.cfg_scale is None:
-                raise ContractViolation(
-                    "guidance-distilled model requires cfg_scale in the condition")
-            e = ad.add(e, cfg_embed(cond.cfg_scale, params, c))
-        elif cond.cfg_scale is not None:
-            raise ContractViolation("model has no guidance-scale head; cfg_scale must be None")
-        return e
-
-    def _check_times(self, t, r):
-        tv = float(value_of(t))
-        if not (0.0 <= tv <= 1.0):
-            raise ContractViolation(f"t={tv} outside [0, 1]")
+    def _groups(self, t, r, cond):
+        """Check the times and return (G, r, conditions): t and r are scalars
+        or length-G vectors, cond one Condition or a sequence of G."""
+        conds = list(cond) if isinstance(cond, (list, tuple)) else [cond]
+        ts = _unit_times("t", t)
+        rs = ts
         if r is None:
             if self.config.accepts_r:
                 r = t  # instantaneous mode: zero-length interval
-            return t, r
-        if not self.config.accepts_r:
+        else:
+            if not self.config.accepts_r:
+                raise ContractViolation(
+                    "model was built with accepts_r=False; it cannot condition on r")
+            rs = _unit_times("r", r)
+        sizes = {len(ts), len(rs), len(conds)}
+        G = max(sizes)
+        if sizes - {1, G}:
             raise ContractViolation(
-                "model was built with accepts_r=False; it cannot condition on r")
-        rv = float(value_of(r))
-        if not (0.0 <= rv <= 1.0):
-            raise ContractViolation(f"r={rv} outside [0, 1]")
-        if rv > tv:
-            raise ContractViolation(f"r={rv} exceeds t={tv}")
-        return t, r
+                f"t, r and cond must each give one value or one per group; "
+                f"got sizes {sorted(sizes)}")
+        for rv, tv in zip(rs * (G // len(rs)), ts * (G // len(ts))):
+            if rv > tv:
+                raise ContractViolation(f"r={rv} exceeds t={tv}")
+        return G, r, conds
+
+    def _condition_rows(self, params, t, r, conds):
+        """The conditioning embedding, one (1, H) or (G, H) row per group."""
+        c = self.config
+        e = ad.affine(time_embed(ad.reshape(t, (-1, 1)), c.time_embed_dim),
+                      params["time_t.w"], params["time_t.b"])
+        if c.accepts_r:
+            e = ad.add(e, ad.affine(time_embed(ad.reshape(r, (-1, 1)), c.time_embed_dim),
+                                    params["time_r.w"], params["time_r.b"]))
+        class_rows = []
+        for cond in conds:
+            row = c.condition_vocab if cond.class_id is None else cond.class_id
+            if not (0 <= row <= c.condition_vocab):
+                raise ContractViolation(
+                    f"class_id {cond.class_id} outside vocab of size {c.condition_vocab}")
+            class_rows.append(ad.narrow(params["class_emb"], 0, row, 1))
+        e = ad.add(e, class_rows[0] if len(class_rows) == 1
+                   else ad.concat(class_rows, axis=0))
+        scales = [cond.cfg_scale for cond in conds]
+        if c.accepts_cfg:
+            if any(g is None for g in scales):
+                raise ContractViolation(
+                    "guidance-distilled model requires cfg_scale in the condition")
+            e = ad.add(e, cfg_embed(np.reshape(scales, (-1, 1)), params, c))
+        elif any(g is not None for g in scales):
+            raise ContractViolation("model has no guidance-scale head; cfg_scale must be None")
+        return e
 
     def forward(self, params, x, t, r=None, cond: Condition = Condition(),
                 taps=None):
         """Velocity prediction, same shape as x; with `taps` also returns the
-        hidden activations after the listed blocks (1-based indices)."""
+        hidden activations after the listed blocks (1-based indices).
+
+        t and r are scalars or length-G vectors and cond is one Condition or
+        G of them. The rows of x split into G equal contiguous blocks, and
+        block g is conditioned on the g-th time pair and condition; a scalar
+        or a single condition is shared by every block.
+        """
         c = self.config
         xv = value_of(x)
         if np.ndim(xv) != 2 or np.shape(xv)[1] != c.input_dim:
@@ -236,34 +276,49 @@ class VelocityModel:
                 f"x must have shape (batch, {c.input_dim}), got {np.shape(xv)}")
         if not np.all(np.isfinite(xv)):
             raise NumericFailure("non-finite x passed to velocity model")
-        t, r = self._check_times(t, r)
-        e = self._condition_vector(params, t, r, cond)
+        G, r, conds = self._groups(t, r, cond)
+        n = np.shape(xv)[0]
+        if n % G != 0:
+            raise ContractViolation(f"{n} rows do not split into {G} equal groups")
+        e = self._condition_rows(params, t, r, conds)
 
         H = c.hidden_dim
-        h = ad.affine(x, params["input.w"], params["input.b"])
+        rows = (n, H)
+        # G groups view the hidden state as (G, n/G, H) and each modulation
+        # as (G, 1, .), so a group's shift, scale and gate broadcast over its
+        # own rows. One group keeps the plain layout (e of shape (H,), hidden
+        # state (n, H)): its views are no-ops and its vector-matrix products
+        # need no (H, 1) @ (1, 3H) outer products in the backward pass.
+        if G == 1:
+            e = ad.reshape(e, (H,))
+            grouped, mod_view = rows, ()
+        else:
+            grouped, mod_view = (G, n // G, H), (G, 1)
+
+        def modulation(prefix, parts):
+            m = ad.reshape(ad.affine(e, params[f"{prefix}.w"], params[f"{prefix}.b"]),
+                           mod_view + (parts * H,))
+            return [ad.narrow(m, len(mod_view), k * H, H) for k in range(parts)]
+
+        h = ad.reshape(ad.affine(x, params["input.w"], params["input.b"]), grouped)
         feats = []
         for i in range(c.depth):
-            m = ad.affine(e, params[f"block{i}.mod.w"], params[f"block{i}.mod.b"])
-            shift = ad.narrow(m, 0, 0, H)
-            scale = ad.narrow(m, 0, H, H)
-            gate = ad.narrow(m, 0, 2 * H, H)
-            z = ad.add(ad.mul(h, ad.add(scale, 1.0)), shift)
+            shift, scale, gate = modulation(f"block{i}.mod", 3)
+            z = ad.reshape(ad.add(ad.mul(h, ad.add(scale, 1.0)), shift), rows)
             z = ad.gelu(ad.affine(z, params[f"block{i}.fc1.w"], params[f"block{i}.fc1.b"]))
             z = ad.affine(z, params[f"block{i}.fc2.w"], params[f"block{i}.fc2.b"])
-            h = ad.add(h, ad.mul(gate, z))
+            h = ad.add(h, ad.mul(gate, ad.reshape(z, grouped)))
             feats.append(h)
 
-        om = ad.affine(e, params["out_mod.w"], params["out_mod.b"])
-        shift_o = ad.narrow(om, 0, 0, H)
-        scale_o = ad.narrow(om, 0, H, H)
-        y = ad.affine(ad.add(ad.mul(h, ad.add(scale_o, 1.0)), shift_o),
+        shift_o, scale_o = modulation("out_mod", 2)
+        y = ad.affine(ad.reshape(ad.add(ad.mul(h, ad.add(scale_o, 1.0)), shift_o), rows),
                       params["out.w"], params["out.b"])
         if taps is None:
             return y
         for tap in taps:
             if not (1 <= tap <= c.depth):
                 raise ContractViolation(f"feature tap {tap} outside depth {c.depth}")
-        return y, [feats[tap - 1] for tap in taps]
+        return y, [ad.reshape(feats[tap - 1], rows) for tap in taps]
 
 
 def default_taps(depth: int) -> list[int]:

@@ -258,7 +258,7 @@ def test_stopgrad_identity_zero_grad_zero_tangent(rng):
 def test_hinge_subgradient_zero_at_kink():
     x = ad.leaf(np.array([0.0, -1.0, 2.0]))
     loss = ad.sum_(ad.maximum_const(x, 0.0))
-    g = ad.grad_of(ad.backward(x and loss), x)
+    g = ad.grad_of(ad.backward(loss), x)
     assert np.array_equal(g, np.array([0.0, 0.0, 1.0]))
     _, tan = ad.jvp(lambda v: ad.maximum_const(v, 0.0),
                     [np.array([0.0, -1.0, 2.0])], [np.ones(3)])

@@ -1,5 +1,6 @@
 """Config validation: every section rejects unknown keys and non-numeric
-optional floats, through the parser and through the CLI's exit code 2."""
+optional floats, and the training sections reject out-of-range settings,
+through the parser and through the CLI's exit code 2."""
 
 import json
 
@@ -20,6 +21,15 @@ BAD_CONFIGS = {
     "workers": {"workers": 1},
     "lr_final": {"meanflow": {"lr_final": "abc"}},
     "grad_clip": {"meanflow": {"grad_clip": "abc"}},
+    # one case per training-settings rule
+    "iters_negative": {"meanflow": {"iters": -1}},
+    "batch_size_zero": {"base_train": {"batch_size": 0}},
+    "lr_zero": {"cfg_distill": {"lr": 0.0}},
+    "lr_final_negative": {"meanflow": {"lr_final": -5e-5}},
+    "groups_per_step_zero": {"meanflow": {"groups_per_step": 0}},
+    "grad_clip_zero": {"meanflow": {"grad_clip": 0.0}},
+    "p_uncond_above_one": {"base_train": {"p_uncond": 1.5}},
+    "meanflow_uneven_groups": {"meanflow": {"batch_size": 130}},
 }
 
 

@@ -197,7 +197,7 @@ def test_no_gradient_through_target(rng):
 
     # engine gradients of ||u - sg(u_tgt)||^2
     leaves = params.lift()
-    u, u_tgt = distill._interval_forward(m, leaves, x, pair, v, cond)
+    u, u_tgt = distill._interval_forward(m, leaves, x, pair.t, pair.r, v, cond)
     loss = ad.mean(ad.sum_(ad.square(ad.sub(u, u_tgt)), axis=1))
     grads = ad.param_grads(loss, leaves)
     frozen = u_tgt.copy()
@@ -324,3 +324,90 @@ def test_escaped_interval_raises_before_update(rng):
         distill.meanflow_distill_step(student, params, student, params, groups,
                                       RestrictConfig(0.2), opt)
     assert params.version == 0
+
+
+# ---------------------------------------------------------------------------
+# one graph per step: groups stacked into one batch
+# ---------------------------------------------------------------------------
+
+def group_models(rng):
+    """A guidance-conditioned teacher and its interval student, randomized."""
+    kw = dict(input_dim=2, hidden_dim=16, depth=2, time_embed_dim=8,
+              condition_vocab=2, accepts_cfg=True)
+    teacher = VelocityModel(VelocityModelConfig(**kw))
+    student = VelocityModel(VelocityModelConfig(accepts_r=True, **kw))
+    tparams = teacher.init_params(rng)
+    sparams = student.init_params(rng)
+    for p in (tparams, sparams):
+        for k in p.entries:
+            p.entries[k] = 0.3 * rng.standard_normal(p.entries[k].shape)
+    return teacher, tparams, student, sparams
+
+
+def step_groups(rng, pairs, rows=4):
+    conds = [Condition(0, 2.0), Condition(None, 5.5), Condition(1, 1.0)]
+    return [(rng.standard_normal((rows, 2)), pair, conds[i % len(conds)])
+            for i, pair in enumerate(pairs)]
+
+
+def normwise_rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def test_step_matches_per_group_scalar_reference(rng, monkeypatch):
+    teacher, tparams, student, sparams = group_models(rng)
+    groups = step_groups(rng, [TimePair(0.8, 0.65), TimePair(0.4, 0.4),
+                               TimePair(0.3, 0.12), TimePair(0.95, 0.9)])
+    # reference: the mean over groups of each group's own scalar-call loss
+    leaves = sparams.lift()
+    total = None
+    for x_t, pair, cond in groups:
+        v = ad.value_of(teacher.forward(tparams.entries, x_t, pair.t, None, cond))
+        u, u_tgt = distill._interval_forward(student, leaves, x_t, pair.t,
+                                             pair.r, v, cond)
+        g_loss = flow.squared_error_loss(u, u_tgt)
+        total = g_loss if total is None else ad.add(total, g_loss)
+    ref_loss = ad.mul(total, 1.0 / len(groups))
+    ref_grads = ad.param_grads(ref_loss, leaves)
+
+    seen = {}
+    monkeypatch.setattr(distill, "adam_step",
+                        lambda params, gs, opt: seen.update(gs))
+    rep = distill.meanflow_distill_step(
+        student, sparams, teacher, tparams, groups, RestrictConfig(0.2),
+        OptimizerState.init(sparams, lr=1e-3), clip=None)
+    assert abs(rep.loss - float(ref_loss.value)) < 1e-12 * abs(rep.loss)
+    assert set(seen) == set(ref_grads)
+    for name, g in ref_grads.items():
+        assert normwise_rel(seen[name], g) < 1e-12, name
+
+
+def test_zero_interval_group_target_is_v_in_a_mixed_batch(rng):
+    _, _, student, sparams = group_models(rng)
+    x = rng.standard_normal((9, 2))
+    v = rng.standard_normal((9, 2))
+    t = np.array([0.7, 0.45, 0.2])
+    r = np.array([0.55, 0.45, 0.0])
+    conds = [Condition(0, 3.0), Condition(1, 2.0), Condition(None, 1.0)]
+    _, u_tgt = distill._interval_forward(student, sparams.entries, x, t, r, v,
+                                         conds)
+    assert np.array_equal(u_tgt[3:6], v[3:6])  # bit-exact at t == r
+    assert not np.array_equal(u_tgt[:3], v[:3])
+    assert not np.array_equal(u_tgt[6:], v[6:])
+
+
+def test_uneven_groups_rejected(rng):
+    teacher, tparams, student, sparams = group_models(rng)
+    opt = OptimizerState.init(sparams, lr=1e-3)
+    groups = step_groups(rng, [TimePair(0.5, 0.4), TimePair(0.6, 0.5)])
+    groups[1] = (rng.standard_normal((6, 2)),) + groups[1][1:]
+    with pytest.raises(ContractViolation, match="equal row counts"):
+        distill.meanflow_distill_step(student, sparams, teacher, tparams,
+                                      groups, RestrictConfig(0.2), opt)
+    with pytest.raises(ContractViolation, match="equal groups"):
+        distill.train_meanflow(student, sparams, teacher, tparams,
+                               ToyDistribution("gaussian1d"),
+                               restrict=RestrictConfig(0.2), cfg=CfgConfig(),
+                               iters=1, batch_size=10, groups_per_step=4,
+                               lr=1e-3)
+    assert sparams.version == 0

@@ -128,6 +128,76 @@ def test_r_greater_than_t_rejected(rng):
 
 
 # ---------------------------------------------------------------------------
+# per-group conditioning
+# ---------------------------------------------------------------------------
+
+GROUP_T = np.array([0.9, 0.55, 0.3, 0.75])
+GROUP_R = np.array([0.7, 0.55, 0.05, 0.6])
+GROUP_CONDS = [Condition(0, 1.5), Condition(None, 7.0), Condition(1, 3.0),
+               Condition(0, 1.0)]
+
+
+def group_model(rng):
+    m = small_model(accepts_cfg=True)
+    return m, randomized(m, rng)
+
+
+def normwise_rel(a, b):
+    """||a - b|| / ||b||. A group call multiplies (G, .) matrices where a
+    single-condition call multiplies vectors, so sums may round differently
+    in the last bits; single elements near zero would magnify that."""
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def test_group_forward_matches_per_group_calls(rng):
+    m, p = group_model(rng)
+    x = rng.standard_normal((12, 2))
+    v = rng.standard_normal((12, 2))
+    y, feats = m.forward(p.entries, x, GROUP_T, GROUP_R, GROUP_CONDS, taps=[1, 3])
+    (_,), (tan,) = ad.jvp(
+        lambda xa, ra, ta: (m.forward(p.entries, xa, ta, ra, GROUP_CONDS),),
+        (x, GROUP_R, GROUP_T), (v, np.zeros(4), np.ones(4)))
+    for g, cond in enumerate(GROUP_CONDS):
+        rows = slice(3 * g, 3 * g + 3)
+        t, r = GROUP_T[g], GROUP_R[g]
+        y_g, feats_g = m.forward(p.entries, x[rows], t, r, cond, taps=[1, 3])
+        assert normwise_rel(y[rows], y_g) < 1e-13
+        for f, f_g in zip(feats, feats_g):
+            assert normwise_rel(f[rows], f_g) < 1e-13
+        (_,), (tan_g,) = ad.jvp(
+            lambda xa, ra, ta: (m.forward(p.entries, xa, ta, ra, cond),),
+            (x[rows], r, t), (v[rows], 0.0, 1.0))
+        assert normwise_rel(tan[rows], tan_g) < 1e-13
+
+
+def test_shared_condition_broadcasts_over_groups(rng):
+    m, p = group_model(rng)
+    x = rng.standard_normal((8, 2))
+    shared = m.forward(p.entries, x, 0.8, 0.6, [Condition(1, 2.0)] * 4)
+    single = m.forward(p.entries, x, 0.8, 0.6, Condition(1, 2.0))
+    assert normwise_rel(shared, single) < 1e-13
+
+
+@pytest.mark.parametrize("case", ["class_id", "cfg_scale", "r_above_t",
+                                  "uneven_rows", "group_count"])
+def test_bad_group_rejected(case, rng):
+    m, p = group_model(rng)
+    x, t, r, conds = np.zeros((8, 2)), GROUP_T, GROUP_R.copy(), list(GROUP_CONDS)
+    if case == "class_id":
+        conds[2] = Condition(5, 3.0)
+    elif case == "cfg_scale":
+        conds[1] = Condition(0, 9.5)
+    elif case == "r_above_t":
+        r[3] = 0.8
+    elif case == "uneven_rows":
+        x = np.zeros((10, 2))
+    else:
+        conds = conds[:3]
+    with pytest.raises(ContractViolation):
+        m.forward(p.entries, x, t, r, conds)
+
+
+# ---------------------------------------------------------------------------
 # cfg embedding
 # ---------------------------------------------------------------------------
 
