@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 success; 2 config error; 3 checkpoint lineage/integrity
 error (bad parentage, digest mismatch, unsupported version); 4 numeric
 failure. All state comes from the config file and flags; environment
-variables are never consulted.
+variables never change an output. The BLAS pin (`OPENBLAS_NUM_THREADS`,
+else `OMP_NUM_THREADS`) is read only to size the sampling thread pool.
 """
 
 from __future__ import annotations

@@ -3,9 +3,16 @@ the sampling loop shared by `sample` and `bench`, and the benchmark runner
 with metrics CSV emission.
 
 Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
-their own RNG stream from the root seed and run in one loop in fixed key
-order. The keys fix the sample streams, and so every metric value, for a
-given seed. Wall-clock time is the only non-deterministic column in the CSV.
+their own RNG stream from the root seed. Each strategy's sessions run on a
+thread pool, since numpy and scipy release the GIL inside their kernels; the
+results come back in key order. The pool holds min(sessions, cores // BLAS
+threads) workers: the cores this process may run on, divided by the BLAS pin
+it runs under (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`; a missing or
+malformed pin counts as all cores, so an unpinned run samples on one worker).
+The keys, not the pool, fix the sample streams, and so every metric value, for
+a given seed. `wall_clock_ms` is a strategy's sampling wall time with its
+sessions running in parallel, and `metric_ms` the time of its W2 and energy
+distance; the timing columns are the only non-deterministic ones in the CSV.
 
 The 512-row chunk is a measured memory and locality choice, not a leftover:
 it keeps every step's activations a few hundred kilobytes. Sampling the
@@ -17,7 +24,9 @@ it keeps every step's activations a few hundred kilobytes. Sampling the
 from __future__ import annotations
 
 import csv
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -36,7 +45,8 @@ from .nets import (Condition, DiscriminatorConfig, Predictor, PredictorConfig,
                    VelocityModel, VelocityModelConfig)
 
 METRICS_COLUMNS = ("run_id", "strategy", "full_evals", "predictor_evals",
-                   "w2", "energy_distance", "wall_clock_ms", "cache_bytes_peak")
+                   "w2", "energy_distance", "wall_clock_ms", "cache_bytes_peak",
+                   "metric_ms")
 
 _SESSION_CHUNK = 512
 
@@ -51,12 +61,13 @@ class MetricsRecord:
     energy_distance: float
     wall_clock_ms: float
     cache_bytes_peak: int
+    metric_ms: float
 
     def row(self) -> list:
         return [self.run_id, self.strategy, self.full_evals,
                 self.predictor_evals, repr(self.w2),
                 repr(self.energy_distance), repr(self.wall_clock_ms),
-                self.cache_bytes_peak]
+                self.cache_bytes_peak, repr(self.metric_ms)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +218,30 @@ def _session_keys(config: ExperimentConfig):
     return keys
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(sessions: int) -> int:
+    """Sampling workers: the cores the BLAS pin leaves free, at most one per
+    session. The pin is the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
+    that holds a positive integer, as OpenBLAS reads them; without one, BLAS
+    may use every core and the pool is 1."""
+    cores = _usable_cores()
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            pin = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if pin > 0:
+            blas = pin
+            break
+    return max(1, min(sessions, cores // blas))
+
+
 def _run_session(strategy_name, key, model, params, predictor, pparams,
                  delta_max, schedule, config):
     class_id, offset, count = key
@@ -258,23 +293,27 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
     tag = run_tag or f"{config.seed}:{config.distribution.kind}:{sched_tag}"
 
     runs = []
-    for name in config.strategies:
-        t0 = time.perf_counter()
-        results = [_run_session(name, key, model, params, predictor, pparams,
-                                delta_max, schedule, config) for key in keys]
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        full_evals, predictor_evals, peak = results[0][1]
-        for _, counts in results:
-            if counts[:2] != (full_evals, predictor_evals):
-                raise ContractViolation(
-                    f"sampling sessions of '{name}' disagree on NFE counts: "
-                    f"{counts[:2]} vs {(full_evals, predictor_evals)}")
-            peak = max(peak, counts[2])
-        runs.append(StrategySamples(
-            run_id=f"{tag}:{name}", strategy=name,
-            samples=np.concatenate([out for out, _ in results], axis=0),
-            full_evals=full_evals, predictor_evals=predictor_evals,
-            cache_bytes_peak=peak, wall_clock_ms=wall_ms))
+    with ThreadPoolExecutor(max_workers=_pool_size(len(keys))) as pool:
+        for name in config.strategies:
+            t0 = time.perf_counter()
+            results = list(pool.map(
+                lambda key: _run_session(name, key, model, params, predictor,
+                                         pparams, delta_max, schedule, config),
+                keys))
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            full_evals, predictor_evals, peak = results[0][1]
+            for _, counts in results:
+                if counts[:2] != (full_evals, predictor_evals):
+                    raise ContractViolation(
+                        f"sampling sessions of '{name}' disagree on NFE "
+                        f"counts: {counts[:2]} vs "
+                        f"{(full_evals, predictor_evals)}")
+                peak = max(peak, counts[2])
+            runs.append(StrategySamples(
+                run_id=f"{tag}:{name}", strategy=name,
+                samples=np.concatenate([out for out, _ in results], axis=0),
+                full_evals=full_evals, predictor_evals=predictor_evals,
+                cache_bytes_peak=peak, wall_clock_ms=wall_ms))
     return runs
 
 
@@ -286,13 +325,17 @@ def run_experiment(config: ExperimentConfig, meanflow_path,
     runs = sample_strategies(config, meanflow_path, predictor_path, run_tag)
     reference = sample_data(config.distribution, config.metric_samples,
                             config.metric_seed)
-    records = [MetricsRecord(
-        run_id=run.run_id, strategy=run.strategy, full_evals=run.full_evals,
-        predictor_evals=run.predictor_evals,
-        w2=w2_distance(run.samples, reference),
-        energy_distance=energy_distance(run.samples, reference),
-        wall_clock_ms=run.wall_clock_ms,
-        cache_bytes_peak=run.cache_bytes_peak) for run in runs]
+    records = []
+    for run in runs:
+        t0 = time.perf_counter()
+        w2 = w2_distance(run.samples, reference)
+        energy = energy_distance(run.samples, reference)
+        records.append(MetricsRecord(
+            run_id=run.run_id, strategy=run.strategy,
+            full_evals=run.full_evals, predictor_evals=run.predictor_evals,
+            w2=w2, energy_distance=energy, wall_clock_ms=run.wall_clock_ms,
+            cache_bytes_peak=run.cache_bytes_peak,
+            metric_ms=(time.perf_counter() - t0) * 1e3))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -313,11 +356,21 @@ def write_samples(out_dir, runs: list[StrategySamples]) -> list[Path]:
 
 
 def append_metrics(path, records: list[MetricsRecord]):
+    """Append records to a metrics CSV, writing the header into a new or
+    empty file. A file with another header (an older schema) raises
+    ConfigError and is left as it was."""
     path = Path(path)
-    new_file = not path.exists()
+    header = []
+    if path.exists():
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), [])
+    if header and tuple(header) != METRICS_COLUMNS:
+        raise ConfigError(
+            f"{path} has columns {header}, expected {list(METRICS_COLUMNS)}; "
+            f"write to another output directory")
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        if new_file:
+        if not header:
             writer.writerow(METRICS_COLUMNS)
         for rec in records:
             writer.writerow(rec.row())

@@ -132,6 +132,7 @@ def test_metrics_row_schema(tmp_path, tiny_pipeline):
             value = float(row[column])
             assert math.isfinite(value) and value >= 0, column
         assert float(row["wall_clock_ms"]) > 0
+        assert float(row["metric_ms"]) > 0
         assert row["cache_bytes_peak"] == str(peaks[row["strategy"]])
 
 
@@ -144,6 +145,20 @@ def test_bench_writes_metrics_csv(tmp_path, tiny_pipeline):
     assert tuple(header) == METRICS_COLUMNS
     assert [row[1] for row in rows] == ["none", "naive", "taylor", "learned"]
     assert not list(tmp_path.glob("samples-*.csv"))
+
+
+def test_bench_refuses_metrics_csv_of_another_schema(tmp_path, tiny_pipeline,
+                                                     capsys):
+    config, root = tiny_pipeline
+    old = tmp_path / "metrics.csv"
+    old.write_text("run_id,strategy,full_evals,predictor_evals,w2,"
+                   "energy_distance,wall_clock_ms,cache_bytes_peak\r\n"
+                   "0:checkerboard:s20n2:none,none,20,0,0.5,0.1,12.5,0\r\n")
+    before = old.read_bytes()
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path),
+                 *checkpoint_args(root)]) == EXIT_CONFIG
+    assert "expected ['run_id'" in capsys.readouterr().err
+    assert old.read_bytes() == before
 
 
 def test_sample_writes_samples_and_no_metrics(tmp_path, tiny_pipeline, capsys):

@@ -1,21 +1,157 @@
-"""Runner invariants that must hold without `assert` (they survive -O)."""
+"""Runner invariants that must hold without `assert` (they survive -O), the
+sampling pool's size rule, and outputs that do not depend on the pool."""
+
+import csv
+import json
+import sys
+import threading
+from contextlib import contextmanager
 
 import pytest
 
 from flowcache import runner
+from flowcache.cli import EXIT_NUMERIC, EXIT_OK, main
 from flowcache.config import load_config
-from flowcache.errors import ContractViolation
+from flowcache.errors import ContractViolation, NumericFailure
+
+from conftest import TINY_CONFIG
 
 
-def test_sessions_disagreeing_on_nfe_raise(tiny_pipeline, monkeypatch):
-    config, root = tiny_pipeline
+def force_pool(monkeypatch, cores):
+    """BLAS pinned to one thread on `cores` usable cores: a pool of
+    min(sessions, cores) workers."""
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(runner, "_usable_cores", lambda: cores)
+
+
+def miscount_class_1(monkeypatch):
     original = runner._run_session
 
     def skewed(name, key, *rest):
         out, (full, predicted, peak) = original(name, key, *rest)
-        return out, (full + key[0], predicted, peak)  # class 1 miscounts
+        return out, (full + key[0], predicted, peak)
 
     monkeypatch.setattr(runner, "_run_session", skewed)
+
+
+def test_sessions_disagreeing_on_nfe_raise(tiny_pipeline, monkeypatch):
+    config, root = tiny_pipeline
+    miscount_class_1(monkeypatch)
     with pytest.raises(ContractViolation, match="disagree on NFE counts"):
         runner.sample_strategies(load_config(config), root / "meanflow.fck",
                                  root / "predictor.fck")
+
+
+@pytest.mark.parametrize("openblas,omp,cores,sessions,size", [
+    (None, None, 2, 4, 1),   # unpinned: BLAS may use every core
+    (None, None, 8, 4, 1),
+    ("1", None, 2, 4, 2),
+    ("1", None, 4, 4, 4),
+    ("1", None, 4, 3, 3),    # capped at the session count
+    ("1", None, 4, 1, 1),
+    ("2", None, 4, 4, 2),
+    (None, "1", 2, 4, 2),    # OMP_NUM_THREADS when OpenBLAS's is unset
+    (None, "2", 4, 4, 2),
+    ("2", "1", 4, 4, 2),     # OPENBLAS_NUM_THREADS comes first
+    ("2", None, 2, 4, 1),    # a pin of at least the core count
+    ("4", None, 2, 4, 1),
+    ("", None, 4, 4, 1),     # malformed pins count as all cores
+    ("abc", None, 4, 4, 1),
+    ("0", None, 4, 4, 1),
+    ("-2", None, 4, 4, 1),
+    (None, "abc", 4, 4, 1),
+    ("abc", "1", 4, 4, 4),   # a malformed OpenBLAS pin falls through to OMP
+])
+def test_pool_size_rule(monkeypatch, openblas, omp, cores, sessions, size):
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas),
+                       ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(runner, "_usable_cores", lambda: cores)
+    assert runner._pool_size(sessions) == size
+
+
+@contextmanager
+def three_concurrent_sessions(monkeypatch, keys):
+    """A pool of 3 in which the first three `none` sessions must all be
+    running at once (a barrier holds each until the others arrive), with the
+    interpreter switching threads every microsecond to shake out shared
+    state."""
+    force_pool(monkeypatch, 3)
+    barrier = threading.Barrier(3, timeout=60)
+    original = runner._run_session
+
+    def gated(name, key, *rest):
+        if name == "none" and key in keys[:3]:
+            barrier.wait()
+        return original(name, key, *rest)
+
+    monkeypatch.setattr(runner, "_run_session", gated)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pool_size_never_changes_an_output(tmp_path, tiny_pipeline,
+                                           monkeypatch):
+    # 550 points per class: each class samples a 512-row and a 38-row chunk
+    config, root = tiny_pipeline
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({**TINY_CONFIG, "metric_samples": 1100}))
+    keys = runner._session_keys(load_config(wide))
+    assert [count for _, _, count in keys] == [512, 38, 512, 38]
+    checkpoints = ["--checkpoint", str(root / "meanflow.fck"),
+                   "--checkpoint", str(root / "predictor.fck")]
+
+    def run(out):
+        for command in ("bench", "sample"):
+            assert main([command, "--config", str(wide), "--out", str(out),
+                         *checkpoints]) == EXIT_OK
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            del row["wall_clock_ms"], row["metric_ms"]
+        dumps = {p.name: p.read_bytes() for p in out.glob("samples-*.csv")}
+        return rows, dumps
+
+    force_pool(monkeypatch, 1)
+    rows_1, dumps_1 = run(tmp_path / "pool1")
+    with three_concurrent_sessions(monkeypatch, keys):
+        rows_3, dumps_3 = run(tmp_path / "pool3")
+    assert len(rows_1) == 4 and rows_3 == rows_1
+    assert len(dumps_1) == 4 and dumps_3 == dumps_1
+
+
+def test_nfe_disagreement_crosses_the_pool(tiny_pipeline, monkeypatch):
+    config, root = tiny_pipeline
+    force_pool(monkeypatch, 2)
+    assert runner._pool_size(2) == 2
+    miscount_class_1(monkeypatch)
+    with pytest.raises(ContractViolation, match="disagree on NFE counts"):
+        runner.sample_strategies(load_config(config), root / "meanflow.fck",
+                                 root / "predictor.fck")
+
+
+def test_numeric_failure_in_one_session_exits_4(tmp_path, tiny_pipeline,
+                                                monkeypatch, capsys):
+    config, root = tiny_pipeline
+    force_pool(monkeypatch, 2)
+    original = runner._run_session
+
+    def failing(name, key, *rest):
+        if name == "taylor" and key[0] == 1:
+            raise NumericFailure("non-finite value in session (1, 0)")
+        return original(name, key, *rest)
+
+    monkeypatch.setattr(runner, "_run_session", failing)
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path),
+                 "--checkpoint", str(root / "meanflow.fck"),
+                 "--checkpoint", str(root / "predictor.fck")]) == EXIT_NUMERIC
+    assert "non-finite value in session (1, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
