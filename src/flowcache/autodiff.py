@@ -1,25 +1,28 @@
 """Minimal float64 tensor autodiff: reverse-mode gradients and forward-mode
 directional derivatives (JVPs) over numpy arrays.
 
-The primitive set is closed. Every primitive carries three rules — a value
-rule, a reverse (VJP) rule, and a forward (tangent) rule — and each one is
-covered by a finite-difference test. Adding a primitive means adding all
-three pieces plus the test.
+The primitive set is closed. Every primitive states one rule of one shape:
+its value, and per operand a tangent map (operand tangent -> output tangent)
+and that map's transpose (output cotangent -> operand gradient). The
+output's tangent is the sum of the mapped operand tangents; its VJP is the
+list of transposes. Each primitive is covered by a finite-difference test of
+both maps and a test that the two are adjoint. Adding a primitive means
+adding its rule plus the tests.
 
 The elementwise primitives state one local partial per operand (the
 derivative of the output with respect to that operand, applied to an array);
-the VJP and the tangent both follow from it:
+the partial is the tangent map, and the partial summed down to the
+operand's shape after broadcasting is the transpose:
 
-    add sub neg mul div sin cos tanh gelu square sqrt maximum_const
+    add sub mul div sin cos gelu square sqrt maximum_const
 
-The structural primitives write their VJP and tangent out in full:
+The structural primitives state both maps directly:
 
-    matmul sum mean concat narrow reshape stopgrad
+    matmul sum mean concat narrow reshape
 
 ``affine`` is provided as a composite of matmul+add. ``maximum_const`` is
 the hinge primitive; its subgradient at the kink (input exactly equal to the
-constant) is defined to be 0. ``stopgrad`` is identity in the forward pass
-with zero gradient and zero tangent.
+constant) is defined to be 0.
 
 Every op accepts either graph ``Node`` operands or plain numpy
 arrays/floats. With no Node among the operands the op stays out of graph
@@ -30,7 +33,6 @@ raises ``NumericFailure`` naming the offending primitive.
 Everything is float64: the 1e-4 finite-difference tolerances used to verify
 the rules are not reliable in 32-bit.
 """
-
 from __future__ import annotations
 
 import operator
@@ -126,35 +128,45 @@ def _unbroadcast(g: Array, shape) -> Array:
     return g
 
 
-def _tangent(nodes, rules):
-    """Sum of rule(node.tangent) over the nodes that carry a tangent; None
-    when none does."""
-    tan = None
-    for node, rule in zip(nodes, rules):
-        if node.tangent is not None:
-            t = rule(node.tangent)
-            tan = t if tan is None else tan + t
-    return tan
-
-
-def _elementwise(op: str, raw: Callable, rule: Callable, *operands):
-    """Value, VJP and tangent of an elementwise primitive.
+def _primitive(op: str, raw: Callable, rule: Callable, *operands):
+    """Value, VJP and tangent of a primitive: the one place that builds a
+    graph Node.
 
     ``raw(*operands)`` is the value rule on plain operands. ``rule(*values)``
-    returns the output and one local partial per operand: a callable that
-    multiplies an array by d(output)/d(operand). The VJP is each partial of
-    the output cotangent, summed down to its operand's shape; the tangent is
-    the sum of the partials of the operand tangents.
+    returns the output and, per operand, a pair (tangent map, transpose):
+    the map takes the operand's tangent to its share of the output tangent,
+    and the transpose takes the output cotangent to the operand's gradient.
+    The output tangent is the sum of the maps over the operands that carry a
+    tangent (None when none does).
     """
     if not _any_node(*operands):
         return raw(*operands)
     nodes = tuple(map(_lift, operands))
-    value, partials = rule(*[n.value for n in nodes])
+    value, maps = rule(*[n.value for n in nodes])
 
     def vjp(g):
-        return [_unbroadcast(d(g), n.value.shape) for d, n in zip(partials, nodes)]
+        return [transpose(g) for _, transpose in maps]
 
-    return Node(value, op, nodes, vjp, _tangent(nodes, partials))
+    tan = None
+    for node, (tangent_map, _) in zip(nodes, maps):
+        if node.tangent is not None:
+            t = tangent_map(node.tangent)
+            tan = t if tan is None else tan + t
+    return Node(value, op, nodes, vjp, tan)
+
+
+def _elementwise(op: str, raw: Callable, rule: Callable, *operands):
+    """A primitive whose ``rule(*values)`` returns the output and one local
+    partial per operand: a callable that multiplies an array by
+    d(output)/d(operand). The partial is the tangent map; its transpose is
+    the partial of the cotangent, summed down to the operand's shape.
+    """
+    def maps(*values):
+        value, partials = rule(*values)
+        return value, [(d, lambda g, d=d, shape=x.shape:
+                        _unbroadcast(d(g), shape))
+                       for d, x in zip(partials, values)]
+    return _primitive(op, raw, maps, *operands)
 
 
 def _same(t):
@@ -175,11 +187,6 @@ def sub(a, b):
                         lambda x, y: (x - y, (_same, operator.neg)), a, b)
 
 
-def neg(a):
-    return _elementwise("neg", operator.neg,
-                        lambda x: (-x, (operator.neg,)), a)
-
-
 def mul(a, b):
     def rule(x, y):
         return x * y, (lambda t: t * y, lambda t: t * x)
@@ -194,21 +201,15 @@ def div(a, b):
 
 def matmul(a, b):
     """Matrix product; supports (n,k)@(k,m) and (k,)@(k,m)."""
-    if not _any_node(a, b):
-        return a @ b
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
-    if av.ndim == 2:
-        def vjp(g):
-            return (g @ bv.T, av.T @ g)
-    elif av.ndim == 1:
-        def vjp(g):
-            return (bv @ g, np.outer(av, g))
-    else:
-        raise ContractViolation("matmul supports 1-D or 2-D left operands only")
-
-    tan = _tangent((a, b), (lambda t: t @ bv, lambda t: av @ t))
-    return Node(av @ bv, "matmul", (a, b), vjp, tan)
+    def rule(av, bv):
+        if av.ndim == 2:
+            ga, gb = (lambda g: g @ bv.T), (lambda g: av.T @ g)
+        elif av.ndim == 1:
+            ga, gb = (lambda g: bv @ g), (lambda g: np.outer(av, g))
+        else:
+            raise ContractViolation("matmul supports 1-D or 2-D left operands only")
+        return av @ bv, ((lambda t: t @ bv, ga), (lambda t: av @ t, gb))
+    return _primitive("matmul", operator.matmul, rule, a, b)
 
 
 def sin(a):
@@ -223,14 +224,6 @@ def cos(a):
         s = np.sin(x)
         return np.cos(x), (lambda t: -t * s,)
     return _elementwise("cos", np.cos, rule, a)
-
-
-def tanh(a):
-    def rule(x):
-        y = np.tanh(x)
-        d = 1.0 - y * y
-        return y, (lambda t: t * d,)
-    return _elementwise("tanh", np.tanh, rule, a)
 
 
 def _gelu_raw(x):
@@ -258,35 +251,28 @@ def sqrt(a):
     return _elementwise("sqrt", np.sqrt, rule, a)
 
 
+def _spread(g, shape, axis):
+    """Broadcast a reduction's cotangent back over the reduced axis."""
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def sum_(a, axis=None):
-    if not _any_node(a):
-        return np.sum(a, axis=axis)
-    a = _lift(a)
-    shape = np.shape(a.value)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    tan = None if a.tangent is None else np.sum(a.tangent, axis=axis)
-    return Node(np.sum(a.value, axis=axis), "sum", (a,), vjp, tan)
+    def rule(x):
+        shape = np.shape(x)
+        return np.sum(x, axis=axis), ((lambda t: np.sum(t, axis=axis),
+                                       lambda g: _spread(g, shape, axis)),)
+    return _primitive("sum", lambda x: np.sum(x, axis=axis), rule, a)
 
 
 def mean(a, axis=None):
-    if not _any_node(a):
-        return np.mean(a, axis=axis)
-    a = _lift(a)
-    shape = np.shape(a.value)
-    n = int(np.prod(shape)) if axis is None else shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy(),)
-
-    tan = None if a.tangent is None else np.mean(a.tangent, axis=axis)
-    return Node(np.mean(a.value, axis=axis), "mean", (a,), vjp, tan)
+    def rule(x):
+        shape = np.shape(x)
+        n = int(np.prod(shape)) if axis is None else shape[axis]
+        return np.mean(x, axis=axis), ((lambda t: np.mean(t, axis=axis),
+                                        lambda g: _spread(g / n, shape, axis)),)
+    return _primitive("mean", lambda x: np.mean(x, axis=axis), rule, a)
 
 
 def maximum_const(a, c: float):
@@ -300,72 +286,56 @@ def maximum_const(a, c: float):
     return _elementwise("maximum_const", lambda x: np.maximum(x, c), rule, a)
 
 
+def _slice_along(ndim: int, axis: int, start: int, length: int) -> tuple:
+    """Index of `length` extents from `start` along `axis`, whole elsewhere."""
+    axis %= ndim
+    return tuple(slice(start, start + length) if d == axis else slice(None)
+                 for d in range(ndim))
+
+
+def _embed(t, shape, idx):
+    """Zeros of `shape` with `t` written at `idx`: the transpose of a slice."""
+    out = np.zeros(shape, dtype=np.float64)
+    out[idx] = t
+    return out
+
+
 def concat(parts, axis=0):
-    if not _any_node(*parts):
-        return np.concatenate(parts, axis=axis)
-    nodes = [_lift(p) for p in parts]
-    sizes = [np.shape(n.value)[axis] for n in nodes]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(nodes))
-        )
-
-    if any(n.tangent is not None for n in nodes):
-        tan = np.concatenate(
-            [n.tangent if n.tangent is not None else np.zeros_like(as_f64(n.value))
-             for n in nodes],
-            axis=axis,
-        )
-    else:
-        tan = None
-    val = np.concatenate([n.value for n in nodes], axis=axis)
-    return Node(val, "concat", tuple(nodes), vjp, tan)
+    def rule(*values):
+        value = np.concatenate(values, axis=axis)
+        maps, start = [], 0
+        for v in values:
+            size = np.shape(v)[axis]
+            idx = _slice_along(value.ndim, axis, start, size)
+            maps.append((lambda t, idx=idx: _embed(t, value.shape, idx),
+                         lambda g, span=range(start, start + size):
+                         np.take(g, span, axis=axis)))
+            start += size
+        return value, maps
+    return _primitive("concat", lambda *ps: np.concatenate(ps, axis=axis),
+                      rule, *parts)
 
 
 def narrow(a, axis: int, start: int, length: int):
     """Contiguous slice of `length` extents along `axis` (the slice primitive)."""
-    idx = tuple(
-        slice(start, start + length) if d == axis else slice(None)
-        for d in range(np.ndim(value_of(a)))
-    )
-    if not _any_node(a):
-        return a[idx]
-    a = _lift(a)
-    shape = np.shape(a.value)
+    idx = _slice_along(np.ndim(value_of(a)), axis, start, length)
 
-    def vjp(g):
-        out = np.zeros(shape, dtype=np.float64)
-        out[idx] = g
-        return (out,)
-
-    tan = None if a.tangent is None else a.tangent[idx]
-    return Node(a.value[idx], "narrow", (a,), vjp, tan)
+    def rule(x):
+        shape = np.shape(x)
+        return x[idx], ((lambda t: t[idx], lambda g: _embed(g, shape, idx)),)
+    return _primitive("narrow", lambda x: x[idx], rule, a)
 
 
 def reshape(a, shape):
     """Reshape; an operand already of that shape is returned as it is."""
     if np.shape(value_of(a)) == tuple(shape):
         return a
-    if not _any_node(a):
-        return np.reshape(a, shape)
-    a = _lift(a)
-    old = np.shape(a.value)
 
-    def vjp(g):
-        return (np.reshape(g, old),)
-
-    tan = None if a.tangent is None else np.reshape(a.tangent, shape)
-    return Node(np.reshape(a.value, shape), "reshape", (a,), vjp, tan)
-
-
-def stopgrad(a):
-    """Identity forward; zero gradient; zero tangent."""
-    if not _any_node(a):
-        return a
-    return Node(a.value, "stopgrad")
+    def rule(x):
+        old = np.shape(x)
+        return np.reshape(x, shape), ((lambda t: np.reshape(t, shape),
+                                       lambda g: np.reshape(g, old)),)
+    return _primitive("reshape", lambda x: np.reshape(x, shape), rule, a)
 
 
 def affine(x, w, b):
@@ -413,18 +383,15 @@ def backward(root: Node) -> dict[int, Array]:
     return grads
 
 
-def grad_of(grads: dict[int, Array], node: Node) -> Array:
-    g = grads.get(id(node))
-    if g is None:
-        return np.zeros_like(as_f64(node.value))
-    return as_f64(g)
-
-
 def param_grads(loss: Node, leaves: dict[str, Node]) -> dict[str, Array]:
-    """Reverse pass from a scalar loss; returns name -> gradient for every
-    named leaf (zeros for leaves the loss does not depend on)."""
+    """Reverse pass from a scalar loss Node; returns name -> gradient for
+    every named leaf (zeros for leaves the loss does not depend on)."""
+    if not isinstance(loss, Node):
+        raise ContractViolation("the loss must be a graph Node")
     grads = backward(loss)
-    return {name: grad_of(grads, node) for name, node in leaves.items()}
+    return {name: as_f64(grads[id(node)]) if id(node) in grads
+            else np.zeros_like(as_f64(node.value))
+            for name, node in leaves.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -461,22 +428,6 @@ class ParameterSet:
 # ---------------------------------------------------------------------------
 # Public differentiation entry points
 # ---------------------------------------------------------------------------
-
-def grad(loss_fn: Callable, params: ParameterSet, *inputs):
-    """Evaluate ``loss_fn(param_nodes, *inputs)`` and differentiate.
-
-    Returns (loss value as float, dict name -> gradient array). The loss must
-    be scalar; raw inputs are passed through untouched (no gradients for
-    them -- use jvp or explicit leaves for input sensitivities).
-    """
-    leaves = params.lift()
-    out = loss_fn(leaves, *inputs)
-    if not isinstance(out, Node):
-        raise ContractViolation("loss_fn must return a graph Node")
-    if np.shape(out.value) != ():
-        raise ContractViolation("loss_fn must return a scalar")
-    return float(out.value), param_grads(out, leaves)
-
 
 def jvp(fn: Callable, primals, tangents):
     """Forward-mode directional derivative of ``fn`` at primals along tangents.

@@ -27,7 +27,7 @@ import csv
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +43,6 @@ from .flow import mean_velocity_sample, sample_data
 from .metrics import energy_distance, w2_distance
 from .nets import (Condition, DiscriminatorConfig, Predictor, PredictorConfig,
                    VelocityModel, VelocityModelConfig)
-
-METRICS_COLUMNS = ("run_id", "strategy", "full_evals", "predictor_evals",
-                   "w2", "energy_distance", "wall_clock_ms", "cache_bytes_peak",
-                   "metric_ms")
 
 _SESSION_CHUNK = 512
 
@@ -64,10 +60,12 @@ class MetricsRecord:
     metric_ms: float
 
     def row(self) -> list:
-        return [self.run_id, self.strategy, self.full_evals,
-                self.predictor_evals, repr(self.w2),
-                repr(self.energy_distance), repr(self.wall_clock_ms),
-                self.cache_bytes_peak, repr(self.metric_ms)]
+        """The CSV cells in column order; floats as their repr."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return [repr(v) if isinstance(v, float) else v for v in values]
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +319,10 @@ def run_experiment(config: ExperimentConfig, meanflow_path,
                    predictor_path=None, out_dir=None,
                    run_tag: str | None = None) -> list[MetricsRecord]:
     """Benchmark every configured strategy; appends rows to metrics.csv in
-    out_dir (when given) and returns the records."""
+    out_dir (when given) and returns the records. An existing metrics.csv
+    of another schema is refused before any sampling."""
+    if out_dir is not None:
+        _metrics_header(Path(out_dir) / "metrics.csv")
     runs = sample_strategies(config, meanflow_path, predictor_path, run_tag)
     reference = sample_data(config.distribution, config.metric_samples,
                             config.metric_seed)
@@ -355,11 +356,9 @@ def write_samples(out_dir, runs: list[StrategySamples]) -> list[Path]:
     return paths
 
 
-def append_metrics(path, records: list[MetricsRecord]):
-    """Append records to a metrics CSV, writing the header into a new or
-    empty file. A file with another header (an older schema) raises
-    ConfigError and is left as it was."""
-    path = Path(path)
+def _metrics_header(path: Path) -> list[str]:
+    """Header of an existing metrics CSV, [] for a missing or empty file. A
+    file with another header (an older schema) raises ConfigError."""
     header = []
     if path.exists():
         with open(path, newline="") as fh:
@@ -368,6 +367,15 @@ def append_metrics(path, records: list[MetricsRecord]):
         raise ConfigError(
             f"{path} has columns {header}, expected {list(METRICS_COLUMNS)}; "
             f"write to another output directory")
+    return header
+
+
+def append_metrics(path, records: list[MetricsRecord]):
+    """Append records to a metrics CSV, writing the header into a new or
+    empty file. A file with another header (an older schema) raises
+    ConfigError and is left as it was."""
+    path = Path(path)
+    header = _metrics_header(path)
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if not header:

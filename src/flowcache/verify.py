@@ -57,7 +57,8 @@ def check_autodiff(seed: int) -> tuple[bool, str]:
         y = model.forward(p, x, 0.6, 0.2, Condition(0))
         return squared_error_loss(y, target)
 
-    _, gs = ad.grad(loss_fn, params)
+    leaves = params.lift()
+    gs = ad.param_grads(loss_fn(leaves), leaves)
     name = "block0.fc1.w"
 
     def scalar(w):

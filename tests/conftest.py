@@ -53,7 +53,7 @@ def tiny_mlp_params(rng, d_in=3, d_hidden=5, d_out=2):
     })
 
 
-def tiny_mlp_forward(p, x, act=ad.tanh):
+def tiny_mlp_forward(p, x, act=ad.gelu):
     h = act(ad.affine(x, p["w1"], p["b1"]))
     return ad.affine(h, p["w2"], p["b2"])
 

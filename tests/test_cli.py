@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from flowcache import runner
 from flowcache.cli import EXIT_CONFIG, EXIT_LINEAGE, EXIT_NUMERIC, EXIT_OK, main
 from flowcache.config import load_config
 from flowcache.runner import METRICS_COLUMNS
@@ -148,8 +149,13 @@ def test_bench_writes_metrics_csv(tmp_path, tiny_pipeline):
 
 
 def test_bench_refuses_metrics_csv_of_another_schema(tmp_path, tiny_pipeline,
-                                                     capsys):
+                                                     capsys, monkeypatch):
     config, root = tiny_pipeline
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the metrics.csv header")
+
+    monkeypatch.setattr(runner, "sample_strategies", no_sampling)
     old = tmp_path / "metrics.csv"
     old.write_text("run_id,strategy,full_evals,predictor_evals,w2,"
                    "energy_distance,wall_clock_ms,cache_bytes_peak\r\n"
