@@ -4,10 +4,10 @@ directional derivatives (JVPs) over numpy arrays.
 The primitive set is closed. Every primitive states one rule of one shape:
 its value, and per operand a tangent map (operand tangent -> output tangent)
 and that map's transpose (output cotangent -> operand gradient). The
-output's tangent is the sum of the mapped operand tangents; its VJP is the
-list of transposes. Each primitive is covered by a finite-difference test of
-both maps and a test that the two are adjoint. Adding a primitive means
-adding its rule plus the tests.
+output's tangent is the sum of the mapped operand tangents, broadcast to the
+output's shape; its VJP is the list of transposes. Each primitive is covered
+by a finite-difference test of both maps and a test that the two are
+adjoint. Adding a primitive means adding its rule plus the tests.
 
 The elementwise primitives state one local partial per operand (the
 derivative of the output with respect to that operand, applied to an array);
@@ -27,8 +27,22 @@ constant) is defined to be 0.
 Every op accepts either graph ``Node`` operands or plain numpy
 arrays/floats. With no Node among the operands the op stays out of graph
 mode and evaluates the identical numpy expression, so raw-mode and
-graph-mode values are bit-equal. Graph mode checks outputs for NaN/Inf and
-raises ``NumericFailure`` naming the offending primitive.
+graph-mode values are bit-equal.
+
+A Node needs gradients when it is a gradient leaf (``leaf`` or
+``ParameterSet.lift``) or has an operand that needs them; plain operands and
+the tangent seeds of ``jvp`` are constants. An op on Nodes that neither need
+gradients nor carry tangents returns the plain raw value and builds no Node;
+one whose operands carry tangents but need no gradients builds a Node with a
+tangent and no VJP; otherwise the VJP computes transposes only for the
+operands that need gradients, so none is computed into a constant.
+
+Intermediate values are not checked for NaN/Inf as they are built. The
+sinks check: ``backward`` the loss, ``jvp`` its outputs and their tangents
+(``optim.adam_step`` checks the gradients). On a non-finite value
+``check_finite`` walks the retained graph in topological order and raises
+``NumericFailure`` naming the origin primitive: the first Node whose value
+or tangent is non-finite while its operands are finite.
 
 Everything is float64: the 1e-4 finite-difference tolerances used to verify
 the rules are not reliable in 32-bit.
@@ -62,28 +76,28 @@ def as_f64(x) -> Array:
 class Node:
     """One value in a computation graph.
 
-    value    -- float64 numpy array (or numpy scalar)
-    tangent  -- forward-mode directional derivative, or None (treated as 0)
-    parents  -- upstream Nodes
-    vjp      -- callable grad_out -> per-parent gradients (None entries ok)
+    value      -- float64 numpy array (or numpy scalar)
+    tangent    -- forward-mode directional derivative, or None (treated as 0)
+    parents    -- the operands, Nodes or plain values
+    vjp        -- callable grad_out -> per-operand gradients (None for the
+                  operands that need none), or None
+    needs_grad -- True for gradient leaves and the Nodes computed from one
     """
 
-    __slots__ = ("value", "tangent", "parents", "vjp", "op")
+    __slots__ = ("value", "tangent", "parents", "vjp", "op", "needs_grad")
 
     # Keep numpy from absorbing Nodes into object arrays: an ndarray-Node
     # operator mix raises TypeError; combine them through the primitives.
     __array_ufunc__ = None
 
-    def __init__(self, value, op="leaf", parents=(), vjp=None, tangent=None):
-        if not np.all(np.isfinite(value)):
-            raise NumericFailure(f"non-finite value produced by primitive '{op}'")
-        if tangent is not None and not np.all(np.isfinite(tangent)):
-            raise NumericFailure(f"non-finite tangent produced by primitive '{op}'")
+    def __init__(self, value, op="leaf", parents=(), vjp=None, tangent=None,
+                 needs_grad=False):
         self.value = value
         self.tangent = tangent
         self.parents = parents
         self.vjp = vjp
         self.op = op
+        self.needs_grad = needs_grad
 
     @property
     def shape(self):
@@ -93,17 +107,11 @@ class Node:
         return f"Node(op={self.op!r}, shape={np.shape(self.value)})"
 
 
-def leaf(value, tangent=None) -> Node:
-    """Wrap a raw array as a graph leaf, optionally seeding a tangent."""
-    return Node(as_f64(value), tangent=None if tangent is None else as_f64(tangent))
-
-
-def _any_node(*xs) -> bool:
-    return any(isinstance(x, Node) for x in xs)
-
-
-def _lift(x) -> Node:
-    return x if isinstance(x, Node) else Node(as_f64(x))
+def leaf(value, tangent=None, needs_grad=True) -> Node:
+    """Wrap a raw array as a graph leaf, optionally seeding a tangent; with
+    needs_grad=False it is a constant that only carries the tangent."""
+    return Node(as_f64(value), tangent=None if tangent is None else as_f64(tangent),
+                needs_grad=needs_grad)
 
 
 def value_of(x):
@@ -137,22 +145,41 @@ def _primitive(op: str, raw: Callable, rule: Callable, *operands):
     the map takes the operand's tangent to its share of the output tangent,
     and the transpose takes the output cotangent to the operand's gradient.
     The output tangent is the sum of the maps over the operands that carry a
-    tangent (None when none does).
+    tangent, broadcast to the output's shape (None when none does). The VJP
+    calls the transposes of the operands that need gradients only; with no
+    such operand there is no VJP, and with no tangent either no Node: the
+    op returns ``raw`` of the operand values.
     """
-    if not _any_node(*operands):
+    node = grad = carried = False
+    for x in operands:
+        if isinstance(x, Node):
+            node = True
+            grad = grad or x.needs_grad
+            carried = carried or x.tangent is not None
+    if not node:
         return raw(*operands)
-    nodes = tuple(map(_lift, operands))
-    value, maps = rule(*[n.value for n in nodes])
-
-    def vjp(g):
-        return [transpose(g) for _, transpose in maps]
+    if not (grad or carried):
+        return raw(*[x.value if isinstance(x, Node) else x for x in operands])
+    value, maps = rule(*[x.value if isinstance(x, Node) else as_f64(x)
+                         for x in operands])
 
     tan = None
-    for node, (tangent_map, _) in zip(nodes, maps):
-        if node.tangent is not None:
-            t = tangent_map(node.tangent)
-            tan = t if tan is None else tan + t
-    return Node(value, op, nodes, vjp, tan)
+    if carried:
+        for x, (tangent_map, _) in zip(operands, maps):
+            if isinstance(x, Node) and x.tangent is not None:
+                t = tangent_map(x.tangent)
+                tan = t if tan is None else tan + t
+        if np.shape(tan) != np.shape(value):
+            tan = np.broadcast_to(tan, np.shape(value)).copy()
+    if not grad:
+        return Node(value, op, operands, None, tan)
+    transposes = [transpose if isinstance(x, Node) and x.needs_grad else None
+                  for x, (_, transpose) in zip(operands, maps)]
+
+    def vjp(g):
+        return [None if transpose is None else transpose(g)
+                for transpose in transposes]
+    return Node(value, op, operands, vjp, tan, True)
 
 
 def _elementwise(op: str, raw: Callable, rule: Callable, *operands):
@@ -347,7 +374,9 @@ def affine(x, w, b):
 # Reverse pass
 # ---------------------------------------------------------------------------
 
-def _topo(root: Node) -> list[Node]:
+def _topo(root: Node, grad_only: bool = False) -> list[Node]:
+    """The Nodes `root` depends on, parents before children, root last;
+    with grad_only, through the Nodes that need gradients only."""
     order: list[Node] = []
     seen: set[int] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
@@ -361,19 +390,42 @@ def _topo(root: Node) -> list[Node]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if (isinstance(p, Node) and (p.needs_grad or not grad_only)
+                    and id(p) not in seen):
                 stack.append((p, False))
-    return order  # parents before children; root last
+    return order
+
+
+def _finite(x) -> bool:
+    return x is None or bool(np.all(np.isfinite(x)))
+
+
+def check_finite(x) -> None:
+    """Raise NumericFailure if a Node's value or tangent is non-finite,
+    naming the origin: the first Node in topological order whose value or
+    tangent is non-finite while its operands are finite. A non-finite plain
+    operand is named as a leaf. Plain (raw-mode) values are not checked."""
+    if not isinstance(x, Node) or (_finite(x.value) and _finite(x.tangent)):
+        return
+    for node in _topo(x):
+        if not all(_finite(p) for p in node.parents if not isinstance(p, Node)):
+            raise NumericFailure("non-finite value produced by primitive 'leaf'")
+        for kind, v in (("value", node.value), ("tangent", node.tangent)):
+            if not _finite(v):
+                raise NumericFailure(
+                    f"non-finite {kind} produced by primitive '{node.op}'")
 
 
 def backward(root: Node) -> dict[int, Array]:
-    """Reverse-mode pass from a scalar root; returns id(node) -> gradient."""
+    """Reverse-mode pass from a finite scalar root; returns id(node) ->
+    gradient for the Nodes that need gradients."""
     if np.shape(root.value) != ():
         raise ContractViolation("backward requires a scalar root")
+    check_finite(root)
     grads: dict[int, Array] = {id(root): np.float64(1.0)}
-    for node in reversed(_topo(root)):
+    for node in reversed(_topo(root, grad_only=True)):
         g = grads.get(id(node))
-        if g is None or node.vjp is None or not node.parents:
+        if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
             if pg is None:
@@ -421,8 +473,8 @@ class ParameterSet:
         return name in self.entries
 
     def lift(self) -> dict[str, Node]:
-        """Wrap every entry as a graph leaf (for a training step)."""
-        return {k: Node(v) for k, v in self.entries.items()}
+        """Wrap every entry as a gradient leaf (for a training step)."""
+        return {k: Node(v, needs_grad=True) for k, v in self.entries.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +486,9 @@ def jvp(fn: Callable, primals, tangents):
 
     primals/tangents are matching sequences (shape-checked). Returns
     (outputs, output_tangents) with the same single/tuple structure as fn's
-    return value; tangents of outputs untouched by the inputs are zero.
+    return value; tangents of outputs untouched by the inputs are zero. A
+    non-finite output value or tangent raises NumericFailure naming its
+    origin primitive.
     """
     primals = tuple(primals)
     tangents = tuple(tangents)
@@ -452,7 +506,9 @@ def jvp(fn: Callable, primals, tangents):
 
     def split(o):
         if not isinstance(o, Node):
-            o = _lift(o)
+            o = as_f64(o)
+            return o, np.zeros_like(o)
+        check_finite(o)
         t = o.tangent if o.tangent is not None else np.zeros_like(as_f64(o.value))
         return o.value, t
 

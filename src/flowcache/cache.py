@@ -28,7 +28,6 @@ because only the counts are externally pinned.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -39,8 +38,6 @@ from .autodiff import Array, ParameterSet, as_f64, value_of
 from .errors import CacheMissError, ContractViolation, NumericFailure
 from .flow import TimePair, mean_velocity_step
 from .nets import Condition, Predictor, VelocityModel
-
-log = logging.getLogger(__name__)
 
 _PAIR_BYTES = 16  # origin metadata: two float64 endpoints
 
@@ -167,9 +164,14 @@ def fixture_schedule(N: int, total_steps: int = 20) -> StepSchedule:
 
 @dataclass
 class NfeReport:
+    """Evaluation counts of one cached walk. `out_of_horizon` counts the
+    learned predictions queried farther from the cache's origin than the
+    predictor's trained horizon (delta_max)."""
+
     full_evals: int = 0
     predictor_evals: int = 0
     cache_bytes_peak: int = 0
+    out_of_horizon: int = 0
 
     def observe_bytes(self, n: int):
         self.cache_bytes_peak = max(self.cache_bytes_peak, n)
@@ -252,16 +254,16 @@ def taylor_forecast(state: CacheState, k: int, N: int, m: int) -> Array:
 
 def learned_predict(predictor: Predictor, params: ParameterSet,
                     state: CacheState, x, pair: TimePair, cond: Condition,
-                    delta_max: float | None = None) -> Array:
+                    delta_max: float | None = None,
+                    report: NfeReport | None = None) -> Array:
     """Predictor evaluation against the cache; out-of-horizon queries (pair
-    farther than delta_max from the origin) are logged, not rejected."""
+    farther than delta_max from the origin) are counted in the report, not
+    rejected."""
     if not state.initialized:
         raise CacheMissError("learned prediction before cache initialization")
-    if delta_max is not None:
-        offset = state.origin.t - pair.t
-        if offset > delta_max + 1e-12:
-            log.warning("cache query %.4f past origin exceeds trained horizon %.4f",
-                        offset, delta_max)
+    if (delta_max is not None and report is not None
+            and state.origin.t - pair.t > delta_max + 1e-12):
+        report.out_of_horizon += 1
     return as_f64(value_of(predictor.forward(params.entries, state.value, x,
                                              pair.t, pair.r, cond)))
 
@@ -301,7 +303,7 @@ def cached_sample(model: VelocityModel, params: ParameterSet,
         else:
             if strategy is Strategy.LEARNED:
                 u = learned_predict(predictor, predictor_params, state, x,
-                                    step.pair, cond, delta_max)
+                                    step.pair, cond, delta_max, report)
             else:
                 n_eff, usable = _history_spacing(full_indices)
                 u = taylor_forecast(state, idx - full_indices[-1], n_eff,

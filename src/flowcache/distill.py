@@ -176,16 +176,19 @@ def _interval_forward(model: VelocityModel, params, x_t, t, r, v, cond):
 
     t and r hold one time per group (scalars for a single group) and cond
     one Condition per group; the rows of x_t split evenly across the groups.
-    Returns (u node, u_tgt array). u_tgt is detached by construction. In the
+    x and t enter as constants that carry the tangents and r as a plain
+    array, so the graph needs gradients only through `params`. Returns
+    (u node, u_tgt array); a non-finite u or du/dt raises NumericFailure
+    naming its origin primitive. u_tgt is detached by construction. In the
     rows of a group with t == r the target is exactly v (zero interval),
     bit-for-bit.
     """
     v = as_f64(v)
     t, r = as_f64(t), as_f64(r)
-    x_node = ad.leaf(value_of(x_t), tangent=v)
-    t_node = ad.leaf(t, tangent=np.ones_like(t))
-    r_node = ad.leaf(r)
-    u = model.forward(params, x_node, t_node, r_node, cond)
+    x_node = ad.leaf(value_of(x_t), tangent=v, needs_grad=False)
+    t_node = ad.leaf(t, tangent=np.ones_like(t), needs_grad=False)
+    u = model.forward(params, x_node, t_node, r, cond)
+    ad.check_finite(u)
     dudt = u.tangent
     if dudt is None:
         dudt = np.zeros_like(v)

@@ -275,6 +275,7 @@ class VelocityModel:
             raise ContractViolation(
                 f"x must have shape (batch, {c.input_dim}), got {np.shape(xv)}")
         if not np.all(np.isfinite(xv)):
+            ad.check_finite(x)  # a graph x names the primitive that made it
             raise NumericFailure("non-finite x passed to velocity model")
         G, r, conds = self._groups(t, r, cond)
         n = np.shape(xv)[0]

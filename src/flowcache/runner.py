@@ -24,6 +24,7 @@ it keeps every step's activations a few hundred kilobytes. Sampling the
 from __future__ import annotations
 
 import csv
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +44,8 @@ from .flow import mean_velocity_sample, sample_data
 from .metrics import energy_distance, w2_distance
 from .nets import (Condition, DiscriminatorConfig, Predictor, PredictorConfig,
                    VelocityModel, VelocityModelConfig)
+
+log = logging.getLogger(__name__)
 
 _SESSION_CHUNK = 512
 
@@ -252,14 +255,15 @@ def _run_session(strategy_name, key, model, params, predictor, pparams,
     if strategy_name == "none":
         out = mean_velocity_sample(model, params.entries,
                                    [s.pair for s in schedule.steps], x1, cond)
-        counts = (schedule.total_steps, 0, 0)
+        counts = (schedule.total_steps, 0, 0, 0)
     else:
         out, rep = cached_sample(model, params, schedule,
                                  Strategy(strategy_name), x1, cond,
                                  predictor=predictor, predictor_params=pparams,
                                  taylor_order=config.taylor_order,
                                  delta_max=delta_max)
-        counts = (rep.full_evals, rep.predictor_evals, rep.cache_bytes_peak)
+        counts = (rep.full_evals, rep.predictor_evals, rep.cache_bytes_peak,
+                  rep.out_of_horizon)
     return out, counts
 
 
@@ -279,7 +283,10 @@ class StrategySamples:
 def sample_strategies(config: ExperimentConfig, meanflow_path,
                       predictor_path=None,
                       run_tag: str | None = None) -> list[StrategySamples]:
-    """Draw config.metric_samples points with every configured strategy."""
+    """Draw config.metric_samples points with every configured strategy.
+
+    A strategy whose learned predictions query the cache past the
+    predictor's trained horizon logs one warning with their count."""
     model, params, predictor, pparams, delta_max = load_sampler(
         meanflow_path, predictor_path)
     for name in config.strategies:
@@ -299,7 +306,7 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                                          pparams, delta_max, schedule, config),
                 keys))
             wall_ms = (time.perf_counter() - t0) * 1e3
-            full_evals, predictor_evals, peak = results[0][1]
+            full_evals, predictor_evals, peak, _ = results[0][1]
             for _, counts in results:
                 if counts[:2] != (full_evals, predictor_evals):
                     raise ContractViolation(
@@ -307,6 +314,12 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                         f"counts: {counts[:2]} vs "
                         f"{(full_evals, predictor_evals)}")
                 peak = max(peak, counts[2])
+            past = sum(counts[3] for _, counts in results)
+            if past:
+                log.warning("strategy '%s': %d of %d learned predictions "
+                            "queried the cache past the predictor's trained "
+                            "horizon %.4f", name, past,
+                            predictor_evals * len(results), delta_max)
             runs.append(StrategySamples(
                 run_id=f"{tag}:{name}", strategy=name,
                 samples=np.concatenate([out for out, _ in results], axis=0),

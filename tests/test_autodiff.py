@@ -296,11 +296,106 @@ def test_nonscalar_loss_rejected(rng):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_failure_names_primitive():
+    # values are checked at the sink: the graph builds, the gradient raises
     x = ad.leaf(np.array([1.0, 0.0]))
+    loss = ad.sum_(ad.div(1.0, x))
     with pytest.raises(NumericFailure, match="div"):
-        ad.div(1.0, x)
+        ad.param_grads(loss, {"x": x})
+    y = ad.leaf(np.array([-1.0]))
+    loss = ad.sum_(ad.sqrt(y))
     with pytest.raises(NumericFailure, match="sqrt"):
-        ad.sqrt(ad.leaf(np.array([-1.0])))
+        ad.param_grads(loss, {"y": y})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numeric_failure_names_the_origin_not_a_descendant():
+    x = ad.leaf(np.array([4.0, -1.0]))
+    loss = ad.sum_(ad.square(ad.mul(ad.sqrt(x), 2.0)))
+    with pytest.raises(NumericFailure,
+                       match="non-finite value produced by primitive 'sqrt'"):
+        ad.param_grads(loss, {"x": x})
+    # finite operands upstream of the origin are not named either
+    loss = ad.mean(ad.gelu(ad.div(1.0, ad.sub(x, np.array([4.0, 0.0])))))
+    with pytest.raises(NumericFailure,
+                       match="non-finite value produced by primitive 'div'"):
+        ad.param_grads(loss, {"x": x})
+    # a non-finite constant operand is the origin itself
+    loss = ad.sum_(ad.mul(x, np.array([1.0, np.inf])))
+    with pytest.raises(NumericFailure,
+                       match="non-finite value produced by primitive 'leaf'"):
+        ad.param_grads(loss, {"x": x})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numeric_failure_in_a_tangent_names_primitive():
+    # sqrt at 0 has a finite value and an infinite derivative
+    with pytest.raises(NumericFailure,
+                       match="non-finite tangent produced by primitive 'sqrt'"):
+        ad.jvp(ad.sqrt, [0.0], [1.0])
+    with pytest.raises(NumericFailure,
+                       match="non-finite tangent produced by primitive 'sqrt'"):
+        ad.jvp(lambda v: ad.sum_(ad.mul(ad.sqrt(v), 3.0)),
+               [np.array([1.0, 0.0])], [np.ones(2)])
+
+
+# ---------------------------------------------------------------------------
+# Pruning: no transposes into constants, no Nodes for constant expressions
+# ---------------------------------------------------------------------------
+
+def test_vjp_returns_none_for_constant_operands(rng):
+    w = ad.leaf(rng.standard_normal(3))
+    c = rng.standard_normal(3)
+    out = ad.add(w, c)
+    g = rng.standard_normal(3)
+    gw, gc = out.vjp(g)
+    assert out.needs_grad and gc is None
+    assert np.array_equal(gw, g)
+
+    x = rng.standard_normal((5, 3))
+    W = ad.leaf(rng.standard_normal((3, 2)))
+    out = ad.matmul(x, W)
+    g = rng.standard_normal((5, 2))
+    gx, gW = out.vjp(g)
+    assert gx is None
+    assert np.array_equal(gW, x.T @ g)
+
+
+def test_constant_expression_returns_a_plain_array(rng):
+    x = rng.standard_normal((2, 3))
+    c = ad.leaf(x, needs_grad=False)
+    out = ad.add(ad.sin(ad.mul(c, 2.0)), ad.narrow(c, 1, 0, 1))
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, np.sin(x * 2.0) + x[:, 0:1])
+
+
+def test_constant_with_tangent_builds_a_node_without_vjp(rng):
+    x, d = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+    c = ad.leaf(x, tangent=d, needs_grad=False)
+    out = ad.mul(ad.sin(c), 2.0)
+    assert isinstance(out, ad.Node)
+    assert out.vjp is None and not out.needs_grad
+    assert np.array_equal(out.value, np.sin(x) * 2.0)
+    assert np.array_equal(out.tangent, d * np.cos(x) * 2.0)
+    # the tangent passes on into a Node that needs gradients, whose VJP
+    # skips the constant operand
+    W = ad.leaf(rng.standard_normal((3, 4)))
+    y = ad.matmul(out, W)
+    assert y.needs_grad
+    assert np.array_equal(y.tangent, out.tangent @ W.value)
+    assert y.vjp(np.ones((2, 4)))[0] is None
+
+
+@pytest.mark.parametrize("name,fn", [("add", ad.add), ("sub", ad.sub),
+                                     ("mul", ad.mul), ("div", ad.div)])
+def test_jvp_tangent_of_a_broadcast_operand_has_the_output_shape(name, fn, rng):
+    a = rng.standard_normal((3, 4))
+    b = rng.standard_normal(4)
+    b = b + np.sign(b)  # keep div away from zero
+    d = rng.standard_normal(4)
+    out, tan = ad.jvp(lambda xb: fn(a, xb), [b], [d])
+    assert np.shape(out) == tan.shape == (3, 4), name
+    ref = fd_directional(lambda xb: ad.value_of(fn(a, xb)), [b], [d])
+    assert rel_err(tan, ref) < 1e-4, name
 
 
 def test_operators_on_nodes_rejected():

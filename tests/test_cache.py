@@ -232,16 +232,34 @@ def test_learned_predict_cache_miss(rng):
                         TimePair(0.5, 0.4), Condition(0))
 
 
-def test_learned_out_of_horizon_logged(rng, caplog):
+def test_learned_out_of_horizon_counted_not_logged(rng, caplog):
     model, params = make_model(rng)
     pred, pp = make_predictor(rng, model)
     state = CacheState()
     cache_init(model, params, np.zeros((1, 2)), TimePair(0.9, 0.85),
                Condition(0), state)
-    with caplog.at_level(logging.WARNING, logger="flowcache.cache"):
-        learned_predict(pred, pp, state, np.zeros((1, 2)),
-                        TimePair(0.3, 0.25), Condition(0), delta_max=0.2)
-    assert any("horizon" in r.message for r in caplog.records)
+    report = NfeReport()
+    with caplog.at_level(logging.DEBUG, logger="flowcache"):
+        for pair in (TimePair(0.3, 0.25), TimePair(0.75, 0.7),
+                     TimePair(0.7, 0.65), TimePair(0.69, 0.6)):
+            learned_predict(pred, pp, state, np.zeros((1, 2)), pair,
+                            Condition(0), delta_max=0.2, report=report)
+    assert report.out_of_horizon == 2  # 0.6 and 0.21 past the origin
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("delta_max,past", [(0.2, 0), (0.05, 0), (0.01, 7),
+                                            (None, 0)])
+def test_cached_sample_counts_out_of_horizon_queries(rng, delta_max, past):
+    # N=2 fixture: 7 learned queries, each 0.05 past its cache's origin
+    model, params = make_model(rng)
+    pred, pp = make_predictor(rng, model)
+    _, report = cached_sample(model, params, fixture_schedule(2),
+                              Strategy.LEARNED, rng.standard_normal((3, 2)),
+                              Condition(0), predictor=pred,
+                              predictor_params=pp, delta_max=delta_max)
+    assert report.predictor_evals == 7
+    assert report.out_of_horizon == past
 
 
 def test_zero_init_predictor_outputs_zero(rng):

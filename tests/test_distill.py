@@ -396,6 +396,34 @@ def test_zero_interval_group_target_is_v_in_a_mixed_batch(rng):
     assert not np.array_equal(u_tgt[6:], v[6:])
 
 
+def test_constant_seeds_match_gradient_leaf_seeds(rng, monkeypatch):
+    # x and t enter the meanflow graph as constants carrying the tangents;
+    # as gradient leaves (the graph before pruning, but for r, a plain
+    # array either way) they give the same target and parameter gradients
+    _, _, student, sparams = group_models(rng)
+    x = rng.standard_normal((8, 2))
+    v = rng.standard_normal((8, 2))
+    t, r = np.array([0.7, 0.35]), np.array([0.55, 0.3])
+    conds = [Condition(0, 3.0), Condition(1, 2.0)]
+
+    def run():
+        leaves = sparams.lift()
+        u, u_tgt = distill._interval_forward(student, leaves, x, t, r, v, conds)
+        loss = flow.squared_error_loss(u, u_tgt)
+        return ad.param_grads(loss, leaves), u_tgt, len(ad.backward(loss))
+
+    grads, u_tgt, reached = run()
+    leaf = ad.leaf
+    monkeypatch.setattr(ad, "leaf", lambda value, tangent=None, needs_grad=True:
+                        leaf(value, tangent))
+    ref_grads, ref_tgt, ref_reached = run()
+    assert reached < ref_reached  # the pruned graph skips the x and t paths
+    assert np.array_equal(u_tgt, ref_tgt)
+    assert set(grads) == set(ref_grads)
+    for name, g in ref_grads.items():
+        assert np.array_equal(grads[name], g), name
+
+
 def test_uneven_groups_rejected(rng):
     teacher, tparams, student, sparams = group_models(rng)
     opt = OptimizerState.init(sparams, lr=1e-3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flowcache import autodiff as ad
-from flowcache.errors import ContractViolation
+from flowcache.errors import ContractViolation, NumericFailure
 from flowcache.nets import (Condition, Discriminator, DiscriminatorConfig,
                             Predictor, PredictorConfig, VelocityModel,
                             VelocityModelConfig, cfg_embed, default_taps,
@@ -111,6 +111,17 @@ def test_c1_in_unit_box(probe, rng):
     ref = fd_directional(lambda xa, ra, ta: ad.value_of(f(xa, ra, ta)),
                          [x, r0, t0], [d, 1.0, 1.0])
     assert rel_err(tan, ref) < 1e-4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_graph_input_names_its_primitive(rng):
+    m = small_model(accepts_r=False)
+    params = randomized(m, rng)
+    x = ad.div(1.0, ad.leaf(np.array([[0.5, 0.0]])))
+    with pytest.raises(NumericFailure, match="primitive 'div'"):
+        m.forward(params.entries, x, 0.5)
+    with pytest.raises(NumericFailure, match="non-finite x"):
+        m.forward(params.entries, np.array([[0.5, np.nan]]), 0.5)
 
 
 def test_r_rejected_without_accepts_r(rng):

@@ -3,6 +3,7 @@ sampling pool's size rule, and outputs that do not depend on the pool."""
 
 import csv
 import json
+import logging
 import sys
 import threading
 from contextlib import contextmanager
@@ -29,8 +30,8 @@ def miscount_class_1(monkeypatch):
     original = runner._run_session
 
     def skewed(name, key, *rest):
-        out, (full, predicted, peak) = original(name, key, *rest)
-        return out, (full + key[0], predicted, peak)
+        out, (full, *counts) = original(name, key, *rest)
+        return out, (full + key[0], *counts)
 
     monkeypatch.setattr(runner, "_run_session", skewed)
 
@@ -155,3 +156,32 @@ def test_numeric_failure_in_one_session_exits_4(tmp_path, tiny_pipeline,
                  "--checkpoint", str(root / "predictor.fck")]) == EXIT_NUMERIC
     assert "non-finite value in session (1, 0)" in capsys.readouterr().err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_out_of_horizon_queries_warn_once_per_strategy(tiny_pipeline,
+                                                       monkeypatch, caplog):
+    # the fixture schedule's learned queries sit 0.05 past their cache, so
+    # a trained horizon of 0.01 puts every one of them out of horizon
+    config, root = tiny_pipeline
+    cfg = load_config(config)
+    sessions = len(runner._session_keys(cfg))
+    load = runner.load_sampler
+
+    def run():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="flowcache"):
+            runs = runner.sample_strategies(cfg, root / "meanflow.fck",
+                                            root / "predictor.fck")
+        return runs, [r.getMessage() for r in caplog.records]
+
+    _, messages = run()
+    assert messages == []
+    monkeypatch.setattr(runner, "load_sampler",
+                        lambda *paths: (*load(*paths)[:4], 0.01))
+    runs, messages = run()
+    learned = next(r for r in runs if r.strategy == "learned")
+    queries = learned.predictor_evals * sessions
+    assert queries > 0
+    assert messages == [
+        f"strategy 'learned': {queries} of {queries} learned predictions "
+        f"queried the cache past the predictor's trained horizon 0.0100"]
