@@ -159,7 +159,7 @@ def _primitive(op: str, raw: Callable, rule: Callable, *operands):
     if not node:
         return raw(*operands)
     if not (grad or carried):
-        return raw(*[x.value if isinstance(x, Node) else x for x in operands])
+        return raw(*map(value_of, operands))
     value, maps = rule(*[x.value if isinstance(x, Node) else as_f64(x)
                          for x in operands])
 
