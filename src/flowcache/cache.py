@@ -96,10 +96,6 @@ class StepSchedule:
         full = sum(1 for s in self.steps if s.mode is StepMode.FULL)
         return full, len(self.steps) - full
 
-    def to_json_obj(self) -> list[dict]:
-        return [{"t": s.pair.t, "r": s.pair.r, "mode": s.mode.value}
-                for s in self.steps]
-
 
 def plan_schedule(total_steps: int, N: int, warmup_full: int = 0,
                   explicit=None) -> StepSchedule:

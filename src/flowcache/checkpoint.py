@@ -102,13 +102,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> bytes:
     return ckpt.digest
 
 
-def checkpoint_digest(path) -> bytes:
-    blob = Path(path).read_bytes()
-    if len(blob) < 32:
-        raise CorruptCheckpointError(f"{path}: truncated checkpoint")
-    return blob[-32:]
-
-
 class _Reader:
     def __init__(self, blob: bytes, path):
         self.blob = blob

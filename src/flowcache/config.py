@@ -4,43 +4,40 @@ Every stochastic choice in a run is a function of the config's seed (plus
 the distribution's own seed); environment variables are never consulted.
 Unknown keys are rejected, at the top level and in every section, so typos
 fail loudly with exit code 2.
+
+One reader turns each section into the dataclasses that `SECTION_FIELDS`
+names for it, and the top-level keys into `ExperimentConfig`'s own fields.
+Every value is checked against its field's annotation:
+
+- a bool comes only from true or false;
+- an int only from an integral number, never from true or false;
+- a float from a number, or from a string that parses as one;
+- a str only from a string;
+- a tuple only from a list, each item checked against the item type;
+- a `| None` annotation also admits null.
+
+A value of another type raises ConfigError naming the section and the key,
+and so does any ContractViolation the dataclass raises for a value out of
+its range. Each key of `DEFAULTS` is a field of exactly one of the
+dataclasses that read its section.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .distill import CfgConfig, RestrictConfig
 from .errors import ConfigError, ContractViolation
 from .flow import ToyDistribution
 from .nets import PredictorConfig, VelocityModelConfig
+from .optim import TrainSettings
 from .predictor_train import PredictorTrainConfig
 
 STRATEGY_NAMES = ("none", "naive", "taylor", "learned")
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    iters: int
-    batch_size: int
-    lr: float
-    lr_final: float | None = None
-    p_uncond: float = 0.1  # base stage only
-    groups_per_step: int = 4  # mean-velocity stage only
-    grad_clip: float | None = 1.0  # mean-velocity stage only
-
-    def __post_init__(self):
-        for name in ("iters", "batch_size", "groups_per_step"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr", "lr_final", "grad_clip"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
-        if not (0.0 <= self.p_uncond <= 1.0):
-            raise ConfigError(f"p_uncond must lie in [0, 1], got {self.p_uncond}")
 
 
 @dataclass(frozen=True)
@@ -49,14 +46,14 @@ class ScheduleSpec:
     max_interval: int = 2
     warmup_full: int = 0
     fixture: bool = True
-    explicit: tuple | None = None
+    explicit: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     distribution: ToyDistribution
-    model: dict
+    model: VelocityModelConfig  # the base model's; see velocity_config
     base_train: TrainSettings
     cfg_distill: CfgConfig
     cfg_train: TrainSettings
@@ -64,8 +61,6 @@ class ExperimentConfig:
     meanflow_train: TrainSettings
     predictor: PredictorConfig
     predictor_train: PredictorTrainConfig
-    disc_hidden_dim: int
-    spectral_norm: bool
     schedule: ScheduleSpec
     strategies: tuple[str, ...]
     taylor_order: int
@@ -74,17 +69,34 @@ class ExperimentConfig:
     metric_seed: int
     emit_samples: bool
 
-    def velocity_config(self, accepts_r: bool, accepts_cfg: bool) -> VelocityModelConfig:
-        return VelocityModelConfig(
-            input_dim=self.distribution.dim,
-            condition_vocab=self.distribution.n_classes,
-            accepts_r=accepts_r,
-            accepts_cfg=accepts_cfg,
-            cfg_min=self.cfg_distill.g_min,
-            cfg_max=self.cfg_distill.g_max,
-            **self.model,
-        )
+    def __post_init__(self):
+        for s in self.strategies:
+            if s not in STRATEGY_NAMES:
+                raise ContractViolation(f"unknown strategy '{s}' "
+                                        f"(expected one of {STRATEGY_NAMES})")
+        if self.metric_samples < 2:
+            raise ContractViolation("metric_samples must be >= 2")
+        mf = self.meanflow_train
+        if mf.batch_size % mf.groups_per_step:
+            raise ContractViolation(
+                f"'meanflow': batch_size {mf.batch_size} is not a multiple "
+                f"of groups_per_step {mf.groups_per_step}")
 
+    def velocity_config(self, accepts_r: bool, accepts_cfg: bool) -> VelocityModelConfig:
+        return replace(self.model, accepts_r=accepts_r, accepts_cfg=accepts_cfg)
+
+
+# The ExperimentConfig fields read from each section, in reading order; the
+# field's annotation is the dataclass that reads the section's keys.
+SECTION_FIELDS = {
+    "distribution": ("distribution",),
+    "cfg_distill": ("cfg_distill", "cfg_train"),
+    "model": ("model",),
+    "base_train": ("base_train",),
+    "meanflow": ("restrict", "meanflow_train"),
+    "predictor": ("predictor", "predictor_train"),
+    "schedule": ("schedule",),
+}
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -115,25 +127,87 @@ DEFAULTS: dict = {
 }
 
 
+def _as_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ValueError
+
+
+def _as_int(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError
+    return float(value)
+
+
+def _as_str(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError
+
+
+_SCALARS = {bool: ("true or false", _as_bool), int: ("an integer", _as_int),
+            float: ("a number", _as_float), str: ("a string", _as_str)}
+
+
+def _value_reader(hint):
+    """(what a JSON value must be, the cast that raises ValueError on any
+    other value) for a field annotation; TypeError for an annotation the
+    reader does not support."""
+    if isinstance(hint, UnionType) and type(None) in get_args(hint):
+        rest = [a for a in get_args(hint) if a is not type(None)]
+        if len(rest) == 1:
+            what, cast = _value_reader(rest[0])
+            return f"{what} or null", lambda v: None if v is None else cast(v)
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    if get_origin(hint) is tuple and get_args(hint)[1:] == (Ellipsis,):
+        what, cast = _value_reader(get_args(hint)[0])
+
+        def cast_list(value):
+            if not isinstance(value, list):
+                raise ValueError
+            return tuple(cast(item) for item in value)
+        return f"a list of items each {what}", cast_list
+    raise TypeError(f"unsupported field annotation {hint!r}")
+
+
+def _read(section: str | None, cls, values: dict, /, **given):
+    """`cls` built from `given` and from the keys of `values` that name its
+    fields, each read as its field's annotation. A value of another type,
+    or one the dataclass rejects, raises ConfigError naming the section."""
+    where = "" if section is None else f"'{section}': "
+    hints = get_type_hints(cls)
+    for key, value in values.items():
+        if key in hints:
+            what, cast = _value_reader(hints[key])
+            try:
+                given[key] = cast(value)
+            except ValueError:
+                raise ConfigError(f"{where}{key} must be {what}, "
+                                  f"got {value!r}") from None
+    try:
+        return cls(**given)
+    except ContractViolation as exc:
+        raise ConfigError(f"{where}{exc}") from exc
+
+
 def _section(raw: dict, name: str) -> dict:
     """The merged section `name`, rejecting keys its defaults do not name."""
     section = raw[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be an object, got {section!r}")
     unknown = set(section) - set(DEFAULTS[name])
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in '{name}'")
     return section
-
-
-def _train_settings(section: str, **fields) -> TrainSettings:
-    """The TrainSettings of one section; a rejected value names the section."""
-    try:
-        return TrainSettings(**fields)
-    except ConfigError as exc:
-        raise ConfigError(f"'{section}': {exc}") from exc
-
-
-def _float_or_none(value):
-    return None if value is None else float(value)
 
 
 def _merged(user: dict) -> dict:
@@ -152,75 +226,20 @@ def _merged(user: dict) -> dict:
 
 def config_from_dict(user: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain JSON object."""
-    try:
-        raw = _merged(user)
-        dist = ToyDistribution(**_section(raw, "distribution"))
-        model = _section(raw, "model")
-        base = _section(raw, "base_train")
-        base_train = _train_settings("base_train", iters=int(base["iters"]),
-                                     batch_size=int(base["batch_size"]),
-                                     lr=float(base["lr"]),
-                                     lr_final=_float_or_none(base["lr_final"]),
-                                     p_uncond=float(base["p_uncond"]))
-        cd = _section(raw, "cfg_distill")
-        cfg_distill = CfgConfig(g_min=float(cd["g_min"]), g_max=float(cd["g_max"]))
-        cfg_train = _train_settings("cfg_distill", iters=int(cd["iters"]),
-                                    batch_size=int(cd["batch_size"]),
-                                    lr=float(cd["lr"]),
-                                    lr_final=_float_or_none(cd["lr_final"]))
-        mf = _section(raw, "meanflow")
-        restrict = RestrictConfig(restrict_factor=float(mf["restrict_factor"]))
-        meanflow_train = _train_settings(
-            "meanflow", iters=int(mf["iters"]), batch_size=int(mf["batch_size"]),
-            lr=float(mf["lr"]), lr_final=_float_or_none(mf["lr_final"]),
-            groups_per_step=int(mf["groups_per_step"]),
-            grad_clip=_float_or_none(mf["grad_clip"]))
-        if meanflow_train.batch_size % meanflow_train.groups_per_step:
-            raise ConfigError(
-                f"'meanflow': batch_size {meanflow_train.batch_size} is not a "
-                f"multiple of groups_per_step {meanflow_train.groups_per_step}")
-        pr = _section(raw, "predictor")
-        predictor = PredictorConfig(
-            hidden_dim=int(pr["hidden_dim"]), depth=int(pr["depth"]),
-            time_embed_dim=int(pr["time_embed_dim"]),
-            parameter_budget_ratio=float(pr["parameter_budget_ratio"]))
-        predictor_train = PredictorTrainConfig(
-            delta_max=float(pr["delta_max"]), mse_iters=int(pr["mse_iters"]),
-            gan_iters=int(pr["gan_iters"]), lambda_adv=float(pr["lambda_adv"]),
-            lr_predictor=float(pr["lr_predictor"]),
-            lr_discriminator=float(pr["lr_discriminator"]),
-            batch_size=int(pr["batch_size"]))
-        sc = _section(raw, "schedule")
-        schedule = ScheduleSpec(total_steps=int(sc["total_steps"]),
-                                max_interval=int(sc["max_interval"]),
-                                warmup_full=int(sc["warmup_full"]),
-                                fixture=bool(sc["fixture"]),
-                                explicit=None if sc["explicit"] is None
-                                else tuple(sc["explicit"]))
-        strategies = tuple(raw["strategies"])
-        for s in strategies:
-            if s not in STRATEGY_NAMES:
-                raise ConfigError(f"unknown strategy '{s}' "
-                                  f"(expected one of {STRATEGY_NAMES})")
-        if raw["metric_samples"] < 2:
-            raise ConfigError("metric_samples must be >= 2")
-        return ExperimentConfig(
-            seed=int(raw["seed"]), distribution=dist, model=model,
-            base_train=base_train, cfg_distill=cfg_distill,
-            cfg_train=cfg_train, restrict=restrict,
-            meanflow_train=meanflow_train, predictor=predictor,
-            predictor_train=predictor_train,
-            disc_hidden_dim=int(pr["disc_hidden_dim"]),
-            spectral_norm=bool(pr["spectral_norm"]), schedule=schedule,
-            strategies=strategies, taylor_order=int(raw["taylor_order"]),
-            sample_cfg_scale=float(raw["sample_cfg_scale"]),
-            metric_samples=int(raw["metric_samples"]),
-            metric_seed=int(raw["metric_seed"]),
-            emit_samples=bool(raw["emit_samples"]))
-    except ConfigError:
-        raise
-    except (ContractViolation, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid experiment config: {exc}") from exc
+    raw = _merged(user)
+    types = get_type_hints(ExperimentConfig)
+    read = {}
+    for section, names in SECTION_FIELDS.items():
+        values = _section(raw, section)
+        for name in names:
+            given = {}
+            if name == "model":  # the data and the guidance range fix these
+                dist, cfg = read["distribution"], read["cfg_distill"]
+                given = dict(input_dim=dist.dim, condition_vocab=dist.n_classes,
+                             cfg_min=cfg.g_min, cfg_max=cfg.g_max)
+            read[name] = _read(section, types[name], values, **given)
+    top = {k: v for k, v in raw.items() if k not in SECTION_FIELDS}
+    return _read(None, ExperimentConfig, top, **read)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -34,10 +34,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, as_f64, value_of
 from .errors import ContractViolation, NumericFailure
-from .flow import (PathSample, TimePair, ToyDistribution, cosine_lr,
-                   squared_error_loss)
+from .flow import PathSample, TimePair, ToyDistribution, squared_error_loss
 from .nets import Condition, VelocityModel
-from .optim import OptimizerState, adam_step, clip_grad_norm, global_grad_norm
+from .optim import (OptimizerState, TrainSettings, adam_step, clip_grad_norm,
+                    global_grad_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +85,6 @@ def sample_t_r(cfg: RestrictConfig, rng) -> TimePair:
     interval = rng.uniform(0.0, cfg.restrict_factor)
     t = rng.uniform(0.0, 1.0)
     return TimePair(t, max(0.0, t - interval))
-
-
-def sample_t_r_many(cfg: RestrictConfig, n: int, rng):
-    """Vectorized draws with the same per-pair distribution."""
-    intervals = rng.uniform(0.0, cfg.restrict_factor, n)
-    t = rng.uniform(0.0, 1.0, n)
-    r = np.maximum(0.0, t - intervals)
-    return t, r
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +138,20 @@ def init_student_from_teacher(student: VelocityModel, teacher_params: ParameterS
 
 def train_cfg(student: VelocityModel, teacher: VelocityModel,
               teacher_params: ParameterSet, dist: ToyDistribution, *,
-              cfg: CfgConfig, iters: int, batch_size: int, lr: float,
-              lr_final: float | None = None, seed: int = 0):
+              cfg: CfgConfig, settings: TrainSettings, seed: int = 0):
     """Full CFG distillation loop; returns (student params, reports)."""
     rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 23]))
     params = init_student_from_teacher(student, teacher_params, rng)
-    opt = OptimizerState.init(params, lr=lr)
-    lr_final = lr if lr_final is None else lr_final
+    opt = OptimizerState.init(params, settings.lr, settings.lr_final,
+                              settings.iters)
     reports = []
-    for it in range(iters):
+    for _ in range(settings.iters):
         k = int(rng.integers(0, dist.n_classes))
         t = float(rng.uniform())
         g = float(rng.uniform(cfg.g_min, cfg.g_max))
-        x0 = dist.sample_class(k, batch_size, rng)
+        x0 = dist.sample_class(k, settings.batch_size, rng)
         x1 = rng.standard_normal(x0.shape)
         batch = PathSample.create(x0, x1, t)
-        opt.hyper["lr"] = cosine_lr(lr, lr_final, it, iters)
         reports.append(cfg_distill_step(student, params, teacher, teacher_params,
                                         batch, Condition(k), g, cfg, opt))
     return params, reports
@@ -179,9 +169,10 @@ def _interval_forward(model: VelocityModel, params, x_t, t, r, v, cond):
     x and t enter as constants that carry the tangents and r as a plain
     array, so the graph needs gradients only through `params`. Returns
     (u node, u_tgt array); a non-finite u or du/dt raises NumericFailure
-    naming its origin primitive. u_tgt is detached by construction. In the
-    rows of a group with t == r the target is exactly v (zero interval),
-    bit-for-bit.
+    naming its origin primitive. u keeps its gradient path but not its
+    tangent du/dt, which is read here once, so a loss built on u maps no
+    tangents. u_tgt is detached by construction. In the rows of a group
+    with t == r the target is exactly v (zero interval), bit-for-bit.
     """
     v = as_f64(v)
     t, r = as_f64(t), as_f64(r)
@@ -189,9 +180,8 @@ def _interval_forward(model: VelocityModel, params, x_t, t, r, v, cond):
     t_node = ad.leaf(t, tangent=np.ones_like(t), needs_grad=False)
     u = model.forward(params, x_node, t_node, r, cond)
     ad.check_finite(u)
-    dudt = u.tangent
-    if dudt is None:
-        dudt = np.zeros_like(v)
+    dudt = np.zeros_like(v) if u.tangent is None else u.tangent
+    u.tangent = None
     interval = np.repeat(np.reshape(t - r, -1), len(v) // t.size)[:, None]
     u_tgt = np.where(interval == 0.0, v, v - interval * dudt)
     if not np.all(np.isfinite(u_tgt)):
@@ -257,28 +247,29 @@ def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
 def train_meanflow(model: VelocityModel, init_params: ParameterSet,
                    teacher: VelocityModel, teacher_params: ParameterSet,
                    dist: ToyDistribution, *, restrict: RestrictConfig,
-                   cfg: CfgConfig | None, iters: int, batch_size: int,
-                   groups_per_step: int = 4, lr: float, lr_final: float | None = None,
-                   clip: float | None = 1.0, seed: int = 0):
+                   cfg: CfgConfig | None, settings: TrainSettings,
+                   seed: int = 0):
     """Mean-velocity distillation loop starting from the CFG student.
 
     Every step draws `groups_per_step` restricted pairs and splits the batch
     evenly across them, giving the report meaningful interval statistics.
-    Each step is one teacher call and one graph over the whole batch.
+    Each step is one teacher call and one graph over the whole batch, and
+    clips the gradient at `grad_clip` (None: no clipping).
     """
     if not model.config.accepts_r:
         raise ContractViolation("mean-velocity distillation needs accepts_r")
-    if groups_per_step < 1 or batch_size < 1 or batch_size % groups_per_step:
+    groups_per_step = settings.groups_per_step
+    if settings.batch_size % groups_per_step:
         raise ContractViolation(
-            f"batch_size {batch_size} does not split into {groups_per_step} "
-            f"equal groups")
+            f"batch_size {settings.batch_size} does not split into "
+            f"{groups_per_step} equal groups")
     rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 37]))
     params = init_params.copy()
-    opt = OptimizerState.init(params, lr=lr)
-    lr_final = lr if lr_final is None else lr_final
-    per_group = batch_size // groups_per_step
+    opt = OptimizerState.init(params, settings.lr, settings.lr_final,
+                              settings.iters)
+    per_group = settings.batch_size // groups_per_step
     reports = []
-    for it in range(iters):
+    for _ in range(settings.iters):
         groups = []
         for _ in range(groups_per_step):
             pair = sample_t_r(restrict, rng)
@@ -288,8 +279,7 @@ def train_meanflow(model: VelocityModel, init_params: ParameterSet,
             x1 = rng.standard_normal(x0.shape)
             x_t = (1.0 - pair.t) * x0 + pair.t * x1
             groups.append((x_t, pair, Condition(k, g)))
-        opt.hyper["lr"] = cosine_lr(lr, lr_final, it, iters)
         reports.append(meanflow_distill_step(model, params, teacher,
                                              teacher_params, groups, restrict,
-                                             opt, clip))
+                                             opt, settings.grad_clip))
     return params, reports

@@ -12,8 +12,8 @@ dx/dtau = a(tau) x with
 
 and since a(tau) = d/dtau log s(tau) for s(tau)^2 = (1-tau)^2 sigma_d^2 +
 tau^2, the solution operator is simply s(r)/s(t). That closed form backs
-analytic_mean_velocity; the RK4 fine-step integrator lives in the tests as
-an independent oracle.
+analytic_mean_velocity; the RK4 fine-step integrator and an Euler walk live
+in the tests as independent oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Array, as_f64, value_of
 from .errors import ContractViolation
 from .nets import Condition, VelocityModel
-from .optim import OptimizerState, adam_step
+from .optim import OptimizerState, TrainSettings, adam_step
 
 DIST_KINDS = ("gaussian1d", "two_moons", "checkerboard", "eight_gaussians")
 
@@ -156,10 +156,6 @@ def sample_data(dist: ToyDistribution, n: int, seed: int) -> Array:
     return points
 
 
-def sample_data_labeled(dist: ToyDistribution, n: int, seed: int):
-    return dist.sample_labeled(n, dist.rng_for(seed))
-
-
 # ---------------------------------------------------------------------------
 # Losses and samplers
 # ---------------------------------------------------------------------------
@@ -182,37 +178,6 @@ def fm_loss(model: VelocityModel, params, batch: PathSample,
             "flow-matching regression expects an accepts_r=False model")
     pred = model.forward(params, batch.xt, batch.t, None, cond)
     return fm_loss_from_output(pred, batch)
-
-
-def euler_walk(field, x1: Array, steps: int) -> Array:
-    """Backward Euler walk of dx/dt = field(x, t) from t=1 to t=0."""
-    if steps < 1:
-        raise ContractViolation("steps must be >= 1")
-    x = as_f64(x1)
-    dt = 1.0 / steps
-    for j in range(steps):
-        t = 1.0 - j / steps
-        x = x - dt * field(x, t)
-    return x
-
-
-def euler_sample(model: VelocityModel, params, x1: Array, steps: int,
-                 cond: Condition = Condition(),
-                 cfg_scale: float | None = None) -> Array:
-    """Euler integration of the learned field; with cfg_scale set, each step
-    uses the guided mixture g*v_c + (1-g)*v_uc (null-condition branch)."""
-    if cfg_scale is None:
-        def field(x, t):
-            return value_of(model.forward(params, x, t, None, cond))
-    else:
-        uncond = Condition(class_id=None, cfg_scale=cond.cfg_scale)
-
-        def field(x, t):
-            vc = value_of(model.forward(params, x, t, None, cond))
-            vu = value_of(model.forward(params, x, t, None, uncond))
-            return cfg_scale * vc + (1.0 - cfg_scale) * vu
-
-    return euler_walk(field, x1, steps)
 
 
 def mean_velocity_step(x_t: Array, pair: TimePair, u: Array) -> Array:
@@ -286,16 +251,8 @@ def analytic_mean_velocity(x_t, pair, sigma_d: float):
 # Base flow-matching training
 # ---------------------------------------------------------------------------
 
-def cosine_lr(lr0: float, lr1: float, it: int, total: int) -> float:
-    if total <= 1:
-        return lr0
-    w = 0.5 * (1.0 + np.cos(np.pi * it / (total - 1)))
-    return lr1 + (lr0 - lr1) * w
-
-
-def train_base(model: VelocityModel, dist: ToyDistribution, *, iters: int,
-               batch_size: int, lr: float, lr_final: float | None = None,
-               p_uncond: float = 0.1, seed: int = 0):
+def train_base(model: VelocityModel, dist: ToyDistribution,
+               settings: TrainSettings, seed: int = 0):
     """Train the instantaneous-velocity teacher with condition dropout.
 
     Each iteration draws one class and one t for the whole batch (the model
@@ -304,22 +261,23 @@ def train_base(model: VelocityModel, dist: ToyDistribution, *, iters: int,
     """
     rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 11]))
     params = model.init_params(rng)
-    opt = OptimizerState.init(params, lr=lr)
-    lr_final = lr if lr_final is None else lr_final
+    opt = OptimizerState.init(params, settings.lr, settings.lr_final,
+                              settings.iters)
     losses = []
-    for it in range(iters):
+    for _ in range(settings.iters):
         k = int(rng.integers(0, dist.n_classes))
-        drop = rng.uniform() < p_uncond
+        drop = rng.uniform() < settings.p_uncond
         t = float(rng.uniform())
-        x0 = dist.sample_class(k, batch_size, rng)
+        x0 = dist.sample_class(k, settings.batch_size, rng)
         x1 = rng.standard_normal(x0.shape)
         batch = PathSample.create(x0, x1, t)
         cond = Condition(class_id=None if drop else k)
 
         leaves = params.lift()
         loss = fm_loss(model, leaves, batch, cond)
+        # gs lives into the next step: freed here, its pages go back to the
+        # OS and the next step faults them in again (about 10x the faults)
         gs = ad.param_grads(loss, leaves)
-        opt.hyper["lr"] = cosine_lr(lr, lr_final, it, iters)
         adam_step(params, gs, opt)
         losses.append(float(loss.value))
     return params, losses

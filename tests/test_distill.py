@@ -10,11 +10,11 @@ import pytest
 from flowcache import autodiff as ad
 from flowcache import distill, flow
 from flowcache.distill import (CfgConfig, RestrictConfig, cfg_mixture,
-                               meanflow_target, sample_t_r, sample_t_r_many)
+                               meanflow_target, sample_t_r)
 from flowcache.errors import ContractViolation
 from flowcache.flow import TimePair, ToyDistribution
 from flowcache.nets import Condition, VelocityModel, VelocityModelConfig
-from flowcache.optim import OptimizerState
+from flowcache.optim import OptimizerState, TrainSettings
 
 from conftest import fd_grad, rel_err
 
@@ -28,6 +28,13 @@ class ScriptedRng:
     def uniform(self, lo=0.0, hi=1.0, size=None):
         v = self.values.pop(0)
         return lo + (hi - lo) * v
+
+
+def sample_t_r_many(cfg: RestrictConfig, n: int, rng):
+    """Vectorized draws with sample_t_r's per-pair distribution."""
+    intervals = rng.uniform(0.0, cfg.restrict_factor, n)
+    t = rng.uniform(0.0, 1.0, n)
+    return t, np.maximum(0.0, t - intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +299,8 @@ def test_train_meanflow_smoke_and_interval_stats():
     teacher = VelocityModel(VelocityModelConfig(
         input_dim=1, hidden_dim=16, depth=2, time_embed_dim=8,
         condition_vocab=1))
-    tparams, _ = flow.train_base(teacher, dist, iters=300, batch_size=64,
-                                 lr=3e-3, seed=0)
+    tparams, _ = flow.train_base(
+        teacher, dist, TrainSettings(iters=300, batch_size=64, lr=3e-3), seed=0)
     student = VelocityModel(VelocityModelConfig(
         input_dim=1, hidden_dim=16, depth=2, time_embed_dim=8,
         condition_vocab=1, accepts_r=True))
@@ -302,7 +309,8 @@ def test_train_meanflow_smoke_and_interval_stats():
     restrict = RestrictConfig(0.25)
     params, reports = distill.train_meanflow(
         student, init, teacher, tparams, dist, restrict=restrict, cfg=None,
-        iters=150, batch_size=32, groups_per_step=2, lr=1e-3, seed=0)
+        settings=TrainSettings(iters=150, batch_size=32, lr=1e-3,
+                               groups_per_step=2), seed=0)
     losses = [r.loss for r in reports]
     assert all(r.interval_max <= 0.25 for r in reports)
     assert all(np.isfinite(losses))
@@ -382,6 +390,24 @@ def test_step_matches_per_group_scalar_reference(rng, monkeypatch):
         assert normwise_rel(seen[name], g) < 1e-12, name
 
 
+def test_meanflow_loss_carries_no_tangent(rng, monkeypatch):
+    # du/dt is read once, for the target; the loss on u maps no tangents
+    teacher, tparams, student, sparams = group_models(rng)
+    groups = step_groups(rng, [TimePair(0.8, 0.65), TimePair(0.3, 0.12)])
+    losses = []
+
+    def recorded(pred, target):
+        losses.append(flow.squared_error_loss(pred, target))
+        return losses[-1]
+
+    monkeypatch.setattr(distill, "squared_error_loss", recorded)
+    distill.meanflow_distill_step(student, sparams, teacher, tparams, groups,
+                                  RestrictConfig(0.2),
+                                  OptimizerState.init(sparams, lr=1e-3))
+    assert len(losses) == 1 and isinstance(losses[0], ad.Node)
+    assert losses[0].tangent is None
+
+
 def test_zero_interval_group_target_is_v_in_a_mixed_batch(rng):
     _, _, student, sparams = group_models(rng)
     x = rng.standard_normal((9, 2))
@@ -436,6 +462,7 @@ def test_uneven_groups_rejected(rng):
         distill.train_meanflow(student, sparams, teacher, tparams,
                                ToyDistribution("gaussian1d"),
                                restrict=RestrictConfig(0.2), cfg=CfgConfig(),
-                               iters=1, batch_size=10, groups_per_step=4,
-                               lr=1e-3)
+                               settings=TrainSettings(iters=1, batch_size=10,
+                                                      lr=1e-3,
+                                                      groups_per_step=4))
     assert sparams.version == 0

@@ -11,10 +11,10 @@ from flowcache import flow
 from flowcache.errors import ContractViolation
 from flowcache.flow import (PathSample, TimePair, ToyDistribution,
                             analytic_gaussian_velocity, analytic_mean_velocity,
-                            euler_walk, fm_loss, fm_loss_from_output,
-                            mean_velocity_step, sample_data,
-                            sample_data_labeled, uniform_pairs)
+                            fm_loss, fm_loss_from_output, mean_velocity_step,
+                            sample_data, uniform_pairs)
 from flowcache.nets import Condition, VelocityModel, VelocityModelConfig
+from flowcache.optim import TrainSettings
 
 
 def rk4_flow(x, t_from, t_to, sigma_d, substeps=10 ** 4):
@@ -32,6 +32,36 @@ def rk4_flow(x, t_from, t_to, sigma_d, substeps=10 ** 4):
         k4 = a(tau + h) * (x + h * k3)
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+def euler_walk(field, x1, steps: int):
+    """Backward Euler walk of dx/dt = field(x, t) from t=1 to t=0."""
+    if steps < 1:
+        raise ContractViolation("steps must be >= 1")
+    x = np.asarray(x1, dtype=np.float64)
+    dt = 1.0 / steps
+    for j in range(steps):
+        t = 1.0 - j / steps
+        x = x - dt * field(x, t)
+    return x
+
+
+def euler_sample(model, params, x1, steps: int, cond=Condition(),
+                 cfg_scale=None):
+    """Euler integration of a learned field; with cfg_scale set, each step
+    uses the guided mixture g*v_c + (1-g)*v_uc (null-condition branch)."""
+    if cfg_scale is None:
+        def field(x, t):
+            return ad.value_of(model.forward(params, x, t, None, cond))
+    else:
+        uncond = Condition(class_id=None, cfg_scale=cond.cfg_scale)
+
+        def field(x, t):
+            vc = ad.value_of(model.forward(params, x, t, None, cond))
+            vu = ad.value_of(model.forward(params, x, t, None, uncond))
+            return cfg_scale * vc + (1.0 - cfg_scale) * vu
+
+    return euler_walk(field, x1, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +120,7 @@ def test_two_moons_bounding_box():
 
 def test_checkerboard_occupies_dark_cells_only():
     dist = ToyDistribution("checkerboard")
-    x, labels = sample_data_labeled(dist, 4000, seed=5)
+    x, labels = dist.sample_labeled(4000, dist.rng_for(5))
     assert np.all(np.abs(x) <= 2.0)
     col = np.floor(x[:, 0] + 2.0).astype(int)
     row = np.floor(x[:, 1] + 2.0).astype(int)
@@ -100,7 +130,7 @@ def test_checkerboard_occupies_dark_cells_only():
 
 def test_eight_gaussians_modes():
     dist = ToyDistribution("eight_gaussians")
-    x, labels = sample_data_labeled(dist, 2000, seed=1)
+    x, labels = dist.sample_labeled(2000, dist.rng_for(1))
     angles = 2 * np.pi * labels / 8
     centers = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     assert np.all(np.linalg.norm(x - centers, axis=1) < 0.12 * 6)
@@ -153,7 +183,7 @@ def test_euler_zero_model_returns_noise(rng):
     p = m.init_params(rng)  # zero-init output => zero field
     x1 = rng.standard_normal((7, 2))
     for steps in (1, 5, 32):
-        out = flow.euler_sample(m, p.entries, x1, steps, Condition(0))
+        out = euler_sample(m, p.entries, x1, steps, Condition(0))
         assert np.array_equal(out, x1)
 
 
@@ -164,8 +194,8 @@ def test_euler_cfg_one_equals_unguided(rng):
     for k in p.entries:
         p.entries[k] = 0.3 * rng.standard_normal(p.entries[k].shape)
     x1 = rng.standard_normal((5, 2))
-    unguided = flow.euler_sample(m, p.entries, x1, 16, Condition(1))
-    guided = flow.euler_sample(m, p.entries, x1, 16, Condition(1), cfg_scale=1.0)
+    unguided = euler_sample(m, p.entries, x1, 16, Condition(1))
+    guided = euler_sample(m, p.entries, x1, 16, Condition(1), cfg_scale=1.0)
     assert np.array_equal(unguided, guided)
 
 
@@ -289,7 +319,7 @@ def test_train_base_decreases_loss():
     dist = ToyDistribution("gaussian1d")
     m = VelocityModel(VelocityModelConfig(input_dim=1, hidden_dim=16, depth=2,
                                           time_embed_dim=8, condition_vocab=1))
-    params, losses = flow.train_base(m, dist, iters=400, batch_size=64,
-                                     lr=3e-3, seed=0)
+    params, losses = flow.train_base(
+        m, dist, TrainSettings(iters=400, batch_size=64, lr=3e-3), seed=0)
     assert np.mean(losses[-50:]) < np.mean(losses[:50])
     assert all(np.isfinite(losses))

