@@ -76,6 +76,8 @@ class ExperimentConfig:
                                         f"(expected one of {STRATEGY_NAMES})")
         if self.metric_samples < 2:
             raise ContractViolation("metric_samples must be >= 2")
+        if self.taylor_order < 0:
+            raise ContractViolation("taylor_order must be >= 0")
         mf = self.meanflow_train
         if mf.batch_size % mf.groups_per_step:
             raise ContractViolation(

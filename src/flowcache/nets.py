@@ -99,12 +99,16 @@ class VelocityModelConfig:
     def __post_init__(self):
         if self.output_dim is None:
             object.__setattr__(self, "output_dim", self.input_dim)
+        if self.hidden_dim < 1:
+            raise ContractViolation("hidden_dim must be >= 1")
         if self.depth < 1:
             raise ContractViolation("depth must be >= 1")
         if self.condition_vocab < 0:
             raise ContractViolation("condition_vocab must be >= 0")
-        if self.time_embed_dim % 2 != 0:
-            raise ContractViolation("time_embed_dim must be even")
+        if self.time_embed_dim < 2 or self.time_embed_dim % 2 != 0:
+            raise ContractViolation("time_embed_dim must be even and >= 2")
+        if self.cfg_features < 1:
+            raise ContractViolation("cfg_features must be >= 1")
         if self.accepts_cfg and not (self.cfg_min <= self.cfg_max):
             raise ContractViolation("cfg_min must not exceed cfg_max")
 

@@ -63,6 +63,15 @@ class PredictorTrainConfig:
         if self.lr_predictor <= 0 or self.lr_discriminator <= 0:
             raise ContractViolation(
                 "lr_predictor and lr_discriminator must be positive")
+        if self.mse_iters < 0 or self.gan_iters < 0:
+            raise ContractViolation("mse_iters and gan_iters must be >= 0")
+        if self.mse_iters + self.gan_iters < 1:
+            raise ContractViolation(
+                "mse_iters + gan_iters must be >= 1: nothing would train")
+        if self.batch_size < 1:
+            raise ContractViolation("batch_size must be >= 1")
+        if self.disc_hidden_dim < 1:
+            raise ContractViolation("disc_hidden_dim must be >= 1")
 
 
 @dataclass(frozen=True)

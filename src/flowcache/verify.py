@@ -19,7 +19,7 @@ from .distill import RestrictConfig, sample_t_r
 from .flow import (TimePair, analytic_gaussian_velocity,
                    analytic_mean_velocity, mean_velocity_step,
                    squared_error_loss, uniform_pairs)
-from .metrics import w2_distance
+from .metrics import W2WarmStart, w2_distance
 from .nets import Condition, VelocityModel, VelocityModelConfig
 
 
@@ -158,12 +158,26 @@ def check_checkpoint_roundtrip(seed: int) -> tuple[bool, str]:
     return ok, "save/load round-trip bit-exact"
 
 
-def check_w2(_seed: int) -> tuple[bool, str]:
+def check_w2(seed: int) -> tuple[bool, str]:
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     zero = w2_distance(a, b)
     one = w2_distance(np.array([[0.0]]), np.array([[1.0]]))
-    return zero == 0.0 and one == 1.0, f"permuted sets {zero}, unit masses {one}"
+    # warm start: potentials from one draw, used on a paired perturbation
+    # and on far-off noise, must leave each value equal to a cold solve's
+    rng = np.random.default_rng(seed)
+    reference = rng.standard_normal((256, 2))
+    first = rng.standard_normal((256, 2))
+    warm = W2WarmStart()
+    w2_distance(first, reference, warm)
+    pairs = (first + 1e-3 * rng.standard_normal(first.shape),
+             3.0 + rng.standard_normal(first.shape))
+    warm_equal = warm.potentials is not None and all(
+        w2_distance(x, reference, warm) == w2_distance(x, reference)
+        for x in pairs)
+    return zero == 0.0 and one == 1.0 and warm_equal, (
+        f"permuted sets {zero}, unit masses {one}, "
+        f"warm start equals cold: {warm_equal}")
 
 
 CHECKS = [

@@ -48,6 +48,16 @@ BAD_CONFIGS = {
     "kind_not_string": {"distribution": {"kind": 2}},
     "section_not_object": {"model": 96},
     "model_depth_zero": {"model": {"depth": 0}},
+    # one case per lower bound
+    "mse_iters_negative": {"predictor": {"mse_iters": -1}},
+    "gan_iters_negative": {"predictor": {"gan_iters": -1}},
+    "predictor_iters_none": {"predictor": {"mse_iters": 0, "gan_iters": 0}},
+    "predictor_batch_size_zero": {"predictor": {"batch_size": 0}},
+    "disc_hidden_dim_zero": {"predictor": {"disc_hidden_dim": 0}},
+    "model_hidden_dim_zero": {"model": {"hidden_dim": 0}},
+    "model_cfg_features_zero": {"model": {"cfg_features": 0}},
+    "model_time_embed_dim_zero": {"model": {"time_embed_dim": 0}},
+    "taylor_order_negative": {"taylor_order": -1},
 }
 
 # The section and key each type-rule case must name in its message.
@@ -65,6 +75,15 @@ NAMED = {
     "kind_not_string": "'distribution': kind",
     "section_not_object": "'model'",
     "model_depth_zero": "'model': depth",
+    "mse_iters_negative": "'predictor': mse_iters",
+    "gan_iters_negative": "'predictor': mse_iters and gan_iters",
+    "predictor_iters_none": "'predictor': mse_iters + gan_iters",
+    "predictor_batch_size_zero": "'predictor': batch_size",
+    "disc_hidden_dim_zero": "'predictor': disc_hidden_dim",
+    "model_hidden_dim_zero": "'model': hidden_dim",
+    "model_cfg_features_zero": "'model': cfg_features",
+    "model_time_embed_dim_zero": "'model': time_embed_dim",
+    "taylor_order_negative": "taylor_order",
 }
 
 

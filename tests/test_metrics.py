@@ -1,17 +1,22 @@
 """Transport and energy metrics against independent oracles: brute-force
 assignment enumeration, an LP relaxation, all-pairs distance matrices, and
-closed forms."""
+closed forms. The warm-started 2-D W2 is checked against cold solves."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from flowcache.errors import ContractViolation
 from flowcache.flow import ToyDistribution, sample_data
-from flowcache.metrics import energy_distance, w2_distance
+from flowcache.metrics import (W2WarmStart, _column_potentials,
+                               energy_distance, w2_distance)
 
 
 def brute_force_w2(a, b):
@@ -104,6 +109,119 @@ def test_translation_lower_bound(rng):
     for n in (128, 1024):
         a = rng.standard_normal((n, 2))
         assert abs(w2_distance(a, a + delta) - 1.0) < 1e-9
+
+
+def test_value_is_the_cost_matrix_mean(rng):
+    # the value comes from the matched pairs; it equals the mean of the
+    # assigned cost matrix entries bit for bit
+    a = rng.standard_normal((300, 2))
+    b = rng.standard_normal((300, 2)) + 0.5
+    cost = cdist(a, b, metric="sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    assert w2_distance(a, b) == float(np.sqrt(cost[rows, cols].mean()))
+
+
+# ---------------------------------------------------------------------------
+# w2 warm start
+# ---------------------------------------------------------------------------
+
+CHECKERBOARD = ToyDistribution("checkerboard")
+
+
+def warmed_holder(first, reference):
+    warm = W2WarmStart()
+    assert w2_distance(first, reference, warm) == w2_distance(first, reference)
+    assert warm.potentials is not None
+    return warm
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-4, 1e-3, 1e-2])
+def test_warm_equals_cold_on_paired_sets(rng, scale):
+    reference = sample_data(CHECKERBOARD, 512, 1)
+    first = sample_data(CHECKERBOARD, 512, 2) + 0.1 * rng.standard_normal((512, 2))
+    warm = warmed_holder(first, reference)
+    paired = first + scale * rng.standard_normal(first.shape)
+    assert w2_distance(paired, reference, warm) == w2_distance(paired, reference)
+
+
+def test_warm_equals_cold_far_from_the_holders_set(rng):
+    # potentials from a checkerboard draw, used for standard normal noise
+    reference = sample_data(CHECKERBOARD, 512, 1)
+    warm = warmed_holder(sample_data(CHECKERBOARD, 512, 2), reference)
+    noise = rng.standard_normal((512, 2))
+    assert w2_distance(noise, reference, warm) == w2_distance(noise, reference)
+
+
+# Points on a grid of quarters: every cost, potential and sum below is exact,
+# so tied optimal assignments give the same W2 bit for bit.
+quarters = arrays(np.float64, st.tuples(st.integers(2, 12), st.just(2)),
+                  elements=st.integers(-16, 16).map(lambda k: k / 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), first=quarters)
+def test_warm_equals_cold_property(data, first):
+    shape = first.shape
+    same = arrays(np.float64, shape,
+                  elements=st.integers(-16, 16).map(lambda k: k / 4.0))
+    reference, other = data.draw(same), data.draw(same)
+    warm = warmed_holder(first, reference)
+    assert w2_distance(other, reference, warm) == w2_distance(other, reference)
+
+
+def test_holder_filled_by_the_first_2d_call_only(rng):
+    reference = rng.standard_normal((64, 2))
+    warm = W2WarmStart()
+    assert warm.potentials is None and warm.reference is None
+    w2_distance(rng.standard_normal((64, 2)), reference, warm)
+    potentials = warm.potentials
+    assert potentials.shape == (64,)
+    assert np.array_equal(warm.reference, reference)
+    w2_distance(rng.standard_normal((64, 2)), reference, warm)
+    assert warm.potentials is potentials
+
+
+def test_1d_ignores_the_holder(rng):
+    warm = W2WarmStart()
+    x, y = rng.standard_normal((50, 1)), rng.standard_normal((50, 1))
+    assert w2_distance(x, y, warm) == w2_distance(x, y)
+    assert warm.potentials is None and warm.reference is None
+    filled = warmed_holder(rng.standard_normal((8, 2)), rng.standard_normal((8, 2)))
+    assert w2_distance(x, y, filled) == w2_distance(x, y)
+
+
+def test_holder_of_another_reference_rejected(rng):
+    reference = rng.standard_normal((32, 2))
+    warm = warmed_holder(rng.standard_normal((32, 2)), reference)
+    for other in (reference + 1e-12, rng.standard_normal((16, 2))):
+        with pytest.raises(ContractViolation, match="another reference"):
+            w2_distance(rng.standard_normal(other.shape), other, warm)
+
+
+def test_converged_potentials_are_a_tight_feasible_dual(rng):
+    # run to convergence, the sweeps give u_i + v_j <= c_ij everywhere with
+    # equality on the optimal assignment: a certificate of its optimality
+    cost = cdist(rng.standard_normal((48, 2)), rng.standard_normal((48, 2)),
+                 metric="sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    v = _column_potentials(cost, cols, sweeps=10_000)
+    u = cost[rows, cols] - v[cols]
+    assert np.min(cost - u[:, None] - v[None, :]) > -1e-12
+    assert abs(np.sum(u) + np.sum(v) - np.sum(cost[rows, cols])) < 1e-9
+
+
+def test_potentials_pass_allocates_no_square_temporary(rng):
+    n = 1024
+    cost = cdist(rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+                 metric="sqeuclidean")
+    _, cols = linear_sum_assignment(cost)
+    tracemalloc.start()
+    try:
+        _column_potentials(cost, cols, sweeps=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cost.nbytes / 2
 
 
 # ---------------------------------------------------------------------------
