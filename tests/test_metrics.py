@@ -154,17 +154,15 @@ def test_warm_equals_cold_far_from_the_holders_set(rng):
 
 # Points on a grid of quarters: every cost, potential and sum below is exact,
 # so tied optimal assignments give the same W2 bit for bit.
-quarters = arrays(np.float64, st.tuples(st.integers(2, 12), st.just(2)),
-                  elements=st.integers(-16, 16).map(lambda k: k / 4.0))
+quarter = st.integers(-16, 16).map(lambda k: k / 4.0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), first=quarters)
-def test_warm_equals_cold_property(data, first):
-    shape = first.shape
-    same = arrays(np.float64, shape,
-                  elements=st.integers(-16, 16).map(lambda k: k / 4.0))
-    reference, other = data.draw(same), data.draw(same)
+@given(data=st.data(), n=st.integers(2, 12))
+def test_warm_equals_cold_property(data, n):
+    first, reference, other = (data.draw(arrays(np.float64, (n, 2),
+                                                elements=quarter))
+                               for _ in range(3))
     warm = warmed_holder(first, reference)
     assert w2_distance(other, reference, warm) == w2_distance(other, reference)
 
