@@ -13,16 +13,16 @@ matrix entries.
 The solver takes no starting duals, but a shifted cost matrix does their
 work. Subtracting a potential v_j from every entry of column j adds the
 constant -sum(v) to every assignment's total, so the optimal assignment,
-and the W2 read from the original pairs, do not change. A `W2WarmStart` holder keeps
-such column potentials for one reference set. The first 2-D call given the
-holder solves cold, then derives v from its optimal assignment by a fixed
-number of Bellman-Ford sweeps over the reduced costs (`_column_potentials`).
-Every later call against the same reference subtracts v from its own cost
-matrix in place. For sample sets that nearly share an optimal coupling (the
-strategies of one bench draw their samples from the same noise), a warm
-solve then takes a seventh to a tenth of a cold one's time. Row potentials
-would change nothing: the solver's own row duals absorb any per-row
-constant.
+and the W2 read from the original pairs, do not change. A `W2WarmStart`
+holder keeps such column potentials for one reference set. The first 2-D
+call given the holder solves cold, then derives v from its optimal
+assignment by a fixed number of Bellman-Ford sweeps over the reduced costs
+(`_column_potentials`). Every later call against the same reference
+subtracts v from its own cost matrix in place. For sample sets that nearly
+share an optimal coupling (the strategies of one bench draw their samples
+from the same noise), a warm solve then takes a seventh to a tenth of a
+cold one's time. Row potentials would change nothing: the solver's own row
+duals absorb any per-row constant.
 
 Against a 2048-point checkerboard reference (2-vCPU x86 VM, one BLAS thread)
 a cold solve takes about 1 s for a second checkerboard draw and about 3 s
