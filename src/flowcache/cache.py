@@ -2,8 +2,12 @@
 interchangeable prediction strategies (naive reuse, Taylor forecast, learned
 predictor) with exact evaluation and memory accounting.
 
-A schedule walks a contiguous decreasing-t grid; FULL steps run the backbone
-and refresh the cache, PREDICT steps ask the strategy for the mean velocity.
+A schedule is a list of step modes on the uniform grid from t=1 down to 0;
+FULL steps run the backbone and refresh the cache, PREDICT steps ask the
+strategy for the mean velocity. `ScheduleSpec.build` makes every schedule,
+and the config calls it at load. Its mode list is `explicit` when given, else
+the shipped fixture when `fixture` is true, else `warmup_full` FULL steps and
+then blocks of one FULL and N-1 PREDICT steps.
 Every strategy caches into one ring of recent full evaluations: naive reuse
 and the learned predictor keep a ring of one, whatever the schedule length;
 Taylor order m keeps m+1 entries. Naive reuse is the order-0 forecast.
@@ -36,7 +40,7 @@ import numpy as np
 
 from .autodiff import Array, ParameterSet, as_f64, value_of
 from .errors import CacheMissError, ContractViolation, NumericFailure
-from .flow import TimePair, mean_velocity_step
+from .flow import TimePair, mean_velocity_step, uniform_pairs
 from .nets import Condition, Predictor, VelocityModel
 
 _PAIR_BYTES = 16  # origin metadata: two float64 endpoints
@@ -58,83 +62,35 @@ class Strategy(Enum):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScheduleStep:
-    pair: TimePair
-    mode: StepMode
-
-
-@dataclass(frozen=True)
 class StepSchedule:
-    steps: tuple[ScheduleStep, ...]
+    """Step modes on `flow.uniform_pairs(len(modes))`: the first is FULL,
+    and no run of PREDICT steps is longer than N-1."""
+
+    modes: tuple[StepMode, ...]
     max_interval: int  # N
-    warmup_full: int
 
     def __post_init__(self):
-        if len(self.steps) == 0:
-            raise ContractViolation("schedule must have at least one step")
-        if self.steps[0].mode is not StepMode.FULL:
-            raise ContractViolation("first step must be FULL (index 0)")
+        if not self.modes or self.modes[0] is not StepMode.FULL:
+            raise ContractViolation("the first step must be full")
         run = 0
-        for i, step in enumerate(self.steps):
-            if i > 0 and self.steps[i - 1].pair.r != step.pair.t:
+        for i, mode in enumerate(self.modes):
+            run = run + 1 if mode is StepMode.PREDICT else 0
+            if run > self.max_interval - 1:
                 raise ContractViolation(
-                    f"schedule not contiguous at index {i}: previous r "
-                    f"{self.steps[i - 1].pair.r} != t {step.pair.t}")
-            if step.mode is StepMode.PREDICT:
-                run += 1
-                if run > self.max_interval - 1:
-                    raise ContractViolation(
-                        f"run of PREDICT steps exceeds N-1 at index {i}")
-            else:
-                run = 0
+                    f"a run of predict steps exceeds max_interval - 1 "
+                    f"({self.max_interval - 1}) at index {i}")
+
+    @property
+    def pairs(self) -> list[TimePair]:
+        return uniform_pairs(len(self.modes))
 
     @property
     def total_steps(self) -> int:
-        return len(self.steps)
+        return len(self.modes)
 
     def mode_counts(self) -> tuple[int, int]:
-        full = sum(1 for s in self.steps if s.mode is StepMode.FULL)
-        return full, len(self.steps) - full
-
-
-def plan_schedule(total_steps: int, N: int, warmup_full: int = 0,
-                  explicit=None) -> StepSchedule:
-    """Uniform-grid schedule: `warmup_full` FULL steps, then repeating
-    blocks of one FULL plus N-1 PREDICT, truncated at total_steps. An
-    explicit mode list (strings or StepMode) overrides the pattern and is
-    validated against the same invariants."""
-    if total_steps < 1:
-        raise ContractViolation("total_steps must be >= 1")
-    if N < 1:
-        raise ContractViolation("N must be >= 1")
-    if warmup_full >= total_steps:
-        raise ContractViolation("warmup_full must be < total_steps")
-    grid = [1.0 - k / total_steps for k in range(total_steps + 1)]
-    pairs = [TimePair(grid[j], grid[j + 1]) for j in range(total_steps)]
-
-    if explicit is not None:
-        if len(explicit) != total_steps:
-            raise ContractViolation(
-                f"explicit mode list has {len(explicit)} entries for "
-                f"{total_steps} steps")
-        modes = []
-        for i, m in enumerate(explicit):
-            if isinstance(m, StepMode):
-                modes.append(m)
-            elif isinstance(m, str) and m.lower() in ("full", "predict"):
-                modes.append(StepMode(m.lower()))
-            else:
-                raise ContractViolation(f"bad mode {m!r} at index {i}")
-    else:
-        modes = []
-        for j in range(total_steps):
-            if j < warmup_full:
-                modes.append(StepMode.FULL)
-            else:
-                in_block = (j - warmup_full) % N
-                modes.append(StepMode.FULL if in_block == 0 else StepMode.PREDICT)
-    return StepSchedule(tuple(ScheduleStep(p, m) for p, m in zip(pairs, modes)),
-                        max_interval=N, warmup_full=warmup_full)
+        full = self.modes.count(StepMode.FULL)
+        return full, len(self.modes) - full
 
 
 # 20-step fixtures matching the published full/predict budget splits.
@@ -147,11 +103,46 @@ FIXTURE_MODES_20: dict[int, list[str]] = {
 }
 
 
-def fixture_schedule(N: int, total_steps: int = 20) -> StepSchedule:
-    if total_steps != 20 or N not in FIXTURE_MODES_20:
-        raise ContractViolation(f"no shipped fixture for ({total_steps}, N={N})")
-    return plan_schedule(total_steps, N, warmup_full=0,
-                         explicit=FIXTURE_MODES_20[N])
+@dataclass(frozen=True)
+class ScheduleSpec:
+    """The config's `schedule` section; it builds its schedule when it is
+    made, so the config checks it at load."""
+
+    total_steps: int = 20
+    max_interval: int = 2
+    warmup_full: int = 0
+    fixture: bool = True
+    explicit: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        self.build()
+
+    def build(self) -> StepSchedule:
+        total, n, warmup = self.total_steps, self.max_interval, self.warmup_full
+        if total < 1 or n < 1:
+            raise ContractViolation(f"total_steps and max_interval must be "
+                                    f">= 1, got {total} and {n}")
+        if not 0 <= warmup < total:
+            raise ContractViolation(
+                f"warmup_full must lie in [0, total_steps), got {warmup}")
+        if self.explicit is not None:
+            names = self.explicit
+        elif self.fixture:
+            if total != 20 or n not in FIXTURE_MODES_20:
+                raise ContractViolation(
+                    f"no shipped fixture for total_steps {total}, max_interval "
+                    f"{n}: the fixtures have 20 steps and N = 2, 3 or 4")
+            names = FIXTURE_MODES_20[n]
+        else:
+            names = ["full" if j < warmup or (j - warmup) % n == 0
+                     else "predict" for j in range(total)]
+        if len(names) != total:
+            raise ContractViolation(f"explicit has {len(names)} modes for "
+                                    f"total_steps {total}")
+        for i, name in enumerate(names):
+            if name.lower() not in ("full", "predict"):
+                raise ContractViolation(f"explicit: bad mode {name!r} at index {i}")
+        return StepSchedule(tuple(StepMode(name.lower()) for name in names), n)
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +283,20 @@ def cached_sample(model: VelocityModel, params: ParameterSet,
     report = NfeReport()
     x = as_f64(x1)
     full_indices: list[int] = []
-    for idx, step in enumerate(schedule.steps):
-        if step.mode is StepMode.FULL:
-            u = cache_init(model, params, x, step.pair, cond, state, report)
+    for idx, (pair, mode) in enumerate(zip(schedule.pairs, schedule.modes)):
+        if mode is StepMode.FULL:
+            u = cache_init(model, params, x, pair, cond, state, report)
             full_indices.append(idx)
         else:
             if strategy is Strategy.LEARNED:
                 u = learned_predict(predictor, predictor_params, state, x,
-                                    step.pair, cond, delta_max, report)
+                                    pair, cond, delta_max, report)
             else:
                 n_eff, usable = _history_spacing(full_indices)
                 u = taylor_forecast(state, idx - full_indices[-1], n_eff,
                                     min(order, usable))
             report.predictor_evals += 1
-        x = mean_velocity_step(x, step.pair, u)
+        x = mean_velocity_step(x, pair, u)
     if report.full_evals + report.predictor_evals != schedule.total_steps:
         raise ContractViolation(
             f"NFE accounting broken: {report.full_evals} full + "

@@ -9,11 +9,13 @@ Subcommands:
     bench             benchmark caching strategies, append metrics CSV
     verify            run the fast invariant battery
 
-Exit codes: 0 success; 2 config error; 3 checkpoint lineage/integrity
-error (bad parentage, digest mismatch, unsupported version); 4 numeric
-failure. All state comes from the config file and flags; environment
-variables never change an output. The BLAS pin (`OPENBLAS_NUM_THREADS`,
-else `OMP_NUM_THREADS`) is read only to size the sampling thread pool.
+Exit codes: 0 success; 1 a `verify` check failed; 2 config or argument
+error (a third `--checkpoint`, an `--out` that is no directory); 3
+checkpoint lineage/integrity error (bad parentage, digest mismatch,
+unsupported version); 4 numeric failure. All state comes from the config
+file and flags; environment variables never change an output. The BLAS pin
+(`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`) is read only to size the
+sampling thread pool.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (CheckpointError, ConfigError, ContractViolation,
                      NumericFailure)
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_LINEAGE = 3
 EXIT_NUMERIC = 4
@@ -85,10 +88,16 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         from .verify import run_all
-        return EXIT_OK if run_all(args.seed) else 1
+        return EXIT_OK if run_all(args.seed) else EXIT_CHECK_FAILED
 
     config = _config_for(args)
-    args.out.mkdir(parents=True, exist_ok=True)
+    if args.command in ("sample", "bench") and len(args.checkpoint) > 2:
+        raise ConfigError(f"{args.command} takes at most two --checkpoint "
+                          f"files, got {len(args.checkpoint)}")
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
     if args.command == "train-base":
         path = runner.run_train_base(config, args.out / "base.fck")
         print(f"wrote {path}")

@@ -20,6 +20,13 @@ A value of another type raises ConfigError naming the section and the key,
 and so does any ContractViolation the dataclass raises for a value out of
 its range. Each key of `DEFAULTS` is a field of exactly one of the
 dataclasses that read its section.
+
+The `schedule` section is read into `cache.ScheduleSpec`, which builds its
+schedule as it is read. So a spec the sampler cannot walk (max_interval 0, a
+fixture that is not shipped, warmup_full >= total_steps, an explicit list of
+the wrong length or with a bad mode) fails at load, for every command. Of
+`explicit`, `fixture` and the warmup-then-blocks pattern, the first that
+applies gives the step modes.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+from .cache import ScheduleSpec, Strategy
 from .distill import CfgConfig, RestrictConfig
 from .errors import ConfigError, ContractViolation
 from .flow import ToyDistribution
@@ -37,16 +45,7 @@ from .nets import PredictorConfig, VelocityModelConfig
 from .optim import TrainSettings
 from .predictor_train import PredictorTrainConfig
 
-STRATEGY_NAMES = ("none", "naive", "taylor", "learned")
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    total_steps: int = 20
-    max_interval: int = 2
-    warmup_full: int = 0
-    fixture: bool = True
-    explicit: tuple[str, ...] | None = None
+STRATEGY_NAMES = ("none", *(s.value for s in Strategy))
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,22 @@ class ExperimentConfig:
     emit_samples: bool
 
     def __post_init__(self):
-        for s in self.strategies:
+        for key, seed in (("seed", self.seed), ("metric_seed", self.metric_seed)):
+            if seed < 0:
+                raise ContractViolation(f"{key} must be >= 0, got {seed}")
+        if not self.strategies:
+            raise ContractViolation("strategies must name at least one strategy")
+        for i, s in enumerate(self.strategies):
             if s not in STRATEGY_NAMES:
                 raise ContractViolation(f"unknown strategy '{s}' "
                                         f"(expected one of {STRATEGY_NAMES})")
+            if s in self.strategies[:i]:
+                raise ContractViolation(f"strategies names '{s}' twice")
+        g = self.cfg_distill
+        if not g.g_min <= self.sample_cfg_scale <= g.g_max:
+            raise ContractViolation(
+                f"sample_cfg_scale {self.sample_cfg_scale} lies outside "
+                f"cfg_distill's [g_min, g_max] = [{g.g_min}, {g.g_max}]")
         if self.metric_samples < 2:
             raise ContractViolation("metric_samples must be >= 2")
         if self.taylor_order < 0:

@@ -189,19 +189,6 @@ def _interval_forward(model: VelocityModel, params, x_t, t, r, v, cond):
     return u, u_tgt
 
 
-def meanflow_target(model: VelocityModel, params: ParameterSet, x_t,
-                    pair: TimePair, v, cond: Condition = Condition()):
-    """The stop-gradient regression target v - (t-r) du/dt (plain array)."""
-    if not model.config.accepts_r:
-        raise ContractViolation("mean-velocity target needs an accepts_r model")
-    v = as_f64(v)
-    if v.shape != np.shape(value_of(x_t)):
-        raise ContractViolation("v must shape-match x_t")
-    _, u_tgt = _interval_forward(model, params.entries, x_t, pair.t, pair.r,
-                                 v, cond)
-    return u_tgt
-
-
 def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
                           teacher: VelocityModel, teacher_params: ParameterSet,
                           groups, restrict: RestrictConfig, opt: OptimizerState,

@@ -92,6 +92,8 @@ class ToyDistribution:
             raise ContractViolation(f"unknown distribution kind '{self.kind}'")
         if self.kind == "gaussian1d" and not self.sigma > 0:
             raise ContractViolation("gaussian1d requires sigma > 0")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dim(self) -> int:

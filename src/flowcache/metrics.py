@@ -13,9 +13,9 @@ matrix entries.
 The solver takes no starting duals, but a shifted cost matrix does their
 work. Subtracting a potential v_j from every entry of column j adds the
 constant -sum(v) to every assignment's total, so the optimal assignment,
-and the W2 read from the original pairs, do not change. A `W2WarmStart`
+and the W2 read from the original pairs, do not change. A `ReferenceTerms`
 holder keeps such column potentials for one reference set. The first 2-D
-call given the holder solves cold, then derives v from its optimal
+W2 call given the holder solves cold, then derives v from its optimal
 assignment by a fixed number of Bellman-Ford sweeps over the reduced costs
 (`_column_potentials`). Every later call against the same reference
 subtracts v from its own cost matrix in place. For sample sets that nearly
@@ -35,6 +35,9 @@ energy_distance is the V-statistic 2 E|A-B| - E|A-A'| - E|B-B'|. In 1D each
 mean |X-Y| term comes from sorted values with prefix sums and searchsorted,
 O(n log n) time and O(n) memory; it matches the all-pairs form to about
 1e-14 relative. Other dimensions average the all-pairs distance matrices.
+A `ReferenceTerms` holder keeps the reference's self term E|B-B'| from the
+first call, bit-equal to recomputing it: at n = 2048 in 2-D that term is
+about 26 ms of a 72 ms call (2-vCPU x86 VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -70,25 +73,27 @@ _POTENTIAL_SWEEPS = 30
 _CHUNK_ENTRIES = 1 << 18
 
 
-class W2WarmStart:
-    """Column potentials of the 2-D W2 against one reference set.
+class ReferenceTerms:
+    """The terms of the metrics that depend on one reference set only: the
+    2-D W2's column potentials and the energy distance's E|B-B'|.
 
-    Pass one holder to every w2_distance call against the same reference:
-    the first 2-D call fills it, later ones use it. A call against another
-    reference raises ContractViolation. The 1-D path ignores the holder."""
+    Pass one holder to every w2_distance and energy_distance call against
+    the same reference: the first call of each metric fills its term, later
+    ones use it. The first call binds the holder to its reference, and a
+    call against another reference raises ContractViolation. The 1-D W2
+    path ignores the holder."""
 
     def __init__(self):
         self.reference: np.ndarray | None = None
         self.potentials: np.ndarray | None = None
+        self.self_energy: float | None = None
 
-    def fill(self, reference: np.ndarray, potentials: np.ndarray):
-        self.reference = reference.copy()
-        self.potentials = potentials
-
-    def check(self, reference: np.ndarray):
-        if not np.array_equal(reference, self.reference):
+    def bind(self, reference: np.ndarray):
+        if self.reference is None:
+            self.reference = reference.copy()
+        elif not np.array_equal(reference, self.reference):
             raise ContractViolation(
-                "this W2 warm start was built on another reference set")
+                "these reference terms were built on another reference set")
 
 
 def _column_potentials(cost: np.ndarray, cols: np.ndarray,
@@ -125,12 +130,12 @@ def _column_potentials(cost: np.ndarray, cols: np.ndarray,
     return v
 
 
-def w2_distance(a, b, warm: W2WarmStart | None = None) -> float:
+def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
     """2-Wasserstein distance between equal-size empirical sample sets.
 
-    b is the reference set. With a `warm` holder, a 2-D call fills it when
-    it is empty and solves from its potentials otherwise; the value is the
-    same either way."""
+    b is the reference set. With a `terms` holder, a 2-D call fills its
+    potentials when they are empty and solves from them otherwise; the
+    value is the same either way."""
     a, b = _check_samples(a, b)
     d = a.shape[1]
     if d not in (1, 2):
@@ -139,15 +144,15 @@ def w2_distance(a, b, warm: W2WarmStart | None = None) -> float:
         sa = np.sort(a[:, 0])
         sb = np.sort(b[:, 0])
         return float(np.sqrt(np.mean((sa - sb) ** 2)))
-    warmed = warm is not None and warm.potentials is not None
-    if warmed:
-        warm.check(b)
+    if terms is not None:
+        terms.bind(b)
+    warmed = terms is not None and terms.potentials is not None
     cost = cdist(a, b, metric="sqeuclidean")
     if warmed:
-        cost -= warm.potentials
+        cost -= terms.potentials
     _, cols = linear_sum_assignment(cost)
-    if warm is not None and not warmed:
-        warm.fill(b, _column_potentials(cost, cols))
+    if terms is not None and not warmed:
+        terms.potentials = _column_potentials(cost, cols)
     diff = a - b[cols]
     return float(np.sqrt(np.sum(diff * diff, axis=1).mean()))
 
@@ -166,16 +171,23 @@ def _mean_abs_diff_1d(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(below + above)) / (len(x) * len(y))
 
 
-def energy_distance(a, b) -> float:
-    """V-statistic estimate 2 E|A-B| - E|A-A'| - E|B-B'| (non-negative)."""
+def _mean_abs_diff(x: np.ndarray, y: np.ndarray) -> float:
+    """E|X - Y| over all pairs of two sample sets of shape (n, d)."""
+    if x.shape[1] == 1:
+        return _mean_abs_diff_1d(x[:, 0], y[:, 0])
+    return float(cdist(x, y).mean())
+
+
+def energy_distance(a, b, terms: ReferenceTerms | None = None) -> float:
+    """V-statistic estimate 2 E|A-B| - E|A-A'| - E|B-B'| (non-negative).
+
+    b is the reference set; a `terms` holder keeps E|B-B'| across calls."""
     a, b = _check_samples(a, b, equal_n=False)
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ContractViolation("energy_distance needs at least 2 points per set")
-    if a.shape[1] == 1:
-        x, y = a[:, 0], b[:, 0]
-        return (2.0 * _mean_abs_diff_1d(x, y) - _mean_abs_diff_1d(x, x)
-                - _mean_abs_diff_1d(y, y))
-    ab = float(cdist(a, b).mean())
-    aa = float(cdist(a, a).mean())
-    bb = float(cdist(b, b).mean())
-    return 2.0 * ab - aa - bb
+    if terms is not None:
+        terms.bind(b)
+        if terms.self_energy is None:
+            terms.self_energy = _mean_abs_diff(b, b)
+    bb = _mean_abs_diff(b, b) if terms is None else terms.self_energy
+    return 2.0 * _mean_abs_diff(a, b) - _mean_abs_diff(a, a) - bb

@@ -373,7 +373,6 @@ class Predictor:
             output_dim=bc.input_dim,
         )
         self.config = config
-        self.backbone_config = bc
         self._core = VelocityModel(inner)
         budget = config.parameter_budget_ratio * backbone.param_count()
         if self.param_count() > budget:

@@ -14,11 +14,12 @@ a given seed. `wall_clock_ms` is a strategy's sampling wall time with its
 sessions running in parallel, and `metric_ms` the time of its W2 and energy
 distance; the timing columns are the only non-deterministic ones in the CSV.
 
-Every strategy's W2 is measured against one reference set, through one
-`W2WarmStart` holder: the first strategy's 2-D solve is cold and its
-`metric_ms` includes the potentials pass, and the later strategies' solves
-start from those potentials (see metrics). Each W2 equals a cold solve's;
-the holder changes only the time.
+Every strategy's metrics are measured against one reference set, through one
+`ReferenceTerms` holder: the first strategy's 2-D W2 solve is cold and its
+`metric_ms` includes the potentials pass and the reference's energy self
+term, and the later strategies' solves start from those potentials and reuse
+that term (see metrics). Each value equals a call without the holder; the
+holder changes only the time.
 
 The 512-row chunk is a measured memory and locality choice, not a leftover:
 it keeps every step's activations a few hundred kilobytes. Sampling the
@@ -41,14 +42,13 @@ import numpy as np
 
 from . import distill, flow, predictor_train
 from .autodiff import ParameterSet
-from .cache import (NfeReport, Strategy, cached_sample, fixture_schedule,
-                    plan_schedule)
+from .cache import NfeReport, Strategy, cached_sample
 from .checkpoint import (Checkpoint, Stage, load_checkpoint, save_checkpoint,
                          verify_parent)
 from .config import ExperimentConfig
 from .errors import ConfigError, ContractViolation, LineageError
 from .flow import mean_velocity_sample, sample_data
-from .metrics import W2WarmStart, energy_distance, w2_distance
+from .metrics import ReferenceTerms, energy_distance, w2_distance
 from .nets import (Condition, Predictor, PredictorConfig, VelocityModel,
                    VelocityModelConfig)
 
@@ -185,17 +185,6 @@ def load_sampler(meanflow_path, predictor_path=None):
 # Benchmark
 # ---------------------------------------------------------------------------
 
-def build_schedule(config: ExperimentConfig):
-    sc = config.schedule
-    if sc.explicit is not None:
-        return plan_schedule(sc.total_steps, sc.max_interval,
-                             warmup_full=sc.warmup_full, explicit=list(sc.explicit))
-    if sc.fixture:
-        return fixture_schedule(sc.max_interval, sc.total_steps)
-    return plan_schedule(sc.total_steps, sc.max_interval,
-                         warmup_full=sc.warmup_full)
-
-
 def _class_quotas(n: int, n_classes: int) -> list[int]:
     base, extra = divmod(n, n_classes)
     return [base + (1 if k < extra else 0) for k in range(n_classes)]
@@ -246,8 +235,8 @@ def _run_session(strategy_name, key, model, params, predictor, pparams,
     g = config.sample_cfg_scale if model.config.accepts_cfg else None
     cond = Condition(class_id, g)
     if strategy_name == "none":
-        out = mean_velocity_sample(model, params.entries,
-                                   [s.pair for s in schedule.steps], x1, cond)
+        out = mean_velocity_sample(model, params.entries, schedule.pairs,
+                                   x1, cond)
         return out, NfeReport(full_evals=schedule.total_steps)
     return cached_sample(model, params, schedule, Strategy(strategy_name), x1,
                          cond, predictor=predictor, predictor_params=pparams,
@@ -268,8 +257,7 @@ class StrategySamples:
 
 
 def sample_strategies(config: ExperimentConfig, meanflow_path,
-                      predictor_path=None,
-                      run_tag: str | None = None) -> list[StrategySamples]:
+                      predictor_path=None) -> list[StrategySamples]:
     """Draw config.metric_samples points with every configured strategy.
 
     A strategy whose learned predictions query the cache past the
@@ -279,10 +267,10 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
     for name in config.strategies:
         if name == "learned" and predictor is None:
             raise ConfigError("strategy 'learned' needs a predictor checkpoint")
-    schedule = build_schedule(config)
+    schedule = config.schedule.build()
     keys = _session_keys(config)
-    sched_tag = f"s{schedule.total_steps}n{schedule.max_interval}"
-    tag = run_tag or f"{config.seed}:{config.distribution.kind}:{sched_tag}"
+    tag = (f"{config.seed}:{config.distribution.kind}:"
+           f"s{schedule.total_steps}n{schedule.max_interval}")
 
     runs = []
     with ThreadPoolExecutor(max_workers=_pool_size(len(keys))) as pool:
@@ -316,22 +304,21 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
 
 
 def run_experiment(config: ExperimentConfig, meanflow_path,
-                   predictor_path=None, out_dir=None,
-                   run_tag: str | None = None) -> list[MetricsRecord]:
+                   predictor_path=None, out_dir=None) -> list[MetricsRecord]:
     """Benchmark every configured strategy; appends rows to metrics.csv in
     out_dir (when given) and returns the records. An existing metrics.csv
     of another schema is refused before any sampling."""
     if out_dir is not None:
         _metrics_header(Path(out_dir) / "metrics.csv")
-    runs = sample_strategies(config, meanflow_path, predictor_path, run_tag)
+    runs = sample_strategies(config, meanflow_path, predictor_path)
     reference = sample_data(config.distribution, config.metric_samples,
                             config.metric_seed)
-    warm = W2WarmStart()
+    terms = ReferenceTerms()
     records = []
     for run in runs:
         t0 = time.perf_counter()
-        w2 = w2_distance(run.samples, reference, warm)
-        energy = energy_distance(run.samples, reference)
+        w2 = w2_distance(run.samples, reference, terms)
+        energy = energy_distance(run.samples, reference, terms)
         records.append(MetricsRecord(
             run_id=run.run_id, strategy=run.strategy,
             full_evals=run.full_evals, predictor_evals=run.predictor_evals,

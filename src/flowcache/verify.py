@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .cache import CacheState, fixture_schedule, taylor_forecast
+from .cache import CacheState, ScheduleSpec, taylor_forecast
 from .checkpoint import Checkpoint, Stage, load_checkpoint, save_checkpoint
 from .distill import RestrictConfig, sample_t_r
 from .flow import (TimePair, analytic_gaussian_velocity,
                    analytic_mean_velocity, mean_velocity_step,
                    squared_error_loss, uniform_pairs)
-from .metrics import W2WarmStart, w2_distance
+from .metrics import ReferenceTerms, w2_distance
 from .nets import Condition, VelocityModel, VelocityModelConfig
 
 
@@ -128,7 +128,8 @@ def check_taylor_exactness(seed: int) -> tuple[bool, str]:
 
 
 def check_schedule_counts(_seed: int) -> tuple[bool, str]:
-    got = {n: fixture_schedule(n).mode_counts() for n in (4, 3, 2)}
+    got = {n: ScheduleSpec(max_interval=n).build().mode_counts()
+           for n in (4, 3, 2)}
     want = {4: (8, 12), 3: (11, 9), 2: (13, 7)}
     return got == want, f"fixture splits {got}"
 
@@ -168,7 +169,7 @@ def check_w2(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     reference = rng.standard_normal((256, 2))
     first = rng.standard_normal((256, 2))
-    warm = W2WarmStart()
+    warm = ReferenceTerms()
     w2_distance(first, reference, warm)
     pairs = (first + 1e-3 * rng.standard_normal(first.shape),
              3.0 + rng.standard_normal(first.shape))

@@ -1,4 +1,4 @@
-"""Schedule planning, cache accounting, and the three prediction strategies
+"""Schedule building, cache accounting, and the three prediction strategies
 (including Newton-form Taylor exactness on polynomial histories)."""
 
 import logging
@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from flowcache import cache as fc
-from flowcache.autodiff import ParameterSet
-from flowcache.cache import (CacheState, NfeReport, StepMode, Strategy,
-                             cache_init, cached_sample, fixture_schedule,
-                             learned_predict, plan_schedule, taylor_forecast)
+from flowcache.cache import (CacheState, NfeReport, ScheduleSpec, StepMode,
+                             Strategy, cache_init, cached_sample,
+                             learned_predict, taylor_forecast)
 from flowcache.errors import CacheMissError, ContractViolation
 from flowcache.flow import TimePair, mean_velocity_sample
 from flowcache.nets import (Condition, Predictor, PredictorConfig,
@@ -34,53 +33,63 @@ def make_predictor(rng, backbone):
     return pred, pp
 
 
+def pattern_schedule(total_steps, N, warmup_full=0, explicit=None):
+    """The warmup-then-blocks schedule, or an explicit mode list."""
+    return ScheduleSpec(total_steps, N, warmup_full, fixture=False,
+                        explicit=explicit).build()
+
+
+def shipped_fixture(N):
+    return ScheduleSpec(max_interval=N).build()
+
+
 # ---------------------------------------------------------------------------
-# plan_schedule
+# schedules
 # ---------------------------------------------------------------------------
 
 def test_n1_is_all_full():
-    sched = plan_schedule(20, N=1)
+    sched = pattern_schedule(20, N=1)
     assert sched.mode_counts() == (20, 0)
 
 
 def test_uniform_n4_matches_published_split():
-    sched = plan_schedule(20, N=4, warmup_full=4)
+    sched = pattern_schedule(20, N=4, warmup_full=4)
     assert sched.mode_counts() == (8, 12)
 
 
 @pytest.mark.parametrize("N,full,predict", [(4, 8, 12), (3, 11, 9), (2, 13, 7)])
 def test_fixture_counts(N, full, predict):
-    sched = fixture_schedule(N)
+    sched = shipped_fixture(N)
     assert sched.mode_counts() == (full, predict)
-    assert sched.steps[0].mode is StepMode.FULL
+    assert sched.modes[0] is StepMode.FULL
 
 
 def test_schedule_contiguity_and_unit_cover():
-    sched = plan_schedule(20, N=4, warmup_full=4)
-    for a, b in zip(sched.steps[:-1], sched.steps[1:]):
-        assert a.pair.r == b.pair.t
-    assert abs(sum(s.pair.interval for s in sched.steps) - 1.0) < 1e-12
+    sched = pattern_schedule(20, N=4, warmup_full=4)
+    for a, b in zip(sched.pairs[:-1], sched.pairs[1:]):
+        assert a.r == b.t
+    assert abs(sum(pair.interval for pair in sched.pairs) - 1.0) < 1e-12
 
 
 def test_explicit_validation_errors():
-    with pytest.raises(ContractViolation, match="index 0"):
-        plan_schedule(4, N=2, explicit=["predict", "full", "full", "full"])
+    with pytest.raises(ContractViolation, match="first step"):
+        pattern_schedule(4, N=2, explicit=["predict", "full", "full", "full"])
     with pytest.raises(ContractViolation, match="index 2"):
-        plan_schedule(4, N=2, explicit=["full", "predict", "predict", "full"])
+        pattern_schedule(4, N=2, explicit=["full", "predict", "predict", "full"])
     with pytest.raises(ContractViolation):
-        plan_schedule(4, N=2, explicit=["full"] * 3)
+        pattern_schedule(4, N=2, explicit=["full"] * 3)
     with pytest.raises(ContractViolation):
-        plan_schedule(4, N=2, explicit=["full", "predict", "hold", "full"])
+        pattern_schedule(4, N=2, explicit=["full", "predict", "hold", "full"])
     with pytest.raises(ContractViolation):
-        plan_schedule(0, N=1)
+        pattern_schedule(0, N=1)
     with pytest.raises(ContractViolation):
-        plan_schedule(10, N=1, warmup_full=10)
+        pattern_schedule(10, N=1, warmup_full=10)
 
 
 def test_schedule_json_roundtrip_shape():
-    sched = fixture_schedule(2)
-    obj = [{"t": s.pair.t, "r": s.pair.r, "mode": s.mode.value}
-           for s in sched.steps]
+    sched = shipped_fixture(2)
+    obj = [{"t": pair.t, "r": pair.r, "mode": mode.value}
+           for pair, mode in zip(sched.pairs, sched.modes)]
     assert len(obj) == 20
     assert set(obj[0]) == {"t", "r", "mode"}
 
@@ -194,8 +203,8 @@ def test_m0_bitwise_equals_naive(rng):
     # and sampling with order-0 Taylor is sampling with naive reuse
     model, params = make_model(rng)
     x1 = rng.standard_normal((5, 2))
-    for sched in (fixture_schedule(2), fixture_schedule(3), fixture_schedule(4),
-                  plan_schedule(10, N=3, warmup_full=1)):
+    for sched in (shipped_fixture(2), shipped_fixture(3), shipped_fixture(4),
+                  pattern_schedule(10, N=3, warmup_full=1)):
         naive, rep_naive = cached_sample(model, params, sched, Strategy.NAIVE,
                                          x1, Condition(1))
         taylor, rep_taylor = cached_sample(model, params, sched,
@@ -255,7 +264,7 @@ def test_cached_sample_counts_out_of_horizon_queries(rng, delta_max, past):
     # N=2 fixture: 7 learned queries, each 0.05 past its cache's origin
     model, params = make_model(rng)
     pred, pp = make_predictor(rng, model)
-    _, report = cached_sample(model, params, fixture_schedule(2),
+    _, report = cached_sample(model, params, shipped_fixture(2),
                               Strategy.LEARNED, rng.standard_normal((3, 2)),
                               Condition(0), predictor=pred,
                               predictor_params=pp, delta_max=delta_max)
@@ -282,13 +291,13 @@ def test_zero_init_predictor_outputs_zero(rng):
 def test_all_full_schedule_matches_uncached_bitwise(strategy, rng):
     model, params = make_model(rng)
     pred, pp = make_predictor(rng, model)
-    sched = plan_schedule(8, N=1)
+    sched = pattern_schedule(8, N=1)
     x1 = rng.standard_normal((6, 2))
     out, report = cached_sample(model, params, sched, strategy, x1,
                                 Condition(1), predictor=pred,
                                 predictor_params=pp)
-    ref = mean_velocity_sample(model, params.entries,
-                               [s.pair for s in sched.steps], x1, Condition(1))
+    ref = mean_velocity_sample(model, params.entries, sched.pairs, x1,
+                               Condition(1))
     assert np.array_equal(out, ref)
     assert report.full_evals == 8
     assert report.predictor_evals == 0
@@ -298,7 +307,7 @@ def test_all_full_schedule_matches_uncached_bitwise(strategy, rng):
 def test_full_evals_match_schedule_count(strategy, rng):
     model, params = make_model(rng)
     pred, pp = make_predictor(rng, model)
-    sched = fixture_schedule(2)
+    sched = shipped_fixture(2)
     x1 = rng.standard_normal((4, 2))
     _, report = cached_sample(model, params, sched, strategy, x1, Condition(0),
                               predictor=pred, predictor_params=pp)
@@ -309,7 +318,7 @@ def test_full_evals_match_schedule_count(strategy, rng):
 
 def test_learned_requires_predictor(rng):
     model, params = make_model(rng)
-    sched = fixture_schedule(2)
+    sched = shipped_fixture(2)
     with pytest.raises(ContractViolation):
         cached_sample(model, params, sched, Strategy.LEARNED,
                       np.zeros((1, 2)), Condition(0))
@@ -317,7 +326,7 @@ def test_learned_requires_predictor(rng):
 
 def test_bit_exact_reproducibility(rng):
     model, params = make_model(rng)
-    sched = fixture_schedule(3)
+    sched = shipped_fixture(3)
     x1 = rng.standard_normal((5, 2))
     a, _ = cached_sample(model, params, sched, Strategy.TAYLOR, x1, Condition(0))
     b, _ = cached_sample(model, params, sched, Strategy.TAYLOR, x1, Condition(0))
@@ -330,14 +339,14 @@ def test_single_tensor_memory_invariant(rng):
     x1 = rng.standard_normal((4, 2))
     expected = x1.nbytes + 16  # one cached tensor plus origin metadata
     for total in (10, 20, 40):
-        sched = plan_schedule(total, N=2)
+        sched = pattern_schedule(total, N=2)
         for strategy in (Strategy.NAIVE, Strategy.LEARNED):
             _, report = cached_sample(model, params, sched, strategy, x1,
                                       Condition(0), predictor=pred,
                                       predictor_params=pp)
             assert report.cache_bytes_peak == expected
     # the taylor ring is allowed to hold order+1 tensors
-    _, rep_taylor = cached_sample(model, params, plan_schedule(20, N=2),
+    _, rep_taylor = cached_sample(model, params, pattern_schedule(20, N=2),
                                   Strategy.TAYLOR, x1, Condition(0),
                                   taylor_order=1)
     assert rep_taylor.cache_bytes_peak == 2 * expected
@@ -346,7 +355,7 @@ def test_single_tensor_memory_invariant(rng):
 def test_negative_taylor_order_rejected(rng):
     model, params = make_model(rng)
     with pytest.raises(ContractViolation, match="order"):
-        cached_sample(model, params, fixture_schedule(2), Strategy.TAYLOR,
+        cached_sample(model, params, shipped_fixture(2), Strategy.TAYLOR,
                       np.zeros((1, 2)), Condition(0), taylor_order=-1)
 
 
@@ -354,7 +363,7 @@ def test_taylor_adapts_to_fixture_spacing(rng):
     # the N=3 fixture ends with 1-spaced FULL runs; the sampler must not
     # extrapolate with stale spacing (this also exercises the fallback path)
     model, params = make_model(rng)
-    sched = fixture_schedule(3)
+    sched = shipped_fixture(3)
     x1 = rng.standard_normal((3, 2))
     out, report = cached_sample(model, params, sched, Strategy.TAYLOR, x1,
                                 Condition(0), taylor_order=2)
@@ -368,5 +377,5 @@ def test_broken_nfe_accounting_raises(rng, monkeypatch):
     original = fc.cache_init
     monkeypatch.setattr(fc, "cache_init", lambda *args: original(*args[:6]))
     with pytest.raises(ContractViolation, match="NFE accounting"):
-        cached_sample(model, params, fixture_schedule(2), Strategy.NAIVE,
+        cached_sample(model, params, shipped_fixture(2), Strategy.NAIVE,
                       rng.standard_normal((2, 2)), Condition(0))

@@ -7,8 +7,9 @@ import math
 
 import pytest
 
-from flowcache import runner
-from flowcache.cli import EXIT_CONFIG, EXIT_LINEAGE, EXIT_NUMERIC, EXIT_OK, main
+from flowcache import runner, verify
+from flowcache.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_LINEAGE,
+                           EXIT_NUMERIC, EXIT_OK, main)
 from flowcache.config import load_config
 from flowcache.runner import METRICS_COLUMNS
 
@@ -27,6 +28,37 @@ def test_verify_battery_passes(capsys):
     assert main(["verify"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(line.startswith("[  ok]") for line in lines)
+
+
+def test_failed_verify_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CHECKS", [
+        *verify.CHECKS, ("always-fails", lambda seed: (False, "forced"))])
+    assert main(["verify"]) == EXIT_CHECK_FAILED
+    assert "[FAIL] always-fails: forced" in capsys.readouterr().out
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    assert main(["train-base", "--seed", "-1",
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "base.fck").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "bench"])
+def test_third_checkpoint_exits_2(tmp_path, tiny_pipeline, capsys, command):
+    config, root = tiny_pipeline
+    assert main([command, "--config", str(config), "--out", str(tmp_path),
+                 *checkpoint_args(root),
+                 "--checkpoint", str(root / "predictor.fck")]) == EXIT_CONFIG
+    assert "at most two --checkpoint files, got 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["train-base", "--out", str(taken)]) == EXIT_CONFIG
+    assert str(taken) in capsys.readouterr().err
 
 
 def test_unknown_model_key_exits_2(tmp_path):
@@ -180,3 +212,21 @@ def test_sample_writes_samples_and_no_metrics(tmp_path, tiny_pipeline, capsys):
         assert header == ["x0", "x1"] and len(rows) == 64
     out = capsys.readouterr().out
     assert "nfe=20+0" in out and "nfe=13+7" in out
+
+
+def test_bench_emit_samples_matches_sample(tmp_path, tiny_pipeline):
+    # bench with emit_samples writes one file per strategy, byte for byte
+    # the file `flowcache sample` writes for the same config
+    config, root = tiny_pipeline
+    emitting = tmp_path / "emit.json"
+    emitting.write_text(json.dumps({**TINY_CONFIG, "emit_samples": True}))
+    bench, sample = tmp_path / "bench", tmp_path / "sample"
+    assert main(["bench", "--config", str(emitting), "--out", str(bench),
+                 *checkpoint_args(root)]) == EXIT_OK
+    assert main(["sample", "--config", str(emitting), "--out", str(sample),
+                 *checkpoint_args(root)]) == EXIT_OK
+    names = sorted(p.name for p in bench.glob("samples-*.csv"))
+    assert len(names) == 4
+    assert names == sorted(p.name for p in sample.glob("samples-*.csv"))
+    for name in names:
+        assert (bench / name).read_bytes() == (sample / name).read_bytes()

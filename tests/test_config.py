@@ -1,6 +1,7 @@
 """Config validation: every section rejects unknown keys, values of the
 wrong type and out-of-range settings, through the parser and through the
-CLI's exit code 2; every default is read by exactly one typed field."""
+CLI's exit code 2; every default is read by exactly one typed field; the
+schedule section takes its modes from explicit, then fixture, then pattern."""
 
 import json
 from dataclasses import fields
@@ -58,6 +59,29 @@ BAD_CONFIGS = {
     "model_cfg_features_zero": {"model": {"cfg_features": 0}},
     "model_time_embed_dim_zero": {"model": {"time_embed_dim": 0}},
     "taylor_order_negative": {"taylor_order": -1},
+    # seeds and the sampling plan
+    "seed_negative": {"seed": -1},
+    "metric_seed_negative": {"metric_seed": -1},
+    "distribution_seed_negative": {"distribution": {"seed": -3}},
+    "sample_cfg_scale_above_g_max": {"sample_cfg_scale": 9.0},
+    "sample_cfg_scale_below_g_min": {"cfg_distill": {"g_min": 2.0},
+                                     "sample_cfg_scale": 1.0},
+    "strategies_repeated": {"strategies": ["naive", "naive"]},
+    "strategies_empty": {"strategies": []},
+    # one case per schedule the sampler cannot walk
+    "schedule_max_interval_zero": {"schedule": {"max_interval": 0}},
+    "schedule_no_fixture": {"schedule": {"max_interval": 7}},
+    "schedule_fixture_total_steps": {"schedule": {"total_steps": 19}},
+    "schedule_warmup_not_below_total": {"schedule": {
+        "total_steps": 5, "warmup_full": 5, "fixture": False}},
+    "schedule_explicit_short": {"schedule": {
+        "total_steps": 4, "explicit": ["full"] * 3}},
+    "schedule_explicit_bad_mode": {"schedule": {
+        "total_steps": 4, "explicit": ["full", "hold", "full", "full"]}},
+    "schedule_explicit_predict_first": {"schedule": {
+        "total_steps": 4, "explicit": ["predict", "full", "full", "full"]}},
+    "schedule_explicit_long_predict_run": {"schedule": {
+        "total_steps": 4, "explicit": ["full", "predict", "predict", "full"]}},
 }
 
 # The section and key each type-rule case must name in its message.
@@ -84,6 +108,24 @@ NAMED = {
     "model_cfg_features_zero": "'model': cfg_features",
     "model_time_embed_dim_zero": "'model': time_embed_dim",
     "taylor_order_negative": "taylor_order",
+    "seed_negative": "seed must be >= 0",
+    "metric_seed_negative": "metric_seed must be >= 0",
+    "distribution_seed_negative": "'distribution': seed must be >= 0",
+    "sample_cfg_scale_above_g_max": "sample_cfg_scale 9.0",
+    "sample_cfg_scale_below_g_min": "sample_cfg_scale 1.0",
+    "strategies_repeated": "strategies names 'naive' twice",
+    "strategies_empty": "strategies must name",
+    "schedule_max_interval_zero": "'schedule': total_steps and max_interval",
+    "schedule_no_fixture": "'schedule': no shipped fixture for total_steps 20, "
+                           "max_interval 7",
+    "schedule_fixture_total_steps": "'schedule': no shipped fixture for "
+                                    "total_steps 19",
+    "schedule_warmup_not_below_total": "'schedule': warmup_full",
+    "schedule_explicit_short": "'schedule': explicit has 3 modes",
+    "schedule_explicit_bad_mode": "'schedule': explicit: bad mode 'hold'",
+    "schedule_explicit_predict_first": "'schedule': the first step",
+    "schedule_explicit_long_predict_run": "'schedule': a run of predict "
+                                          "steps exceeds max_interval",
 }
 
 
@@ -137,3 +179,22 @@ def test_every_default_is_read_by_one_typed_field():
     read = {name for names in SECTION_FIELDS.values() for name in names}
     top = set(DEFAULTS) - set(SECTION_FIELDS)
     assert read | top == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("spec,full,predict", [
+    ({"max_interval": 2}, 13, 7),
+    ({"total_steps": 10, "max_interval": 3, "warmup_full": 2,
+      "fixture": False}, 5, 5),
+    ({"total_steps": 3, "max_interval": 7, "warmup_full": 2,
+      "explicit": ["full", "predict", "FULL"]}, 2, 1),
+])
+def test_schedule_section_builds_the_sampled_schedule(spec, full, predict):
+    # all five keys load, explicit wins over fixture and pattern, and the
+    # fixture over the pattern
+    config = config_from_dict({"schedule": {
+        "total_steps": 20, "max_interval": 2, "warmup_full": 0,
+        "fixture": True, "explicit": None, **spec}})
+    schedule = config.schedule.build()
+    assert schedule.mode_counts() == (full, predict)
+    assert schedule.max_interval == config.schedule.max_interval
+

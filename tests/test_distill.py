@@ -9,8 +9,7 @@ import pytest
 
 from flowcache import autodiff as ad
 from flowcache import distill, flow
-from flowcache.distill import (CfgConfig, RestrictConfig, cfg_mixture,
-                               meanflow_target, sample_t_r)
+from flowcache.distill import CfgConfig, RestrictConfig, cfg_mixture, sample_t_r
 from flowcache.errors import ContractViolation
 from flowcache.flow import TimePair, ToyDistribution
 from flowcache.nets import Condition, VelocityModel, VelocityModelConfig
@@ -28,6 +27,18 @@ class ScriptedRng:
     def uniform(self, lo=0.0, hi=1.0, size=None):
         v = self.values.pop(0)
         return lo + (hi - lo) * v
+
+
+def meanflow_target(model, params, x_t, pair, v, cond=Condition()):
+    """The stop-gradient regression target v - (t-r) du/dt (plain array)."""
+    if not model.config.accepts_r:
+        raise ContractViolation("mean-velocity target needs an accepts_r model")
+    v = ad.as_f64(v)
+    if v.shape != np.shape(ad.value_of(x_t)):
+        raise ContractViolation("v must shape-match x_t")
+    _, u_tgt = distill._interval_forward(model, params.entries, x_t, pair.t,
+                                         pair.r, v, cond)
+    return u_tgt
 
 
 def sample_t_r_many(cfg: RestrictConfig, n: int, rng):

@@ -1,6 +1,7 @@
 """Transport and energy metrics against independent oracles: brute-force
 assignment enumeration, an LP relaxation, all-pairs distance matrices, and
-closed forms. The warm-started 2-D W2 is checked against cold solves."""
+closed forms. The warm-started 2-D W2 is checked against cold solves, and
+the energy distance with a held reference term against one without."""
 
 import itertools
 import tracemalloc
@@ -15,7 +16,8 @@ from scipy.spatial.distance import cdist
 
 from flowcache.errors import ContractViolation
 from flowcache.flow import ToyDistribution, sample_data
-from flowcache.metrics import (W2WarmStart, _column_potentials,
+from flowcache import metrics
+from flowcache.metrics import (ReferenceTerms, _column_potentials,
                                energy_distance, w2_distance)
 
 
@@ -129,7 +131,7 @@ CHECKERBOARD = ToyDistribution("checkerboard")
 
 
 def warmed_holder(first, reference):
-    warm = W2WarmStart()
+    warm = ReferenceTerms()
     assert w2_distance(first, reference, warm) == w2_distance(first, reference)
     assert warm.potentials is not None
     return warm
@@ -169,7 +171,7 @@ def test_warm_equals_cold_property(data, n):
 
 def test_holder_filled_by_the_first_2d_call_only(rng):
     reference = rng.standard_normal((64, 2))
-    warm = W2WarmStart()
+    warm = ReferenceTerms()
     assert warm.potentials is None and warm.reference is None
     w2_distance(rng.standard_normal((64, 2)), reference, warm)
     potentials = warm.potentials
@@ -180,7 +182,7 @@ def test_holder_filled_by_the_first_2d_call_only(rng):
 
 
 def test_1d_ignores_the_holder(rng):
-    warm = W2WarmStart()
+    warm = ReferenceTerms()
     x, y = rng.standard_normal((50, 1)), rng.standard_normal((50, 1))
     assert w2_distance(x, y, warm) == w2_distance(x, y)
     assert warm.potentials is None and warm.reference is None
@@ -277,3 +279,44 @@ def test_energy_1d_matches_pairwise_oracle(rng):
     for a, b in (unequal, ties, duplicates, large):
         assert abs(energy_distance(a, b) - pairwise_energy(a, b)) < 1e-12
         assert abs(energy_distance(b, a) - pairwise_energy(a, b)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_energy_with_held_self_term_is_bit_equal(rng, dim):
+    reference = rng.standard_normal((300, dim))
+    terms = ReferenceTerms()
+    for shift in (0.0, 0.3, 2.0):
+        a = rng.standard_normal((257, dim)) + shift
+        assert energy_distance(a, reference, terms) == \
+            energy_distance(a, reference)
+    assert terms.self_energy is not None
+
+
+def test_energy_self_term_computed_once_per_holder(rng, monkeypatch):
+    reference = rng.standard_normal((64, 2))
+    self_terms = []
+    original = metrics._mean_abs_diff
+
+    def counted(x, y):
+        self_terms.append(np.array_equal(x, reference)
+                          and np.array_equal(y, reference))
+        return original(x, y)
+
+    monkeypatch.setattr(metrics, "_mean_abs_diff", counted)
+    terms = ReferenceTerms()
+    for _ in range(3):
+        energy_distance(rng.standard_normal((64, 2)), reference, terms)
+    w2_distance(rng.standard_normal((64, 2)), reference, terms)
+    energy_distance(rng.standard_normal((64, 2)), reference, terms)
+    assert len(self_terms) == 9 and sum(self_terms) == 1
+    energy_distance(rng.standard_normal((64, 2)), reference)
+    assert sum(self_terms) == 2  # without the holder, every call
+
+
+def test_energy_holder_of_another_reference_rejected(rng):
+    reference = rng.standard_normal((32, 2))
+    terms = ReferenceTerms()
+    energy_distance(rng.standard_normal((32, 2)), reference, terms)
+    for other in (reference + 1e-12, rng.standard_normal((16, 2))):
+        with pytest.raises(ContractViolation, match="another reference"):
+            energy_distance(rng.standard_normal((16, 2)), other, terms)

@@ -16,7 +16,7 @@ from flowcache.cli import EXIT_NUMERIC, EXIT_OK, main
 from flowcache.config import load_config
 from flowcache.errors import ContractViolation, NumericFailure
 from flowcache.flow import sample_data
-from flowcache.metrics import w2_distance
+from flowcache.metrics import energy_distance, w2_distance
 
 from conftest import TINY_CONFIG
 
@@ -192,27 +192,33 @@ def test_out_of_horizon_queries_warn_once_per_strategy(tiny_pipeline,
 
 def test_w2_column_equals_a_cold_recomputation(tmp_path, tiny_pipeline,
                                                monkeypatch):
-    # every strategy's W2 goes through one warm-start holder, filled by the
-    # first strategy; each value equals a cold solve on the same samples
+    # every strategy's W2 and energy go through one reference-terms holder,
+    # filled by the first strategy; each value equals a call without it
     config, root = tiny_pipeline
     cfg = replace(load_config(config), metric_samples=256)
     checkpoints = (root / "meanflow.fck", root / "predictor.fck")
     holders = []
 
-    def spy(a, b, warm=None):
-        holders.append(warm)
-        return w2_distance(a, b, warm)
+    def spy(metric):
+        def call(a, b, terms=None):
+            holders.append(terms)
+            return metric(a, b, terms)
+        return call
 
-    monkeypatch.setattr(runner, "w2_distance", spy)
+    monkeypatch.setattr(runner, "w2_distance", spy(w2_distance))
+    monkeypatch.setattr(runner, "energy_distance", spy(energy_distance))
     records = runner.run_experiment(cfg, *checkpoints, out_dir=tmp_path)
     runs = runner.sample_strategies(cfg, *checkpoints)
     reference = sample_data(cfg.distribution, cfg.metric_samples,
                             cfg.metric_seed)
     assert [r.strategy for r in records] == list(cfg.strategies)
-    assert len(holders) == 4 and all(h is holders[0] for h in holders)
+    assert len(holders) == 8 and all(h is holders[0] for h in holders)
     assert holders[0].potentials is not None
+    assert holders[0].self_energy is not None
     for record, run in zip(records, runs):
         assert record.w2 == w2_distance(run.samples, reference)
+        assert record.energy_distance == energy_distance(run.samples,
+                                                         reference)
     with open(tmp_path / "metrics.csv", newline="") as fh:
         column = [float(row["w2"]) for row in csv.DictReader(fh)]
     assert column == [r.w2 for r in records]
