@@ -19,6 +19,9 @@ A checkpoint's identity is its trailing digest; children record it as
 pdigest. The pipeline order BASE_FM -> CFG_DISTILLED -> MEANFLOW ->
 {PREDICTOR, DISCRIMINATOR} is enforced at load time from the recorded
 parent stage and may be re-verified against an actual parent file.
+
+The runner writes each child with the stage and digest of the parent it
+loaded, and checks snapshot entries and tensors as it reads (exit 3 too).
 """
 
 from __future__ import annotations
@@ -66,12 +69,11 @@ class Checkpoint:
     config: dict = field(default_factory=dict)
     parent_stage: Stage | None = None
     parent_digest: bytes = _ZERO_DIGEST
-    format_version: int = FORMAT_VERSION
     digest: bytes | None = None  # filled on save/load
 
 
 def _encode(ckpt: Checkpoint) -> bytes:
-    parts = [MAGIC, struct.pack("<I", ckpt.format_version),
+    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION),
              struct.pack("<B", int(ckpt.stage)),
              struct.pack("<B", _NO_PARENT if ckpt.parent_stage is None
                          else int(ckpt.parent_stage)),
@@ -181,7 +183,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     ckpt = Checkpoint(stage=stage, params=ParameterSet(entries), config=config,
                       parent_stage=parent_stage, parent_digest=parent_digest,
-                      format_version=version, digest=digest)
+                      digest=digest)
     _check_stage_order(ckpt, path)
     return ckpt
 

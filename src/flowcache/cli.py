@@ -10,9 +10,11 @@ Subcommands:
     verify            run the fast invariant battery
 
 Exit codes: 0 success; 1 a `verify` check failed; 2 config or argument
-error (a third `--checkpoint`, an `--out` that is no directory); 3
+error (a third `--checkpoint`, an `--out` that is no directory, a negative
+`--seed`); 3
 checkpoint lineage/integrity error (bad parentage, digest mismatch,
-unsupported version); 4 numeric failure. All state comes from the config
+unsupported version, a config snapshot or tensors that do not describe the
+stage's network); 4 numeric failure. All state comes from the config
 file and flags; environment variables never change an output. The BLAS pin
 (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`) is read only to size the
 sampling thread pool.
@@ -88,6 +90,8 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         from .verify import run_all
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return EXIT_OK if run_all(args.seed) else EXIT_CHECK_FAILED
 
     config = _config_for(args)

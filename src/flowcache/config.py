@@ -178,7 +178,7 @@ def _value_reader(hint):
         rest = [a for a in get_args(hint) if a is not type(None)]
         if len(rest) == 1:
             what, cast = _value_reader(rest[0])
-            return f"{what} or null", lambda v: None if v is None else cast(v)
+            return f"{what}, or null", lambda v: None if v is None else cast(v)
     if hint in _SCALARS:
         return _SCALARS[hint]
     if get_origin(hint) is tuple and get_args(hint)[1:] == (Ellipsis,):
@@ -192,7 +192,7 @@ def _value_reader(hint):
     raise TypeError(f"unsupported field annotation {hint!r}")
 
 
-def _read(section: str | None, cls, values: dict, /, **given):
+def read_dataclass(section: str | None, cls, values: dict, /, **given):
     """`cls` built from `given` and from the keys of `values` that name its
     fields, each read as its field's annotation. A value of another type,
     or one the dataclass rejects, raises ConfigError naming the section."""
@@ -250,9 +250,9 @@ def config_from_dict(user: dict) -> ExperimentConfig:
                 dist, cfg = read["distribution"], read["cfg_distill"]
                 given = dict(input_dim=dist.dim, condition_vocab=dist.n_classes,
                              cfg_min=cfg.g_min, cfg_max=cfg.g_max)
-            read[name] = _read(section, types[name], values, **given)
+            read[name] = read_dataclass(section, types[name], values, **given)
     top = {k: v for k, v in raw.items() if k not in SECTION_FIELDS}
-    return _read(None, ExperimentConfig, top, **read)
+    return read_dataclass(None, ExperimentConfig, top, **read)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -2,6 +2,13 @@
 the sampling loop shared by `sample` and `bench`, and the benchmark runner
 with metrics CSV emission.
 
+Every stage file is written by `_save_stage`, with the lineage of the parent
+checkpoint it loaded, and read by `_open_stage`, which checks its stage and
+rebuilds its network from the snapshot. A snapshot entry (`velocity`,
+`restrict`, `predictor`) that is missing or does not hold exactly its
+dataclass's fields, each of the right type, and tensors that are not the
+network's raise CorruptCheckpointError naming the file and key (exit 3).
+
 Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
 their own RNG stream from the root seed. Each strategy's sessions run on a
 thread pool, since numpy and scipy release the GIL inside their kernels; the
@@ -43,10 +50,11 @@ import numpy as np
 from . import distill, flow, predictor_train
 from .autodiff import ParameterSet
 from .cache import NfeReport, Strategy, cached_sample
-from .checkpoint import (Checkpoint, Stage, load_checkpoint, save_checkpoint,
-                         verify_parent)
-from .config import ExperimentConfig
-from .errors import ConfigError, ContractViolation, LineageError
+from .checkpoint import (EXPECTED_PARENT, Checkpoint, Stage, load_checkpoint,
+                         save_checkpoint, verify_parent)
+from .config import ExperimentConfig, read_dataclass
+from .errors import (ConfigError, ContractViolation, CorruptCheckpointError,
+                     LineageError)
 from .flow import mean_velocity_sample, sample_data
 from .metrics import ReferenceTerms, energy_distance, w2_distance
 from .nets import (Condition, Predictor, PredictorConfig, VelocityModel,
@@ -70,9 +78,14 @@ class MetricsRecord:
     metric_ms: float
 
     def row(self) -> list:
-        """The CSV cells in column order; floats as their repr."""
+        """The CSV cells in column order, floats as `_cell` writes them."""
         values = (getattr(self, f.name) for f in fields(self))
-        return [repr(v) if isinstance(v, float) else v for v in values]
+        return [_cell(v) if isinstance(v, float) else v for v in values]
+
+
+def _cell(value) -> str:
+    """A float as a CSV cell: the repr of a Python float, numpy's too."""
+    return repr(float(value))
 
 
 METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
@@ -82,103 +95,127 @@ METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 # Stage runners (each emits a lineage-stamped checkpoint)
 # ---------------------------------------------------------------------------
 
-def _load_stage(path, stage: Stage) -> Checkpoint:
-    """Load a checkpoint and check that it holds the given stage."""
+def _snapshot_entry(path, ckpt: Checkpoint, key: str, cls):
+    """The snapshot entry `key` read as `cls`: an object holding exactly
+    cls's fields, each read as the config reader reads a section's keys."""
+    entry = ckpt.config.get(key)
+    if not isinstance(entry, dict):
+        raise CorruptCheckpointError(
+            f"{path}: snapshot entry '{key}' is missing or not an object")
+    names = {f.name for f in fields(cls)}
+    if set(entry) != names:
+        raise CorruptCheckpointError(
+            f"{path}: snapshot entry '{key}' has fields {sorted(entry)}, "
+            f"expected {sorted(names)}")
+    try:
+        return read_dataclass(key, cls, entry)
+    except ConfigError as exc:
+        raise CorruptCheckpointError(f"{path}: snapshot entry {exc}") from exc
+
+
+def _open_stage(path, stage: Stage):
+    """(checkpoint, network its tensors belong to) of the `stage` file at
+    `path`: the snapshot's velocity model, or a predictor over it."""
     ckpt = load_checkpoint(path)
     if ckpt.stage is not stage:
         raise LineageError(f"{path}: expected a {stage.name} checkpoint, "
                            f"found {ckpt.stage.name}")
-    return ckpt
+    net = VelocityModel(_snapshot_entry(path, ckpt, "velocity",
+                                        VelocityModelConfig))
+    if stage is Stage.PREDICTOR:
+        spec = _snapshot_entry(path, ckpt, "predictor", PredictorConfig)
+        try:
+            net = Predictor(spec, net)
+        except ContractViolation as exc:
+            raise CorruptCheckpointError(
+                f"{path}: snapshot entry 'predictor': {exc}") from exc
+    want = net.param_shapes()
+    got = {name: t.shape for name, t in ckpt.params.entries.items()}
+    for name in sorted(want.keys() | got.keys()):
+        if got.get(name) != want.get(name):
+            raise CorruptCheckpointError(
+                f"{path}: tensor '{name}' has shape {got.get(name)}, the "
+                f"snapshot's {type(net).__name__} expects {want.get(name)}")
+    return ckpt, net
 
 
-def _model_from_snapshot(snapshot: dict) -> VelocityModel:
-    return VelocityModel(VelocityModelConfig(**snapshot["velocity"]))
+def _save_stage(path, stage: Stage, params: ParameterSet, snapshot: dict,
+                parent: Checkpoint | None = None) -> Path:
+    """Write a `stage` checkpoint; its lineage is the loaded `parent`'s."""
+    ckpt = Checkpoint(stage=stage, params=params, config=snapshot)
+    if parent is not None:
+        ckpt.parent_stage, ckpt.parent_digest = parent.stage, parent.digest
+    save_checkpoint(path, ckpt)
+    return Path(path)
 
 
 def run_train_base(config: ExperimentConfig, out_path) -> Path:
-    vcfg = config.velocity_config(accepts_r=False, accepts_cfg=False)
-    model = VelocityModel(vcfg)
+    model = VelocityModel(config.velocity_config(accepts_r=False,
+                                                 accepts_cfg=False))
     params, _ = flow.train_base(model, config.distribution, config.base_train,
                                 seed=config.seed)
-    ckpt = Checkpoint(stage=Stage.BASE_FM, params=params,
-                      config={"velocity": asdict(vcfg)})
-    save_checkpoint(out_path, ckpt)
-    return Path(out_path)
+    return _save_stage(out_path, Stage.BASE_FM, params,
+                       {"velocity": asdict(model.config)})
 
 
 def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
-    base = _load_stage(base_path, Stage.BASE_FM)
-    teacher = _model_from_snapshot(base.config)
-    vcfg = config.velocity_config(accepts_r=True, accepts_cfg=True)
-    student = VelocityModel(vcfg)
+    stage = Stage.CFG_DISTILLED
+    base, teacher = _open_stage(base_path, EXPECTED_PARENT[stage])
+    student = VelocityModel(config.velocity_config(accepts_r=True,
+                                                   accepts_cfg=True))
     params, _ = distill.train_cfg(student, teacher, base.params,
                                   config.distribution, cfg=config.cfg_distill,
                                   settings=config.cfg_train, seed=config.seed)
-    ckpt = Checkpoint(stage=Stage.CFG_DISTILLED, params=params,
-                      config={"velocity": asdict(vcfg),
-                              "cfg": asdict(config.cfg_distill)},
-                      parent_stage=Stage.BASE_FM, parent_digest=base.digest)
-    save_checkpoint(out_path, ckpt)
-    return Path(out_path)
+    return _save_stage(out_path, stage, params,
+                       {"velocity": asdict(student.config),
+                        "cfg": asdict(config.cfg_distill)}, base)
 
 
 def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
-    parent = _load_stage(cfg_path, Stage.CFG_DISTILLED)
-    model = _model_from_snapshot(parent.config)
+    stage = Stage.MEANFLOW
+    parent, model = _open_stage(cfg_path, EXPECTED_PARENT[stage])
     params, _ = distill.train_meanflow(
         model, parent.params, model, parent.params, config.distribution,
         restrict=config.restrict, cfg=config.cfg_distill,
         settings=config.meanflow_train, seed=config.seed)
-    ckpt = Checkpoint(stage=Stage.MEANFLOW, params=params,
-                      config={"velocity": parent.config["velocity"],
-                              "restrict": asdict(config.restrict)},
-                      parent_stage=Stage.CFG_DISTILLED,
-                      parent_digest=parent.digest)
-    save_checkpoint(out_path, ckpt)
-    return Path(out_path)
+    return _save_stage(out_path, stage, params,
+                       {"velocity": asdict(model.config),
+                        "restrict": asdict(config.restrict)}, parent)
 
 
 def run_train_predictor(config: ExperimentConfig, meanflow_path,
                         out_pred, out_disc) -> tuple[Path, Path]:
-    parent = _load_stage(meanflow_path, Stage.MEANFLOW)
-    backbone = _model_from_snapshot(parent.config)
+    parent, backbone = _open_stage(meanflow_path,
+                                   EXPECTED_PARENT[Stage.PREDICTOR])
+    restrict = _snapshot_entry(meanflow_path, parent, "restrict",
+                               distill.RestrictConfig)
     predictor = Predictor(config.predictor, backbone)
-    restrict = distill.RestrictConfig(**parent.config["restrict"])
     params, disc, _, _ = predictor_train.train_predictor(
         backbone, parent.params, predictor, config.distribution,
         restrict=restrict, cfg=config.predictor_train, seed=config.seed)
-    snapshot = {"velocity": parent.config["velocity"],
-                "predictor": asdict(config.predictor),
-                "delta_max": config.predictor_train.delta_max}
-    save_checkpoint(out_pred, Checkpoint(
-        stage=Stage.PREDICTOR, params=params, config=snapshot,
-        parent_stage=Stage.MEANFLOW, parent_digest=parent.digest))
-    disc_entries = dict(disc.params.entries)
-    for name, u in disc.u_state.items():
-        disc_entries[f"aux.u.{name}"] = u
-    save_checkpoint(out_disc, Checkpoint(
-        stage=Stage.DISCRIMINATOR, params=ParameterSet(disc_entries),
-        config={"velocity": parent.config["velocity"],
-                "scales": list(disc.config.scales),
-                "hidden_dim": disc.config.hidden_dim,
-                "spectral_norm": disc.config.spectral_norm},
-        parent_stage=Stage.MEANFLOW, parent_digest=parent.digest))
-    return Path(out_pred), Path(out_disc)
+    velocity = asdict(backbone.config)
+    pred_path = _save_stage(out_pred, Stage.PREDICTOR, params,
+                            {"velocity": velocity,
+                             "predictor": asdict(config.predictor),
+                             "delta_max": config.predictor_train.delta_max},
+                            parent)
+    disc_entries = {**disc.params.entries,
+                    **{f"aux.u.{name}": u for name, u in disc.u_state.items()}}
+    return pred_path, _save_stage(out_disc, Stage.DISCRIMINATOR,
+                                  ParameterSet(disc_entries),
+                                  {"velocity": velocity, **asdict(disc.config)},
+                                  parent)
 
 
 def load_sampler(meanflow_path, predictor_path=None):
     """Rebuild (model, params, predictor, predictor_params, delta_max) from
     checkpoints, verifying the lineage chain when both are given."""
-    mf = _load_stage(meanflow_path, Stage.MEANFLOW)
-    model = _model_from_snapshot(mf.config)
-    predictor = pparams = delta_max = None
-    if predictor_path is not None:
-        pc = _load_stage(predictor_path, Stage.PREDICTOR)
-        verify_parent(pc, mf, child_path=str(predictor_path))
-        predictor = Predictor(PredictorConfig(**pc.config["predictor"]), model)
-        pparams = pc.params
-        delta_max = pc.config.get("delta_max")
-    return model, mf.params, predictor, pparams, delta_max
+    mf, model = _open_stage(meanflow_path, Stage.MEANFLOW)
+    if predictor_path is None:
+        return model, mf.params, None, None, None
+    pc, predictor = _open_stage(predictor_path, Stage.PREDICTOR)
+    verify_parent(pc, mf, child_path=str(predictor_path))
+    return model, mf.params, predictor, pc.params, pc.config.get("delta_max")
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +341,12 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
 
 
 def run_experiment(config: ExperimentConfig, meanflow_path,
-                   predictor_path=None, out_dir=None) -> list[MetricsRecord]:
+                   predictor_path=None, *, out_dir) -> list[MetricsRecord]:
     """Benchmark every configured strategy; appends rows to metrics.csv in
-    out_dir (when given) and returns the records. An existing metrics.csv
-    of another schema is refused before any sampling."""
-    if out_dir is not None:
-        _metrics_header(Path(out_dir) / "metrics.csv")
+    the existing directory out_dir and returns the records. An existing
+    metrics.csv of another schema is refused before any sampling."""
+    out_dir = Path(out_dir)
+    _metrics_header(out_dir / "metrics.csv")
     runs = sample_strategies(config, meanflow_path, predictor_path)
     reference = sample_data(config.distribution, config.metric_samples,
                             config.metric_seed)
@@ -325,12 +362,9 @@ def run_experiment(config: ExperimentConfig, meanflow_path,
             w2=w2, energy_distance=energy, wall_clock_ms=run.wall_clock_ms,
             cache_bytes_peak=run.cache_bytes_peak,
             metric_ms=(time.perf_counter() - t0) * 1e3))
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        append_metrics(out_dir / "metrics.csv", records)
-        if config.emit_samples:
-            write_samples(out_dir, runs)
+    append_metrics(out_dir / "metrics.csv", records)
+    if config.emit_samples:
+        write_samples(out_dir, runs)
     return records
 
 
@@ -377,5 +411,5 @@ def dump_samples(path, samples: np.ndarray):
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(samples.shape[1])])
         for row in samples:
-            writer.writerow([repr(v) for v in row])
+            writer.writerow([_cell(v) for v in row])
 

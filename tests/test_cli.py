@@ -5,9 +5,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from flowcache import runner, verify
+from flowcache.checkpoint import load_checkpoint, save_checkpoint
 from flowcache.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_LINEAGE,
                            EXIT_NUMERIC, EXIT_OK, main)
 from flowcache.config import load_config
@@ -42,6 +44,13 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "base.fck").exists()
+
+
+def test_negative_verify_seed_exits_2(capsys):
+    assert main(["verify", "--seed", "-1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["sample", "bench"])
@@ -214,6 +223,22 @@ def test_sample_writes_samples_and_no_metrics(tmp_path, tiny_pipeline, capsys):
     assert "nfe=20+0" in out and "nfe=13+7" in out
 
 
+def test_sample_cells_are_the_sampled_floats(tmp_path, tiny_pipeline):
+    # each cell parses with float() and gives back the sample bit for bit
+    config, root = tiny_pipeline
+    assert main(["sample", "--config", str(config), "--out", str(tmp_path),
+                 *checkpoint_args(root)]) == EXIT_OK
+    runs = runner.sample_strategies(load_config(config), root / "meanflow.fck",
+                                    root / "predictor.fck")
+    assert len(runs) == 4
+    for run in runs:
+        path = tmp_path / f"samples-{run.run_id.replace(':', '-')}.csv"
+        with open(path, newline="") as fh:
+            _, *rows = list(csv.reader(fh))
+        cells = np.array([[float(cell) for cell in row] for row in rows])
+        assert np.array_equal(cells, run.samples), run.strategy
+
+
 def test_bench_emit_samples_matches_sample(tmp_path, tiny_pipeline):
     # bench with emit_samples writes one file per strategy, byte for byte
     # the file `flowcache sample` writes for the same config
@@ -230,3 +255,114 @@ def test_bench_emit_samples_matches_sample(tmp_path, tiny_pipeline):
     assert names == sorted(p.name for p in sample.glob("samples-*.csv"))
     for name in names:
         assert (bench / name).read_bytes() == (sample / name).read_bytes()
+
+
+def _pop_entry(key):
+    return lambda ckpt: ckpt.config.pop(key)
+
+
+def _set_entry(key, value):
+    return lambda ckpt: ckpt.config.update({key: value})
+
+
+def _set_field(key, field, value):
+    return lambda ckpt: ckpt.config[key].update({field: value})
+
+
+def _pop_field(key, field):
+    return lambda ckpt: ckpt.config[key].pop(field)
+
+
+def _pop_tensor(name):
+    return lambda ckpt: ckpt.params.entries.pop(name)
+
+
+def _set_tensor(name, shape):
+    return lambda ckpt: ckpt.params.entries.update({name: np.zeros(shape)})
+
+
+# (command, the checkpoint it reads that is resealed after the edit, edit,
+#  what the message must name); each command reads that file before any
+# lineage check could reject it
+RESEALED = {
+    "velocity-missing": ("distill-cfg", "base.fck", _pop_entry("velocity"),
+                         "snapshot entry 'velocity' is missing"),
+    "velocity-not-object": ("distill-meanflow", "cfg.fck",
+                            _set_entry("velocity", [16, 2]),
+                            "snapshot entry 'velocity' is missing or not an "
+                            "object"),
+    "velocity-unknown-field": ("distill-cfg", "base.fck",
+                               _set_field("velocity", "widht", 16),
+                               "snapshot entry 'velocity' has fields"),
+    "velocity-missing-field": ("distill-meanflow", "cfg.fck",
+                               _pop_field("velocity", "cfg_features"),
+                               "snapshot entry 'velocity' has fields"),
+    "velocity-wrong-type": ("train-predictor", "meanflow.fck",
+                            _set_field("velocity", "hidden_dim", "16"),
+                            "'velocity': hidden_dim must be an integer"),
+    "velocity-out-of-range": ("sample", "meanflow.fck",
+                              _set_field("velocity", "depth", 0),
+                              "'velocity': depth must be >= 1"),
+    "restrict-missing": ("train-predictor", "meanflow.fck",
+                         _pop_entry("restrict"),
+                         "snapshot entry 'restrict' is missing"),
+    "restrict-wrong-type": ("train-predictor", "meanflow.fck",
+                            _set_field("restrict", "restrict_factor", True),
+                            "'restrict': restrict_factor must be a number"),
+    "predictor-missing": ("bench", "predictor.fck", _pop_entry("predictor"),
+                          "snapshot entry 'predictor' is missing"),
+    "predictor-unknown-field": ("bench", "predictor.fck",
+                                _set_field("predictor", "width", 2),
+                                "snapshot entry 'predictor' has fields"),
+    "predictor-over-budget": ("bench", "predictor.fck",
+                              _set_field("predictor", "hidden_dim", 64),
+                              "snapshot entry 'predictor': predictor has "
+                              "30794 parameters, over the 4% budget"),
+    "predictor-wrong-type": ("sample", "predictor.fck",
+                             _set_field("predictor", "depth", 1.5),
+                             "'predictor': depth must be an integer"),
+    "tensor-missing": ("sample", "meanflow.fck", _pop_tensor("time_t.w"),
+                       "tensor 'time_t.w' has shape None, the snapshot's "
+                       "VelocityModel expects (4, 16)"),
+    "tensor-unknown": ("distill-cfg", "base.fck",
+                       _set_tensor("time_r.w", (4, 16)),
+                       "tensor 'time_r.w' has shape (4, 16), the snapshot's "
+                       "VelocityModel expects None"),
+    "tensor-shape": ("distill-meanflow", "cfg.fck",
+                     _set_tensor("out.b", (3,)),
+                     "tensor 'out.b' has shape (3,), the snapshot's "
+                     "VelocityModel expects (2,)"),
+    "tensors-of-another-model": ("train-predictor", "meanflow.fck",
+                                 _set_field("velocity", "hidden_dim", 8),
+                                 "the snapshot's VelocityModel expects (8,)"),
+    "predictor-tensor-shape": ("bench", "predictor.fck",
+                               _set_tensor("input.w", (4, 3)),
+                               "tensor 'input.w' has shape (4, 3), the "
+                               "snapshot's Predictor expects (4, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESEALED))
+def test_resealed_snapshot_mismatch_exits_3(tmp_path, tiny_pipeline, capsys,
+                                            case):
+    # the file is rewritten with a valid digest, so only the reader's checks
+    # of its snapshot and tensors can reject it
+    command, name, edit, message = RESEALED[case]
+    config, root = tiny_pipeline
+    ckpt = load_checkpoint(root / name)
+    edit(ckpt)
+    resealed = tmp_path / name
+    save_checkpoint(resealed, ckpt)
+    given = ([resealed] if command in ("distill-cfg", "distill-meanflow",
+                                       "train-predictor")
+             else [tmp_path / n if n == name else root / n
+                   for n in ("meanflow.fck", "predictor.fck")])
+    checkpoints = [arg for path in given for arg in ("--checkpoint", str(path))]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out),
+                 *checkpoints]) == EXIT_LINEAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint error: {resealed}: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []

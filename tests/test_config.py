@@ -3,8 +3,11 @@ wrong type and out-of-range settings, through the parser and through the
 CLI's exit code 2; every default is read by exactly one typed field; the
 schedule section takes its modes from explicit, then fixture, then pattern."""
 
+import importlib.util
 import json
+import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -42,6 +45,7 @@ BAD_CONFIGS = {
     "emit_samples_from_string": {"emit_samples": "no"},
     "seed_from_bool": {"seed": True},
     "explicit_from_string": {"schedule": {"explicit": "full"}},
+    "explicit_null_item": {"schedule": {"explicit": ["full", None]}},
     "lr_from_bool": {"base_train": {"lr": True}},
     "iters_null": {"base_train": {"iters": None}},
     "strategies_from_string": {"strategies": "none"},
@@ -92,6 +96,8 @@ NAMED = {
     "emit_samples_from_string": "emit_samples",
     "seed_from_bool": "seed",
     "explicit_from_string": "'schedule': explicit",
+    "explicit_null_item": "'schedule': explicit must be a list of items each "
+                          "a string, or null, got ['full', None]",
     "lr_from_bool": "'base_train': lr",
     "iters_null": "'base_train': iters",
     "strategies_from_string": "strategies",
@@ -198,3 +204,27 @@ def test_schedule_section_builds_the_sampled_schedule(spec, full, predict):
     assert schedule.mode_counts() == (full, predict)
     assert schedule.max_interval == config.schedule.max_interval
 
+
+def test_perfbench_pinned_configs_load(monkeypatch):
+    # perfbench writes these configs for every run: a key the reader stops
+    # knowing would fail every op of the workload that pins it with exit 2.
+    # workloads.py is loaded without writing bytecode next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, "workloads", module)
+    spec.loader.exec_module(module)
+    configs = {"TRAIN_CONFIG": module.TRAIN_CONFIG}
+    for name, workload in module.WORKLOADS.items():
+        configs.update({f"{name}/{key}": config
+                        for key, config in workload.configs.items()})
+        if workload.fixtures is not None:
+            configs[f"{name}/fixtures"] = workload.fixtures
+    assert {"TRAIN_CONFIG", "train/train", "bench/n2", "bench/fixtures",
+            "sweep-1d/n4", "sweep-1d/fixtures"} <= set(configs)
+    for name, config in configs.items():
+        try:
+            config_from_dict(config)
+        except ConfigError as exc:
+            pytest.fail(f"perfbench config {name}: {exc}")

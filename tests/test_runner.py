@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from flowcache import runner
+from flowcache.checkpoint import load_checkpoint, verify_parent
 from flowcache.cli import EXIT_NUMERIC, EXIT_OK, main
 from flowcache.config import load_config
 from flowcache.errors import ContractViolation, NumericFailure
@@ -19,6 +20,22 @@ from flowcache.flow import sample_data
 from flowcache.metrics import energy_distance, w2_distance
 
 from conftest import TINY_CONFIG
+
+
+def test_stage_files_record_the_parent_they_loaded(tiny_pipeline):
+    _, root = tiny_pipeline
+    files = {name: load_checkpoint(root / f"{name}.fck") for name in
+             ("base", "cfg", "meanflow", "predictor", "discriminator")}
+    assert files["base"].parent_stage is None
+    for child, parent in (("cfg", "base"), ("meanflow", "cfg"),
+                          ("predictor", "meanflow"),
+                          ("discriminator", "meanflow")):
+        verify_parent(files[child], files[parent], child_path=child)
+    velocity = files["meanflow"].config["velocity"]
+    assert files["predictor"].config["velocity"] == velocity
+    assert files["discriminator"].config == {
+        "velocity": velocity, "scales": [1, 2], "hidden_dim": 4,
+        "spectral_norm": True}
 
 
 def force_pool(monkeypatch, cores):
