@@ -22,7 +22,9 @@ that is literal: u_tgt is a plain array, never part of the student's graph.
 A mean-velocity step is one graph: the groups of a step (one time pair and
 condition each) are stacked into one batch, the teacher and the student are
 each called once with per-group conditioning, and the target subtracts each
-row's own interval, v - (t - r)[row] * du/dt.
+row's own interval, v - (t - r)[row] * du/dt. Both loops return one
+`optim.StepReport` per step; a mean-velocity record adds the min, max and
+mean interval of the step's groups.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from .autodiff import ParameterSet, as_f64, value_of
 from .errors import ContractViolation, NumericFailure
 from .flow import PathSample, TimePair, ToyDistribution, squared_error_loss
 from .nets import Condition, VelocityModel
-from .optim import (OptimizerState, TrainSettings, adam_step, clip_grad_norm,
-                    global_grad_norm)
+from .optim import OptimizerState, StepReport, TrainSettings, descend
 
 
 # ---------------------------------------------------------------------------
-# Configs and reports
+# Configs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -67,15 +68,6 @@ class RestrictConfig:
             raise ContractViolation("restrict_factor must lie in (0, 1]")
 
 
-@dataclass
-class DistillBatchReport:
-    loss: float
-    grad_norm: float
-    interval_min: float | None = None
-    interval_max: float | None = None
-    interval_mean: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # Restricted interval sampling
 # ---------------------------------------------------------------------------
@@ -99,7 +91,7 @@ def cfg_mixture(v_cond, v_uncond, g: float):
 def cfg_distill_step(student: VelocityModel, params: ParameterSet,
                      teacher: VelocityModel, teacher_params: ParameterSet,
                      batch: PathSample, cond: Condition, g: float,
-                     cfg: CfgConfig, opt: OptimizerState) -> DistillBatchReport:
+                     cfg: CfgConfig, opt: OptimizerState) -> StepReport:
     """One optimizer step matching the student to the teacher mixture at one
     (t, g); the teacher is evaluated conditionally and with the null class."""
     if not (cfg.g_min <= g <= cfg.g_max):
@@ -115,11 +107,7 @@ def cfg_distill_step(student: VelocityModel, params: ParameterSet,
     leaves = params.lift()
     pred = student.forward(leaves, batch.xt, batch.t, None,
                            Condition(cond.class_id, g))
-    loss = squared_error_loss(pred, v_target)
-    gs = ad.param_grads(loss, leaves)
-    norm = global_grad_norm(gs)
-    adam_step(params, gs, opt)
-    return DistillBatchReport(loss=float(loss.value), grad_norm=norm)
+    return descend(params, leaves, squared_error_loss(pred, v_target), opt)
 
 
 def init_student_from_teacher(student: VelocityModel, teacher_params: ParameterSet,
@@ -139,7 +127,7 @@ def init_student_from_teacher(student: VelocityModel, teacher_params: ParameterS
 def train_cfg(student: VelocityModel, teacher: VelocityModel,
               teacher_params: ParameterSet, dist: ToyDistribution, *,
               cfg: CfgConfig, settings: TrainSettings, seed: int = 0):
-    """Full CFG distillation loop; returns (student params, reports)."""
+    """Full CFG distillation loop; returns (params, a report per step)."""
     rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 23]))
     params = init_student_from_teacher(student, teacher_params, rng)
     opt = OptimizerState.init(params, settings.lr, settings.lr_final,
@@ -192,14 +180,14 @@ def _interval_forward(model: VelocityModel, params, x_t, t, r, v, cond):
 def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
                           teacher: VelocityModel, teacher_params: ParameterSet,
                           groups, restrict: RestrictConfig, opt: OptimizerState,
-                          clip: float | None = 1.0) -> DistillBatchReport:
+                          clip: float | None = 1.0) -> StepReport:
     """One optimizer step over several (pair, sub-batch) groups.
 
     Each group carries (PathSample-like states, TimePair, Condition), and
     every group has the same number of rows. The groups are stacked into one
     batch: one teacher call gives v at (x_t, t) in instantaneous mode, one
     graph gives u and its tangent, and the gradient descends the mean over
-    all rows of ||u - sg(u_tgt)||^2.
+    all rows of ||u - sg(u_tgt)||^2, its norm clipped at `clip`.
     """
     intervals = [pair.interval for _, pair, _ in groups]
     if max(intervals) > restrict.restrict_factor + 1e-12:
@@ -218,17 +206,10 @@ def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
     v = value_of(teacher.forward(teacher_params.entries, x_t, t, None, conds))
     leaves = params.lift()
     u, u_tgt = _interval_forward(model, leaves, x_t, t, r, v, conds)
-    loss = squared_error_loss(u, u_tgt)
-    gs = ad.param_grads(loss, leaves)
-    if clip is not None:
-        norm = clip_grad_norm(gs, clip)
-    else:
-        norm = global_grad_norm(gs)
-    adam_step(params, gs, opt)
-    return DistillBatchReport(loss=float(loss.value), grad_norm=norm,
-                              interval_min=min(intervals),
-                              interval_max=max(intervals),
-                              interval_mean=float(np.mean(intervals)))
+    report = descend(params, leaves, squared_error_loss(u, u_tgt), opt, clip)
+    report.interval_min, report.interval_max, report.interval_mean = (
+        min(intervals), max(intervals), float(np.mean(intervals)))
+    return report
 
 
 def train_meanflow(model: VelocityModel, init_params: ParameterSet,
@@ -236,7 +217,8 @@ def train_meanflow(model: VelocityModel, init_params: ParameterSet,
                    dist: ToyDistribution, *, restrict: RestrictConfig,
                    cfg: CfgConfig | None, settings: TrainSettings,
                    seed: int = 0):
-    """Mean-velocity distillation loop starting from the CFG student.
+    """Mean-velocity distillation loop starting from the CFG student;
+    returns (params, one `StepReport` per step).
 
     Every step draws `groups_per_step` restricted pairs and splits the batch
     evenly across them, giving the report meaningful interval statistics.

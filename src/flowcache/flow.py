@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Array, as_f64, value_of
 from .errors import ContractViolation
 from .nets import Condition, VelocityModel
-from .optim import OptimizerState, TrainSettings, adam_step
+from .optim import OptimizerState, TrainSettings, descend
 
 DIST_KINDS = ("gaussian1d", "two_moons", "checkerboard", "eight_gaussians")
 
@@ -255,7 +255,8 @@ def analytic_mean_velocity(x_t, pair, sigma_d: float):
 
 def train_base(model: VelocityModel, dist: ToyDistribution,
                settings: TrainSettings, seed: int = 0):
-    """Train the instantaneous-velocity teacher with condition dropout.
+    """Train the instantaneous-velocity teacher with condition dropout;
+    returns (params, one `StepReport` per step).
 
     Each iteration draws one class and one t for the whole batch (the model
     conditions on scalar times), and with probability p_uncond trains the
@@ -265,7 +266,7 @@ def train_base(model: VelocityModel, dist: ToyDistribution,
     params = model.init_params(rng)
     opt = OptimizerState.init(params, settings.lr, settings.lr_final,
                               settings.iters)
-    losses = []
+    reports = []
     for _ in range(settings.iters):
         k = int(rng.integers(0, dist.n_classes))
         drop = rng.uniform() < settings.p_uncond
@@ -274,12 +275,7 @@ def train_base(model: VelocityModel, dist: ToyDistribution,
         x1 = rng.standard_normal(x0.shape)
         batch = PathSample.create(x0, x1, t)
         cond = Condition(class_id=None if drop else k)
-
         leaves = params.lift()
-        loss = fm_loss(model, leaves, batch, cond)
-        # gs lives into the next step: freed here, its pages go back to the
-        # OS and the next step faults them in again (about 10x the faults)
-        gs = ad.param_grads(loss, leaves)
-        adam_step(params, gs, opt)
-        losses.append(float(loss.value))
-    return params, losses
+        reports.append(descend(params, leaves,
+                               fm_loss(model, leaves, batch, cond), opt))
+    return params, reports

@@ -21,6 +21,9 @@ discriminator weights from before the discriminator's own update).
 
 With lambda = 0 the predictor update is bit-for-bit the plain MSE update on
 the same batch, which the determinism tests rely on.
+
+Each iteration of either phase yields the `optim.StepReport` of its
+predictor step; a GAN iteration's adds the discriminator's loss and scores.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import ContractViolation, NumericFailure
 from .flow import TimePair, ToyDistribution, squared_error_loss
 from .nets import (Condition, Discriminator, DiscriminatorConfig, Predictor,
                    VelocityModel, default_taps)
-from .optim import OptimizerState, adam_step
+from .optim import OptimizerState, StepReport, descend
 
 
 # ---------------------------------------------------------------------------
@@ -87,29 +90,18 @@ class TrainingPair:
     target_u: np.ndarray
 
 
-@dataclass
-class GanReport:
-    iteration: int
-    loss_p: float
-    loss_d: float
-    d_real_score: float
-    d_fake_score: float
-
-
 # ---------------------------------------------------------------------------
 # Training-pair construction
 # ---------------------------------------------------------------------------
 
 def build_training_pair(model: VelocityModel, params: ParameterSet,
                         dist: ToyDistribution, restrict: RestrictConfig,
-                        cfg: PredictorTrainConfig, rng, *,
-                        batch_size: int | None = None) -> TrainingPair:
+                        cfg: PredictorTrainConfig, rng) -> TrainingPair:
     """Sample one batched training draw from the frozen distilled model.
 
     Consumes, in order: the restricted pair, Delta, the class label, the
     guidance scale (when the backbone is guidance-conditioned), x0, noise.
     """
-    n = cfg.batch_size if batch_size is None else batch_size
     pair = sample_t_r(restrict, rng)
     delta = float(rng.uniform(0.0, cfg.delta_max))
     k = int(rng.integers(0, dist.n_classes))
@@ -117,7 +109,7 @@ def build_training_pair(model: VelocityModel, params: ParameterSet,
     if model.config.accepts_cfg:
         g = float(rng.uniform(model.config.cfg_min, model.config.cfg_max))
     cond = Condition(k, g)
-    x0 = dist.sample_class(k, n, rng)
+    x0 = dist.sample_class(k, cfg.batch_size, rng)
     eps = rng.standard_normal(x0.shape)
 
     x_t = (1.0 - pair.t) * x0 + pair.t * eps
@@ -158,12 +150,11 @@ def _predictor_loss_graph(predictor: Predictor, leaves, pair: TrainingPair):
 
 
 def predictor_mse_step(predictor: Predictor, params: ParameterSet,
-                       pair: TrainingPair, opt: OptimizerState) -> float:
+                       pair: TrainingPair, opt: OptimizerState) -> StepReport:
     """One optimizer step on the squared error to the frozen target."""
     leaves = params.lift()
     _, loss = _predictor_loss_graph(predictor, leaves, pair)
-    adam_step(params, ad.param_grads(loss, leaves), opt)
-    return float(loss.value)
+    return descend(params, leaves, loss, opt)
 
 
 def hinge_mean(scores, sign: float):
@@ -175,23 +166,23 @@ def gan_step(predictor: Predictor, params: ParameterSet,
              disc: Discriminator, extractor: VelocityModel,
              extractor_params: ParameterSet, pair: TrainingPair,
              cfg: PredictorTrainConfig, opt_p: OptimizerState,
-             opt_d: OptimizerState, iteration: int, taps) -> GanReport:
-    """Predictor update, then discriminator update, on one training pair."""
+             opt_d: OptimizerState, taps) -> StepReport:
+    """Predictor update, then discriminator update, on one training pair;
+    the predictor's report with the discriminator's loss and scores."""
     interval = pair.query.interval
     landed = TimePair(pair.query.r, pair.query.r)
 
     # -- predictor update (discriminator frozen as-is) -----------------------
     leaves = params.lift()
     u_pred, mse = _predictor_loss_graph(predictor, leaves, pair)
+    loss_p = mse
     if cfg.lambda_adv > 0.0:
         x_fake = ad.sub(pair.x_query, ad.mul(u_pred, interval))
         fake_feats = extract_features(extractor, extractor_params, x_fake,
                                       landed, pair.cond, taps)
         fake_scores = disc.forward(disc.params.entries, fake_feats)
         loss_p = ad.add(mse, ad.mul(hinge_mean(fake_scores, 1.0), cfg.lambda_adv))
-    else:
-        loss_p = mse
-    adam_step(params, ad.param_grads(loss_p, leaves), opt_p)
+    report = descend(params, leaves, loss_p, opt_p)
 
     # -- discriminator update (fake re-scored without gradient) --------------
     x_fake_const = pair.x_query - interval * value_of(u_pred)
@@ -204,13 +195,10 @@ def gan_step(predictor: Predictor, params: ParameterSet,
     real_scores = disc.forward(d_leaves, real_feats)
     fake_scores = disc.forward(d_leaves, fake_feats)
     loss_d = ad.add(hinge_mean(real_scores, 1.0), hinge_mean(fake_scores, -1.0))
-    adam_step(disc.params, ad.param_grads(loss_d, d_leaves), opt_d)
-
-    return GanReport(iteration=iteration,
-                     loss_p=float(value_of(loss_p.value)),
-                     loss_d=float(value_of(loss_d.value)),
-                     d_real_score=float(np.mean(value_of(real_scores))),
-                     d_fake_score=float(np.mean(value_of(fake_scores))))
+    report.loss_d = descend(disc.params, d_leaves, loss_d, opt_d).loss
+    report.d_real_score = float(np.mean(value_of(real_scores)))
+    report.d_fake_score = float(np.mean(value_of(fake_scores)))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +216,8 @@ def train_predictor(backbone: VelocityModel, backbone_params: ParameterSet,
     identical predictor trajectory as a pure-MSE run (gan_iters=0 with as
     many MSE iterations).
 
-    Returns (predictor params, discriminator, mse losses, gan reports).
+    Returns (predictor params, discriminator, one `StepReport` per
+    iteration of both phases, the GAN phase's reports for perfbench).
     """
     rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 53]))
     disc_rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 54]))
@@ -243,18 +232,16 @@ def train_predictor(backbone: VelocityModel, backbone_params: ParameterSet,
     opt_d = OptimizerState.init(disc.params, lr=cfg.lr_discriminator)
 
     before = {k: v.copy() for k, v in backbone_params.entries.items()}
-    mse_losses: list[float] = []
-    gan_reports: list[GanReport] = []
+    reports: list[StepReport] = []
     for it in range(cfg.mse_iters + cfg.gan_iters):
         pair = build_training_pair(backbone, backbone_params, dist, restrict,
                                    cfg, rng)
-        if it < cfg.mse_iters:
-            mse_losses.append(predictor_mse_step(predictor, params, pair, opt_p))
-        else:
-            gan_reports.append(gan_step(predictor, params, disc, backbone,
-                                        backbone_params, pair, cfg, opt_p,
-                                        opt_d, it, taps))
+        reports.append(
+            predictor_mse_step(predictor, params, pair, opt_p)
+            if it < cfg.mse_iters else
+            gan_step(predictor, params, disc, backbone, backbone_params,
+                     pair, cfg, opt_p, opt_d, taps))
     for k, v in backbone_params.entries.items():
         if not np.array_equal(before[k], v):
             raise ContractViolation("frozen backbone parameters changed during training")
-    return params, disc, mse_losses, gan_reports
+    return params, disc, reports, reports[cfg.mse_iters:]

@@ -6,8 +6,9 @@ Every stage file is written by `_save_stage`, with the lineage of the parent
 checkpoint it loaded, and read by `_open_stage`, which checks its stage and
 rebuilds its network from the snapshot. A snapshot entry (`velocity`,
 `restrict`, `predictor`) that is missing or does not hold exactly its
-dataclass's fields, each of the right type, and tensors that are not the
-network's raise CorruptCheckpointError naming the file and key (exit 3).
+dataclass's fields, each of the right type, a `delta_max` that is neither
+null nor a number in (0, 1], and tensors that are not the network's raise
+CorruptCheckpointError naming the file and key (exit 3).
 
 Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
 their own RNG stream from the root seed. Each strategy's sessions run on a
@@ -215,7 +216,15 @@ def load_sampler(meanflow_path, predictor_path=None):
         return model, mf.params, None, None, None
     pc, predictor = _open_stage(predictor_path, Stage.PREDICTOR)
     verify_parent(pc, mf, child_path=str(predictor_path))
-    return model, mf.params, predictor, pc.params, pc.config.get("delta_max")
+    delta_max = pc.config.get("delta_max")
+    try:  # null, or read as the `predictor` config section reads it
+        delta_max = None if delta_max is None else read_dataclass(
+            "delta_max", predictor_train.PredictorTrainConfig,
+            {"delta_max": delta_max}).delta_max
+    except ConfigError as exc:
+        raise CorruptCheckpointError(
+            f"{predictor_path}: snapshot entry {exc}") from exc
+    return model, mf.params, predictor, pc.params, delta_max
 
 
 # ---------------------------------------------------------------------------

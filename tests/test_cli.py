@@ -2,8 +2,11 @@
 errors, and the files bench and sample write."""
 
 import csv
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,29 @@ def test_pipeline_is_bit_reproducible(tmp_path, tiny_pipeline):
     train_pipeline(config, tmp_path)
     for name in CHECKPOINTS:
         assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name
+
+
+def test_perfbench_tracer_reads_every_training_loss(tmp_path, tiny_pipeline,
+                                                    monkeypatch):
+    # perfbench's traced run prints the last loss each training loop returns
+    # and indexes the list it read: a loss its tracer cannot read would stop
+    # that run. tracing.py is loaded without writing bytecode next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.install(tracing.Tracer())
+    try:
+        train_pipeline(tiny_pipeline[0], tmp_path)
+    finally:
+        tracer.uninstall()
+    observed = tracer.observed[None]
+    losses = {k: v for k, v in observed.items() if k.startswith("loss.")}
+    assert tracer.missing == [] and "unreadable" not in observed
+    assert sorted(losses) == ["loss.distill_cfg", "loss.distill_meanflow",
+                              "loss.train_base", "loss.train_predictor"]
+    assert all(len(v) == 1 and math.isfinite(v[0]) for v in losses.values())
 
 
 def test_missing_checkpoint_exits_3(tmp_path, capsys):
@@ -335,6 +361,17 @@ RESEALED = {
     "tensors-of-another-model": ("train-predictor", "meanflow.fck",
                                  _set_field("velocity", "hidden_dim", 8),
                                  "the snapshot's VelocityModel expects (8,)"),
+    "delta-max-string": ("sample", "predictor.fck",
+                         _set_entry("delta_max", "x"),
+                         "snapshot entry 'delta_max': delta_max must be a "
+                         "number, got 'x'"),
+    "delta-max-bool": ("bench", "predictor.fck", _set_entry("delta_max", True),
+                       "snapshot entry 'delta_max': delta_max must be a "
+                       "number, got True"),
+    "delta-max-negative": ("sample", "predictor.fck",
+                           _set_entry("delta_max", -1),
+                           "snapshot entry 'delta_max': delta_max must lie "
+                           "in (0, 1]"),
     "predictor-tensor-shape": ("bench", "predictor.fck",
                                _set_tensor("input.w", (4, 3)),
                                "tensor 'input.w' has shape (4, 3), the "

@@ -13,7 +13,8 @@ from flowcache.distill import CfgConfig, RestrictConfig, cfg_mixture, sample_t_r
 from flowcache.errors import ContractViolation
 from flowcache.flow import TimePair, ToyDistribution
 from flowcache.nets import Condition, VelocityModel, VelocityModelConfig
-from flowcache.optim import OptimizerState, TrainSettings
+from flowcache.optim import (OptimizerState, StepReport, TrainSettings,
+                             cosine_lr)
 
 from conftest import fd_grad, rel_err
 
@@ -305,6 +306,28 @@ def test_cfg_distill_step_report(rng):
     assert params.version == 1
 
 
+def test_train_cfg_reports_one_step_each_at_its_scheduled_rate():
+    dist = ToyDistribution("gaussian1d")
+    teacher = VelocityModel(VelocityModelConfig(
+        input_dim=1, hidden_dim=8, depth=1, time_embed_dim=4,
+        condition_vocab=1))
+    tparams = teacher.init_params(np.random.default_rng(0))
+    student = VelocityModel(VelocityModelConfig(
+        input_dim=1, hidden_dim=8, depth=1, time_embed_dim=4,
+        condition_vocab=1, accepts_r=True, accepts_cfg=True,
+        cfg_min=1.0, cfg_max=4.0))
+    lr, lr_final, iters = 3e-3, 1e-4, 6
+    params, reports = distill.train_cfg(
+        student, teacher, tparams, dist, cfg=CfgConfig(1.0, 4.0),
+        settings=TrainSettings(iters=iters, batch_size=8, lr=lr,
+                               lr_final=lr_final), seed=0)
+    assert len(reports) == iters == params.version
+    assert all(isinstance(r, StepReport) for r in reports)
+    assert [r.lr for r in reports] == [cosine_lr(lr, lr_final, k, iters)
+                                       for k in range(iters)]
+    assert all(np.isfinite([r.loss, r.grad_norm]).all() for r in reports)
+
+
 def test_train_meanflow_smoke_and_interval_stats():
     dist = ToyDistribution("gaussian1d")
     teacher = VelocityModel(VelocityModelConfig(
@@ -322,6 +345,8 @@ def test_train_meanflow_smoke_and_interval_stats():
         student, init, teacher, tparams, dist, restrict=restrict, cfg=None,
         settings=TrainSettings(iters=150, batch_size=32, lr=1e-3,
                                groups_per_step=2), seed=0)
+    assert len(reports) == 150
+    assert all(isinstance(r, StepReport) for r in reports)
     losses = [r.loss for r in reports]
     assert all(r.interval_max <= 0.25 for r in reports)
     assert all(np.isfinite(losses))
@@ -373,7 +398,7 @@ def normwise_rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def test_step_matches_per_group_scalar_reference(rng, monkeypatch):
+def test_step_matches_per_group_scalar_reference(rng):
     teacher, tparams, student, sparams = group_models(rng)
     groups = step_groups(rng, [TimePair(0.8, 0.65), TimePair(0.4, 0.4),
                                TimePair(0.3, 0.12), TimePair(0.95, 0.9)])
@@ -389,12 +414,11 @@ def test_step_matches_per_group_scalar_reference(rng, monkeypatch):
     ref_loss = ad.mul(total, 1.0 / len(groups))
     ref_grads = ad.param_grads(ref_loss, leaves)
 
-    seen = {}
-    monkeypatch.setattr(distill, "adam_step",
-                        lambda params, gs, opt: seen.update(gs))
+    opt = OptimizerState.init(sparams, lr=1e-3)
     rep = distill.meanflow_distill_step(
-        student, sparams, teacher, tparams, groups, RestrictConfig(0.2),
-        OptimizerState.init(sparams, lr=1e-3), clip=None)
+        student, sparams, teacher, tparams, groups, RestrictConfig(0.2), opt,
+        clip=None)
+    seen = opt.last_grads  # the gradients the step descended
     assert abs(rep.loss - float(ref_loss.value)) < 1e-12 * abs(rep.loss)
     assert set(seen) == set(ref_grads)
     for name, g in ref_grads.items():

@@ -319,7 +319,10 @@ def test_train_base_decreases_loss():
     dist = ToyDistribution("gaussian1d")
     m = VelocityModel(VelocityModelConfig(input_dim=1, hidden_dim=16, depth=2,
                                           time_embed_dim=8, condition_vocab=1))
-    params, losses = flow.train_base(
+    params, reports = flow.train_base(
         m, dist, TrainSettings(iters=400, batch_size=64, lr=3e-3), seed=0)
+    assert len(reports) == 400 == params.version
+    assert all(r.lr == 3e-3 and np.isfinite(r.grad_norm) for r in reports)
+    losses = [r.loss for r in reports]
     assert np.mean(losses[-50:]) < np.mean(losses[:50])
     assert all(np.isfinite(losses))

@@ -1,13 +1,18 @@
 """Adam update against hand-evaluated reference formulas, its cosine
-learning-rate schedule; spectral normalization against the SVD oracle."""
+learning-rate schedule, the one step path; spectral normalization against
+the SVD oracle."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowcache
 from flowcache import autodiff as ad
 from flowcache.errors import ContractViolation, NumericFailure
-from flowcache.optim import (OptimizerState, adam_step, clip_grad_norm,
-                             cosine_lr, global_grad_norm, spectral_normalize)
+from flowcache.optim import (OptimizerState, adam_step, cosine_lr, descend,
+                             spectral_normalize)
 
 
 def reference_adam(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -93,15 +98,59 @@ def test_scheduled_rate_follows_cosine_lr(lr_final):
         assert cosine_lr(lr, lr_final, iters - 1, iters) == lr_final
 
 
+def linear_step(coefs, clip):
+    """`descend` on the loss sum(c * w) from w = 0: the gradient is coefs."""
+    params = ad.ParameterSet({k: np.array([0.0]) for k in coefs})
+    leaves = params.lift()
+    loss = ad.sum_(ad.concat([ad.mul(leaves[k], c) for k, c in coefs.items()]))
+    opt = OptimizerState.init(params, lr=0.1)
+    return descend(params, leaves, loss, opt, clip), opt.last_grads
+
+
 def test_clip_grad_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    norm = clip_grad_norm(grads, max_norm=1.0)
-    assert abs(norm - 5.0) < 1e-12
-    assert abs(global_grad_norm(grads) - 1.0) < 1e-12
-    grads2 = {"a": np.array([0.3])}
-    norm2 = clip_grad_norm(grads2, max_norm=1.0)
-    assert abs(norm2 - 0.3) < 1e-12
+    report, grads = linear_step({"a": 3.0, "b": 4.0}, clip=1.0)
+    assert abs(report.grad_norm - 5.0) < 1e-12
+    assert abs(np.sqrt(grads["a"] ** 2 + grads["b"] ** 2) - 1.0) < 1e-12
+    report2, grads2 = linear_step({"a": 0.3}, clip=1.0)
+    assert abs(report2.grad_norm - 0.3) < 1e-12
     assert np.array_equal(grads2["a"], np.array([0.3]))
+
+
+STEP_PARTS = {"adam_step", "clip_grad_norm", "global_grad_norm"}
+
+
+def step_part_uses(tree):
+    """(enclosing function, name) of every call to, or import of, a step
+    part in a module's syntax tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = getattr(f, "id", getattr(f, "attr", ""))
+                if name in STEP_PARTS:
+                    found.append((scope, name))
+            if isinstance(child, ast.ImportFrom):
+                found.extend((scope, a.name) for a in child.names
+                             if a.name in STEP_PARTS)
+            defines = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, child.name if defines else scope)
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_update_goes_through_descend():
+    # the gradient norm, the clipping and the Adam update are taken by
+    # optim.descend alone, so every stage's step and record is that one
+    src = Path(flowcache.__file__).parent
+    uses = {path.name: step_part_uses(ast.parse(path.read_text()))
+            for path in sorted(src.glob("*.py"))}
+    outside = {(module, scope, name) for module, found in uses.items()
+               for scope, name in found
+               if (module, scope) != ("optim.py", "descend")}
+    assert outside == set()
+    assert ("descend", "adam_step") in uses["optim.py"]
 
 
 # ---------------------------------------------------------------------------

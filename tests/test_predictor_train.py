@@ -11,8 +11,8 @@ from flowcache.flow import TimePair, ToyDistribution
 from flowcache.nets import (Condition, DiscriminatorConfig, Predictor,
                             PredictorConfig, VelocityModel,
                             VelocityModelConfig, default_taps)
-from flowcache.optim import OptimizerState
-from flowcache.predictor_train import (GanReport, PredictorTrainConfig,
+from flowcache.optim import OptimizerState, StepReport
+from flowcache.predictor_train import (PredictorTrainConfig,
                                        TrainingPair, build_training_pair,
                                        extract_features, gan_step, hinge_mean,
                                        predictor_mse_step, train_predictor)
@@ -127,8 +127,9 @@ def test_mse_zero_when_predictor_matches(rng):
     pair = manual_pair(rng.standard_normal((4, 1)), rng.standard_normal((4, 1)),
                        np.zeros((4, 1)))
     opt = OptimizerState.init(pp, lr=1e-3)
-    loss = predictor_mse_step(pred, pp, pair, opt)
-    assert loss == 0.0
+    rep = predictor_mse_step(pred, pp, pair, opt)
+    assert isinstance(rep, StepReport)
+    assert rep.loss == 0.0 and rep.loss_d is None
 
 
 def test_mse_constant_offset_equals_c2_d(rng):
@@ -138,7 +139,7 @@ def test_mse_constant_offset_equals_c2_d(rng):
     pair = manual_pair(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)),
                        np.full((5, 2), c))
     opt = OptimizerState.init(pp, lr=1e-3)
-    loss = predictor_mse_step(pred, pp, pair, opt)
+    loss = predictor_mse_step(pred, pp, pair, opt).loss
     assert abs(loss - c * c * 2) < 1e-12
 
 
@@ -152,9 +153,10 @@ def test_short_training_beats_naive_reuse_on_gaussian(rng):
     pred, _ = small_predictor(backbone, rng)
     cfg = PredictorTrainConfig(mse_iters=500, gan_iters=0, batch_size=64,
                                lr_predictor=3e-3)
-    pp, _, losses, _ = train_predictor(backbone, params, pred, dist,
-                                       restrict=restrict, cfg=cfg, seed=0)
-    assert np.isfinite(losses).all()
+    pp, _, reports, _ = train_predictor(backbone, params, pred, dist,
+                                        restrict=restrict, cfg=cfg, seed=0)
+    assert len(reports) == 500 == pp.version
+    assert np.isfinite([r.loss for r in reports]).all()
     # held-out evaluation at a fixed half-horizon offset
     gen = np.random.default_rng(99)
     mse_pred, mse_naive = [], []
@@ -210,10 +212,10 @@ def test_gan_step_updates_both_and_stays_finite(rng):
     p_before = pp.copy()
     d_before = disc.params.copy()
     rep = gan_step(pred, pp, disc, backbone, params, pair, cfg, opt_p, opt_d,
-                   0, taps)
-    assert isinstance(rep, GanReport)
-    assert np.isfinite([rep.loss_p, rep.loss_d, rep.d_real_score,
-                        rep.d_fake_score]).all()
+                   taps)
+    assert isinstance(rep, StepReport)
+    assert np.isfinite([rep.loss, rep.grad_norm, rep.lr, rep.loss_d,
+                        rep.d_real_score, rep.d_fake_score]).all()
     assert any(not np.array_equal(p_before[k], pp[k]) for k in pp.entries)
     assert any(not np.array_equal(d_before[k], disc.params[k])
                for k in disc.params.entries)
@@ -230,14 +232,24 @@ def test_lambda_zero_matches_pure_mse_run(rng):
     cfg_mse = PredictorTrainConfig(mse_iters=50, gan_iters=0, lambda_adv=0.0,
                                    batch_size=8, lr_predictor=1e-3)
     pred_a, _ = small_predictor(backbone, rng)
-    pa, _, _, reports = train_predictor(backbone, params, pred_a, dist,
-                                        restrict=restrict, cfg=cfg0, seed=4)
+    pa, disc, reports, gan = train_predictor(backbone, params, pred_a, dist,
+                                             restrict=restrict, cfg=cfg0,
+                                             seed=4)
     pred_b, _ = small_predictor(backbone, rng)
     pb, _, _, _ = train_predictor(backbone, params, pred_b, dist,
                                   restrict=restrict, cfg=cfg_mse, seed=4)
     for k in pa.entries:
         assert np.array_equal(pa[k], pb[k]), k
-    assert len(reports) == 30
+    # one record per iteration of both phases; only the GAN phase's carry
+    # the discriminator's loss and scores
+    assert len(reports) == 50 == pa.version
+    mse = reports[:20]
+    assert gan == reports[20:]
+    assert len(gan) == 30 == disc.params.version
+    assert all(r.loss_d is r.d_real_score is r.d_fake_score is None
+               for r in mse)
+    assert all(np.isfinite([r.loss_d, r.d_real_score, r.d_fake_score]).all()
+               for r in gan)
 
 
 def test_frozen_backbone_verified(rng):
