@@ -38,13 +38,18 @@ O(n log n) time and O(n) memory; it matches the all-pairs form to about
 A `ReferenceTerms` holder keeps the reference's self term E|B-B'| from the
 first call, bit-equal to recomputing it: at n = 2048 in 2-D that term is
 about 26 ms of a 72 ms call (2-vCPU x86 VM, one BLAS thread).
+
+Only the 2-D W2 and the all-pairs energy terms use scipy.optimize and
+scipy.spatial, and they import them at their first call. Loading the two
+takes about 0.2 s and 22 MB of peak RSS per process (same VM), a third of a
+CLI process's start-up, so the training commands, `sample` and a 1-D
+`bench` never pay it; `verify` and a 2-D `bench` pay it once, in their first
+2-D metric call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .autodiff import as_f64
 from .errors import ContractViolation
@@ -144,6 +149,9 @@ def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
         sa = np.sort(a[:, 0])
         sb = np.sort(b[:, 0])
         return float(np.sqrt(np.mean((sa - sb) ** 2)))
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     if terms is not None:
         terms.bind(b)
     warmed = terms is not None and terms.potentials is not None
@@ -175,6 +183,8 @@ def _mean_abs_diff(x: np.ndarray, y: np.ndarray) -> float:
     """E|X - Y| over all pairs of two sample sets of shape (n, d)."""
     if x.shape[1] == 1:
         return _mean_abs_diff_1d(x[:, 0], y[:, 0])
+    from scipy.spatial.distance import cdist
+
     return float(cdist(x, y).mean())
 
 

@@ -10,6 +10,14 @@ dataclass's fields, each of the right type, a `delta_max` that is neither
 null nor a number in (0, 1], and tensors that are not the network's raise
 CorruptCheckpointError naming the file and key (exit 3).
 
+Next to each trained stage's `.fck`, `_save_stage` writes `<stage>.jsonl`:
+one JSON object per optimizer step, in step order, holding the step index
+and the fields of its `optim.StepReport` (`predictor.jsonl` holds the MSE
+phase, then the GAN phase). A stage checks that its outputs can be written
+before it trains, and `bench` checks `metrics.csv` before it samples: a
+directory, or a file or folder without write access, in their place raises
+ConfigError (exit 2) naming the path.
+
 Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
 their own RNG stream from the root seed. Each strategy's sessions run on a
 thread pool, since numpy and scipy release the GIL inside their kernels; the
@@ -24,10 +32,11 @@ distance; the timing columns are the only non-deterministic ones in the CSV.
 
 Every strategy's metrics are measured against one reference set, through one
 `ReferenceTerms` holder: the first strategy's 2-D W2 solve is cold and its
-`metric_ms` includes the potentials pass and the reference's energy self
-term, and the later strategies' solves start from those potentials and reuse
-that term (see metrics). Each value equals a call without the holder; the
-holder changes only the time.
+`metric_ms` includes the potentials pass, the reference's energy self term
+and, in a process that has run no 2-D metric yet, the import of scipy's
+solver (about 0.2 s); the later strategies' solves start from those
+potentials and reuse that term (see metrics). Each value equals a call
+without the holder; the holder changes only the time.
 
 The 512-row chunk is a measured memory and locality choice, not a leftover:
 it keeps every step's activations a few hundred kilobytes. Sampling the
@@ -39,6 +48,7 @@ it keeps every step's activations a few hundred kilobytes. Sampling the
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import os
 import time
@@ -60,6 +70,7 @@ from .flow import mean_velocity_sample, sample_data
 from .metrics import ReferenceTerms, energy_distance, w2_distance
 from .nets import (Condition, Predictor, PredictorConfig, VelocityModel,
                    VelocityModelConfig)
+from .optim import StepReport
 
 log = logging.getLogger(__name__)
 
@@ -140,58 +151,82 @@ def _open_stage(path, stage: Stage):
     return ckpt, net
 
 
+def _check_writable(*paths) -> None:
+    """Raise ConfigError naming the first path no output file can be
+    written to: a directory, or a file or folder without write access."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}: permission denied")
+
+
+def _step_log(path) -> Path:
+    return Path(path).with_suffix(".jsonl")
+
+
 def _save_stage(path, stage: Stage, params: ParameterSet, snapshot: dict,
-                parent: Checkpoint | None = None) -> Path:
-    """Write a `stage` checkpoint; its lineage is the loaded `parent`'s."""
+                parent: Checkpoint | None = None,
+                reports: list[StepReport] | None = None) -> Path:
+    """Write a `stage` checkpoint, its lineage the loaded `parent`'s, and
+    the stage's step `reports`, one JSON line each, next to it."""
     ckpt = Checkpoint(stage=stage, params=params, config=snapshot)
     if parent is not None:
         ckpt.parent_stage, ckpt.parent_digest = parent.stage, parent.digest
     save_checkpoint(path, ckpt)
+    if reports is not None:
+        with open(_step_log(path), "w") as fh:
+            for step, report in enumerate(reports):
+                fh.write(json.dumps({"step": step, **asdict(report)}) + "\n")
     return Path(path)
 
 
 def run_train_base(config: ExperimentConfig, out_path) -> Path:
+    _check_writable(out_path, _step_log(out_path))
     model = VelocityModel(config.velocity_config(accepts_r=False,
                                                  accepts_cfg=False))
-    params, _ = flow.train_base(model, config.distribution, config.base_train,
-                                seed=config.seed)
+    params, reports = flow.train_base(model, config.distribution,
+                                      config.base_train, seed=config.seed)
     return _save_stage(out_path, Stage.BASE_FM, params,
-                       {"velocity": asdict(model.config)})
+                       {"velocity": asdict(model.config)}, reports=reports)
 
 
 def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
+    _check_writable(out_path, _step_log(out_path))
     stage = Stage.CFG_DISTILLED
     base, teacher = _open_stage(base_path, EXPECTED_PARENT[stage])
     student = VelocityModel(config.velocity_config(accepts_r=True,
                                                    accepts_cfg=True))
-    params, _ = distill.train_cfg(student, teacher, base.params,
-                                  config.distribution, cfg=config.cfg_distill,
-                                  settings=config.cfg_train, seed=config.seed)
+    params, reports = distill.train_cfg(
+        student, teacher, base.params, config.distribution,
+        cfg=config.cfg_distill, settings=config.cfg_train, seed=config.seed)
     return _save_stage(out_path, stage, params,
                        {"velocity": asdict(student.config),
-                        "cfg": asdict(config.cfg_distill)}, base)
+                        "cfg": asdict(config.cfg_distill)}, base, reports)
 
 
 def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
+    _check_writable(out_path, _step_log(out_path))
     stage = Stage.MEANFLOW
     parent, model = _open_stage(cfg_path, EXPECTED_PARENT[stage])
-    params, _ = distill.train_meanflow(
+    params, reports = distill.train_meanflow(
         model, parent.params, model, parent.params, config.distribution,
         restrict=config.restrict, cfg=config.cfg_distill,
         settings=config.meanflow_train, seed=config.seed)
     return _save_stage(out_path, stage, params,
                        {"velocity": asdict(model.config),
-                        "restrict": asdict(config.restrict)}, parent)
+                        "restrict": asdict(config.restrict)}, parent, reports)
 
 
 def run_train_predictor(config: ExperimentConfig, meanflow_path,
                         out_pred, out_disc) -> tuple[Path, Path]:
+    _check_writable(out_pred, _step_log(out_pred), out_disc)
     parent, backbone = _open_stage(meanflow_path,
                                    EXPECTED_PARENT[Stage.PREDICTOR])
     restrict = _snapshot_entry(meanflow_path, parent, "restrict",
                                distill.RestrictConfig)
     predictor = Predictor(config.predictor, backbone)
-    params, disc, _, _ = predictor_train.train_predictor(
+    params, disc, reports, _ = predictor_train.train_predictor(
         backbone, parent.params, predictor, config.distribution,
         restrict=restrict, cfg=config.predictor_train, seed=config.seed)
     velocity = asdict(backbone.config)
@@ -199,7 +234,7 @@ def run_train_predictor(config: ExperimentConfig, meanflow_path,
                             {"velocity": velocity,
                              "predictor": asdict(config.predictor),
                              "delta_max": config.predictor_train.delta_max},
-                            parent)
+                            parent, reports)
     disc_entries = {**disc.params.entries,
                     **{f"aux.u.{name}": u for name, u in disc.u_state.items()}}
     return pred_path, _save_stage(out_disc, Stage.DISCRIMINATOR,
@@ -389,7 +424,9 @@ def write_samples(out_dir, runs: list[StrategySamples]) -> list[Path]:
 
 def _metrics_header(path: Path) -> list[str]:
     """Header of an existing metrics CSV, [] for a missing or empty file. A
-    file with another header (an older schema) raises ConfigError."""
+    file with another header (an older schema), or a path no file can be
+    written to, raises ConfigError."""
+    _check_writable(path)
     header = []
     if path.exists():
         with open(path, newline="") as fh:

@@ -1,17 +1,22 @@
 """CLI exit codes and outputs: the verify battery, config and checkpoint
-errors, and the files bench and sample write."""
+errors, the files bench and sample write, outputs that cannot be written,
+and what a CLI process loads and pins."""
 
 import csv
+import errno
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowcache import runner, verify
+import flowcache
+from flowcache import cli, distill, flow, predictor_train, runner, verify
 from flowcache.checkpoint import load_checkpoint, save_checkpoint
 from flowcache.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_LINEAGE,
                            EXIT_NUMERIC, EXIT_OK, main)
@@ -90,6 +95,59 @@ def test_numeric_failure_exits_4(tmp_path, capsys):
     assert main(["train-base", "--config", str(config),
                  "--out", str(tmp_path)]) == EXIT_NUMERIC
     assert "non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "base.fck").exists()
+    assert not (tmp_path / "base.jsonl").exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("worked before checking its outputs")
+
+
+# (command, parent it reads, output blocked by a directory, the work that
+#  must not start)
+BLOCKED = {
+    "base": ("train-base", None, "base.fck", (flow, "train_base")),
+    "cfg-log": ("distill-cfg", "base.fck", "cfg.jsonl",
+                (distill, "train_cfg")),
+    "meanflow": ("distill-meanflow", "cfg.fck", "meanflow.fck",
+                 (distill, "train_meanflow")),
+    "discriminator": ("train-predictor", "meanflow.fck", "discriminator.fck",
+                      (predictor_train, "train_predictor")),
+    "metrics": ("bench", "meanflow.fck", "metrics.csv",
+                (runner, "sample_strategies")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED))
+def test_output_that_is_a_directory_exits_2_before_the_work(
+        tmp_path, tiny_pipeline, capsys, monkeypatch, case):
+    command, parent, blocked, (owner, work) = BLOCKED[case]
+    config, root = tiny_pipeline
+    monkeypatch.setattr(owner, work, _no_work)
+    (tmp_path / blocked).mkdir()
+    parents = [] if parent is None else ["--checkpoint", str(root / parent)]
+    assert main([command, "--config", str(config), "--out", str(tmp_path),
+                 *parents]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path / blocked}: it is a directory" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [blocked]
+
+
+def test_failed_output_write_exits_2(tmp_path, tiny_pipeline, capsys,
+                                     monkeypatch):
+    config, _ = tiny_pipeline
+    target = tmp_path / "base.fck"
+
+    def disk_full(path, ckpt):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(runner, "save_checkpoint", disk_full)
+    assert main(["train-base", "--config", str(config),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(target) in err
+    assert "No space left on device" in err
 
 
 def test_pipeline_is_bit_reproducible(tmp_path, tiny_pipeline):
@@ -403,3 +461,84 @@ def test_resealed_snapshot_mismatch_exits_3(tmp_path, tiny_pipeline, capsys,
     assert message in err
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+# Runs the CLI in one fresh interpreter and reports, after each command,
+# its exit code and which of scipy's solver packages the process has loaded,
+# and whether the heap was pinned before the first command and after it.
+FOOTPRINT = """
+import json, sys
+from flowcache.cli import _pin_heap, main
+
+config, root, config_2d, root_2d = sys.argv[1:]
+common = ["--config", config, "--out", root]
+pair = ["--checkpoint", root + "/meanflow.fck",
+        "--checkpoint", root + "/predictor.fck"]
+commands = [
+    ("train-base", ["train-base", *common]),
+    ("distill-cfg", ["distill-cfg", *common, "--checkpoint", root + "/base.fck"]),
+    ("distill-meanflow", ["distill-meanflow", *common,
+                          "--checkpoint", root + "/cfg.fck"]),
+    ("train-predictor", ["train-predictor", *common,
+                         "--checkpoint", root + "/meanflow.fck"]),
+    ("sample", ["sample", *common, *pair]),
+    ("bench", ["bench", *common, *pair]),
+    ("bench-2d", ["bench", "--config", config_2d, "--out", root + "/bench-2d",
+                  "--checkpoint", root_2d + "/meanflow.fck",
+                  "--checkpoint", root_2d + "/predictor.fck"]),
+]
+loaded = {"pinned": [_pin_heap.cache_info().currsize]}
+for name, argv in commands:
+    loaded[name] = [main(argv)] + sorted(
+        m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules)
+    loaded["pinned"].append(_pin_heap.cache_info().currsize)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_2d_metrics_load_the_solver_and_main_pins_the_heap(
+        tmp_path, tiny_pipeline):
+    config_2d, root_2d = tiny_pipeline
+    config = tmp_path / "line.json"
+    config.write_text(json.dumps(
+        {**TINY_CONFIG, "distribution": {"kind": "gaussian1d"}}))
+    src = Path(flowcache.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, str(config), str(tmp_path),
+         str(config_2d), str(root_2d)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    solver = [EXIT_OK, "scipy.optimize", "scipy.spatial"]
+    assert loaded.pop("pinned") == [0] + [1] * 7
+    assert loaded == {**{name: [EXIT_OK] for name in (
+        "train-base", "distill-cfg", "distill-meanflow", "train-predictor",
+        "sample", "bench")}, "bench-2d": solver}
+
+
+class _Mallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_heap_pin_sets_both_thresholds(monkeypatch):
+    libc = type("Libc", (), {"mallopt": _Mallopt()})()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._pin_heap.__wrapped__()
+    assert libc.mallopt.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", [lambda name: object(), _no_libc],
+                         ids=["no-mallopt", "no-libc"])
+def test_heap_pin_is_quiet_without_mallopt(monkeypatch, libc):
+    monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+    assert cli._pin_heap.__wrapped__() is None

@@ -4,10 +4,11 @@ sampling pool's size rule, and outputs that do not depend on the pool."""
 import csv
 import json
 import logging
+import math
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from flowcache.config import load_config
 from flowcache.errors import ContractViolation, NumericFailure
 from flowcache.flow import sample_data
 from flowcache.metrics import energy_distance, w2_distance
+from flowcache.optim import StepReport
 
 from conftest import TINY_CONFIG
 
@@ -36,6 +38,28 @@ def test_stage_files_record_the_parent_they_loaded(tiny_pipeline):
     assert files["discriminator"].config == {
         "velocity": velocity, "scales": [1, 2], "hidden_dim": 4,
         "spectral_norm": True}
+
+
+@pytest.mark.parametrize("stage,steps", [
+    ("base", 2), ("cfg", 2), ("meanflow", 2), ("predictor", 2 + 2)])
+def test_each_stage_writes_one_record_per_step(tiny_pipeline, stage, steps):
+    _, root = tiny_pipeline
+    lines = (root / f"{stage}.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    keys = ["step", *(f.name for f in fields(StepReport))]
+    assert [record["step"] for record in records] == list(range(steps))
+    for record in records:
+        assert list(record) == keys
+        assert math.isfinite(record["loss"]) and record["grad_norm"] >= 0
+        assert (record["interval_mean"] is not None) == (stage == "meanflow")
+    scored = [r["d_real_score"] is not None for r in records]
+    assert scored == ([False, False, True, True] if stage == "predictor"
+                      else [False] * steps)
+
+
+def test_discriminator_has_no_step_log(tiny_pipeline):
+    _, root = tiny_pipeline
+    assert not (root / "discriminator.jsonl").exists()
 
 
 def force_pool(monkeypatch, cores):
