@@ -8,13 +8,17 @@ strategy for the mean velocity. `ScheduleSpec.build` makes every schedule,
 and the config calls it at load. Its mode list is `explicit` when given, else
 the shipped fixture when `fixture` is true, else `warmup_full` FULL steps and
 then blocks of one FULL and N-1 PREDICT steps.
-Every strategy caches into one ring of recent full evaluations: naive reuse
-and the learned predictor keep a ring of one, whatever the schedule length;
-Taylor order m keeps m+1 entries. Naive reuse is the order-0 forecast.
+The cache's whole state is one ring of recent full evaluations, (pair, u)
+entries: naive reuse and the learned predictor keep a ring of one, whatever
+the schedule length; Taylor order m keeps m+1 entries. Naive reuse is the
+order-0 forecast. Every schedule walks `flow.uniform_pairs`, so the ring
+alone gives a forecast its offsets: they are counted in grid steps, the time
+between two entries (or from the newest entry to the query) over the newest
+entry's width. `cached_sample` alone keeps the walk's `NfeReport`.
 
-Taylor forecasting extrapolates the cached history k sub-steps past the
-newest entry. With history values F0 (newest), F1, F2, ... spaced N steps
-apart and s = k/N, the forecast is the Newton extrapolation
+Taylor forecasting extrapolates the cached history k steps past the newest
+entry. With history values F0 (newest), F1, F2, ... spaced N steps apart
+and s = k/N, the forecast is the Newton extrapolation
 
     F0 + sum_{i>=1} C(-s, i) * D^i,   D^i the i-th difference of [F0, F1, ...],
 
@@ -22,7 +26,9 @@ which is exact for histories polynomial in the step index (order m uses m+1
 entries). At m=1 this is exactly F + (DF / N) * (-k), the first-order
 cache-then-forecast rule; at m=0 it degenerates to naive reuse bit-for-bit.
 Plain Taylor coefficients 1/(i! N^i) on raw differences lose polynomial
-exactness at i >= 2, which is why the binomial form is used.
+exactness at i >= 2, which is why the binomial form is used. N is the newest
+gap, and the order falls to the number of trailing gaps equal to N, so a
+warm-up ring or a change of spacing forecasts at the order it supports.
 
 The shipped 20-step fixtures reproduce the (N, full, predict) budget splits
 (4, 8, 12), (3, 11, 9), (2, 13, 7); exact placement of the FULL steps is one
@@ -151,7 +157,8 @@ class ScheduleSpec:
 
 @dataclass
 class NfeReport:
-    """Evaluation counts of one cached walk. `out_of_horizon` counts the
+    """Evaluation counts of one cached walk, written by `cached_sample`
+    alone: full and predicted evaluations, the ring's peak bytes, and the
     learned predictions queried farther from the cache's origin than the
     predictor's trained horizon (delta_max)."""
 
@@ -160,22 +167,16 @@ class NfeReport:
     cache_bytes_peak: int = 0
     out_of_horizon: int = 0
 
-    def observe_bytes(self, n: int):
-        self.cache_bytes_peak = max(self.cache_bytes_peak, n)
-
 
 class CacheState:
     """A ring of the most recent full evaluations, (pair, u) entries with the
-    newest last and t strictly decreasing. Order m keeps m+1 entries."""
+    newest last and t strictly decreasing; empty before the first. Order m
+    keeps m+1 entries."""
 
     def __init__(self, order: int = 0):
         if order < 0:
             raise ContractViolation("cache order must be >= 0")
         self.history: deque[tuple[TimePair, Array]] = deque(maxlen=order + 1)
-
-    @property
-    def initialized(self) -> bool:
-        return len(self.history) > 0
 
     @property
     def value(self) -> Array | None:
@@ -190,67 +191,61 @@ class CacheState:
 
 
 def cache_init(model: VelocityModel, params: ParameterSet, x_t, pair: TimePair,
-               cond: Condition, state: CacheState,
-               report: NfeReport | None = None) -> Array:
+               cond: Condition, state: CacheState) -> Array:
     """One full backbone evaluation, appended to the ring as its newest
     entry; returns the velocity."""
     u = as_f64(value_of(model.forward(params.entries, x_t, pair.t, pair.r, cond)))
     if not np.all(np.isfinite(u)):
         raise NumericFailure("backbone produced non-finite velocity at cache refresh")
-    if state.initialized and not pair.t < state.origin.t:
+    if state.history and not pair.t < state.origin.t:
         raise ContractViolation("history must have strictly decreasing t")
     state.history.append((pair, u))
-    if report is not None:
-        report.full_evals += 1
-        report.observe_bytes(state.bytes_held())
     return u
 
 
-def taylor_forecast(state: CacheState, k: int, N: int, m: int) -> Array:
-    """Forecast k sub-steps past the newest history entry (spacing N).
+def taylor_forecast(state: CacheState, pair: TimePair, m: int) -> Array:
+    """Forecast the velocity at `pair` from the ring alone.
 
-    Falls back to the highest order the history supports (warm-up
-    behavior); m=0 is naive reuse and returns the cached value itself.
+    The query's offset k and the gaps between entries are counted in grid
+    steps of the newest entry's width. N is the newest gap, and the order is
+    min(m, the number of trailing gaps equal to N): a ring of one entry, or
+    one whose gaps differ, forecasts at a lower order. m=0 is naive reuse
+    and returns the cached value itself.
     """
-    if k < 1:
-        raise ContractViolation("forecast offset k must be >= 1")
-    if N < 1:
-        raise ContractViolation("history spacing N must be >= 1")
     if m < 0:
         raise ContractViolation("taylor order m must be >= 0")
-    if not state.initialized:
+    if not state.history:
         raise CacheMissError("forecast before cache initialization")
-    newest_first = [v for _, v in reversed(state.history)]
-    m_eff = min(m, len(newest_first) - 1)
+    newest, width = state.origin, state.origin.interval
+    if width <= 0.0:
+        raise ContractViolation(f"cache entry t={newest.t} has zero width")
+    k = round((newest.t - pair.t) / width)
+    if k < 1:
+        raise ContractViolation(f"forecast query t={pair.t} is not past the "
+                                f"newest cache entry t={newest.t}")
+    newest_first = list(reversed(state.history))
+    gaps = [round((older.t - newer.t) / width) for (newer, _), (older, _)
+            in zip(newest_first[:-1], newest_first[1:])]
+    n = gaps[0] if gaps else 1
+    order = 0
+    while order < min(m, len(gaps)) and gaps[order] == n:
+        order += 1
     # iterated differences of [F0, F1, ...] (newest first)
-    diffs = [newest_first[0]]
-    level = newest_first
-    for _ in range(m_eff):
+    level = [u for _, u in newest_first[:order + 1]]
+    s, out, coef = k / n, level[0], 1.0
+    for i in range(1, order + 1):
         level = [b - a for a, b in zip(level[:-1], level[1:])]
-        diffs.append(level[0])
-    if m_eff == 0:
-        return diffs[0]
-    s = k / N
-    out = diffs[0]
-    coef = 1.0
-    for i in range(1, m_eff + 1):
         coef *= (-s - (i - 1)) / i  # binomial C(-s, i), built incrementally
-        out = out + coef * diffs[i]
+        out = out + coef * level[0]
     return out
 
 
 def learned_predict(predictor: Predictor, params: ParameterSet,
-                    state: CacheState, x, pair: TimePair, cond: Condition,
-                    delta_max: float | None = None,
-                    report: NfeReport | None = None) -> Array:
-    """Predictor evaluation against the cache; out-of-horizon queries (pair
-    farther than delta_max from the origin) are counted in the report, not
-    rejected."""
-    if not state.initialized:
+                    state: CacheState, x, pair: TimePair,
+                    cond: Condition) -> Array:
+    """The predictor's velocity at `pair` from the newest cached value."""
+    if not state.history:
         raise CacheMissError("learned prediction before cache initialization")
-    if (delta_max is not None and report is not None
-            and state.origin.t - pair.t > delta_max + 1e-12):
-        report.out_of_horizon += 1
     return as_f64(value_of(predictor.forward(params.entries, state.value, x,
                                              pair.t, pair.r, cond)))
 
@@ -267,13 +262,12 @@ def cached_sample(model: VelocityModel, params: ParameterSet,
                   taylor_order: int = 1,
                   delta_max: float | None = None) -> tuple[Array, NfeReport]:
     """Walk the schedule with mean-velocity steps; FULL steps refresh the
-    cache, PREDICT steps consult the strategy. Returns (x0, NfeReport).
+    cache, PREDICT steps consult the strategy. Returns (x0, NfeReport), the
+    report counted here and nowhere else.
 
-    Naive reuse is the Taylor forecast of order 0. Taylor differences are
-    scaled by the spacing actually observed between the full evaluations
-    feeding them (equal to the schedule's N on uniform schedules); on locally
-    non-uniform history the order falls back so the extrapolation stays
-    well-scaled.
+    Naive reuse is the Taylor forecast of order 0. A learned prediction
+    queried more than delta_max past the cache's origin is counted in
+    `out_of_horizon`, not rejected.
     """
     if strategy is Strategy.LEARNED and (predictor is None or predictor_params is None):
         raise ContractViolation("LEARNED strategy requires a predictor and its parameters")
@@ -282,38 +276,21 @@ def cached_sample(model: VelocityModel, params: ParameterSet,
     state = CacheState(order)
     report = NfeReport()
     x = as_f64(x1)
-    full_indices: list[int] = []
-    for idx, (pair, mode) in enumerate(zip(schedule.pairs, schedule.modes)):
+    for pair, mode in zip(schedule.pairs, schedule.modes):
         if mode is StepMode.FULL:
-            u = cache_init(model, params, x, pair, cond, state, report)
-            full_indices.append(idx)
+            u = cache_init(model, params, x, pair, cond, state)
+            report.full_evals += 1
+            report.cache_bytes_peak = max(report.cache_bytes_peak,
+                                          state.bytes_held())
         else:
-            if strategy is Strategy.LEARNED:
-                u = learned_predict(predictor, predictor_params, state, x,
-                                    pair, cond, delta_max, report)
+            if strategy is not Strategy.LEARNED:
+                u = taylor_forecast(state, pair, order)
             else:
-                n_eff, usable = _history_spacing(full_indices)
-                u = taylor_forecast(state, idx - full_indices[-1], n_eff,
-                                    min(order, usable))
+                if (delta_max is not None
+                        and state.origin.t - pair.t > delta_max + 1e-12):
+                    report.out_of_horizon += 1
+                u = learned_predict(predictor, predictor_params, state, x,
+                                    pair, cond)
             report.predictor_evals += 1
         x = mean_velocity_step(x, pair, u)
-    if report.full_evals + report.predictor_evals != schedule.total_steps:
-        raise ContractViolation(
-            f"NFE accounting broken: {report.full_evals} full + "
-            f"{report.predictor_evals} predicted != {schedule.total_steps} steps")
     return x, report
-
-
-def _history_spacing(full_indices: list[int]) -> tuple[int, int]:
-    """Effective spacing of the most recent full evaluations and the number
-    of difference orders with that uniform spacing."""
-    if len(full_indices) < 2:
-        return 1, 0
-    gaps = [b - a for a, b in zip(full_indices[:-1], full_indices[1:])]
-    n_eff = gaps[-1]
-    usable = 0
-    for gap in reversed(gaps):
-        if gap != n_eff:
-            break
-        usable += 1
-    return n_eff, usable

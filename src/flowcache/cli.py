@@ -159,8 +159,8 @@ def _dispatch(args) -> int:
         meanflow = args.checkpoint[0]
         predictor = args.checkpoint[1] if len(args.checkpoint) > 1 else None
         if args.command == "sample":
-            runs = runner.sample_strategies(config, meanflow, predictor)
-            for run, path in zip(runs, runner.write_samples(args.out, runs)):
+            for run, path in runner.run_sample(config, meanflow, predictor,
+                                               out_dir=args.out):
                 print(f"{run.run_id}: "
                       f"nfe={run.full_evals}+{run.predictor_evals} "
                       f"cache_bytes={run.cache_bytes_peak} wrote {path}")

@@ -11,7 +11,8 @@ Every value is checked against its field's annotation:
 
 - a bool comes only from true or false;
 - an int only from an integral number, never from true or false;
-- a float from a number, or from a string that parses as one;
+- a float from a number, or from a string that parses as one, and only
+  if it is finite (NaN, inf and 1e999 are refused);
 - a str only from a string;
 - a tuple only from a list, each item checked against the item type;
 - a `| None` annotation also admits null.
@@ -32,6 +33,7 @@ applies gives the step modes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -155,7 +157,8 @@ def _as_int(value) -> int:
 
 
 def _as_float(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+            or not math.isfinite(float(value))):
         raise ValueError
     return float(value)
 
@@ -167,7 +170,7 @@ def _as_str(value) -> str:
 
 
 _SCALARS = {bool: ("true or false", _as_bool), int: ("an integer", _as_int),
-            float: ("a number", _as_float), str: ("a string", _as_str)}
+            float: ("a finite number", _as_float), str: ("a string", _as_str)}
 
 
 def _value_reader(hint):

@@ -1,10 +1,7 @@
 """Adam with its learning-rate schedule, gradient clipping, spectral
 normalization, and the settings of one training loop.
 
-Every training stage steps through `descend`. `OptimizerState` keeps the
-last step's gradients until the next step: freed inside the step, their
-pages go back to the OS and the next step faults them in again, costing
-about ten times the minor faults and 7-11% of training throughput.
+Every training stage steps through `descend`.
 
 The cosine learning-rate schedule lives in `OptimizerState`: it holds the
 peak rate, the final rate and the iteration count, and `adam_step` takes
@@ -69,9 +66,9 @@ def cosine_lr(lr0: float, lr1: float, it: int, total: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter first/second moments, the learning-rate schedule and
-    the last step's gradients: step k runs at cosine_lr(lr, lr_final, k,
-    iters), or at lr when lr_final is None."""
+    """Per-parameter first/second moments and the learning-rate schedule:
+    step k runs at cosine_lr(lr, lr_final, k, iters), or at lr when lr_final
+    is None."""
 
     first_moment: dict[str, Array]
     second_moment: dict[str, Array]
@@ -79,7 +76,6 @@ class OptimizerState:
     lr_final: float | None = None
     iters: int = 1
     step_count: int = 0
-    last_grads: dict[str, Array] | None = None
 
     @classmethod
     def init(cls, params: ParameterSet, lr: float, lr_final: float | None = None,
@@ -160,7 +156,7 @@ def descend(params: ParameterSet, leaves: dict[str, Node], loss: Node,
             opt: OptimizerState, clip: float | None = None) -> StepReport:
     """One step on `loss` over `leaves`, lifted from `params`; gradients
     over a global norm of `clip` are scaled in place down to it."""
-    grads = opt.last_grads = ad.param_grads(loss, leaves)
+    grads = ad.param_grads(loss, leaves)
     norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if clip is not None and norm > clip:
         for g in grads.values():

@@ -14,7 +14,8 @@ Next to each trained stage's `.fck`, `_save_stage` writes `<stage>.jsonl`:
 one JSON object per optimizer step, in step order, holding the step index
 and the fields of its `optim.StepReport` (`predictor.jsonl` holds the MSE
 phase, then the GAN phase). A stage checks that its outputs can be written
-before it trains, and `bench` checks `metrics.csv` before it samples: a
+before it trains, and `sample` and `bench` check theirs (`metrics.csv`, and
+the `sample_paths` files when they write samples) before they sample: a
 directory, or a file or folder without write access, in their place raises
 ConfigError (exit 2) naming the path.
 
@@ -345,17 +346,14 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
     predictor's trained horizon logs one warning with their count."""
     model, params, predictor, pparams, delta_max = load_sampler(
         meanflow_path, predictor_path)
-    for name in config.strategies:
-        if name == "learned" and predictor is None:
-            raise ConfigError("strategy 'learned' needs a predictor checkpoint")
+    if "learned" in config.strategies and predictor is None:
+        raise ConfigError("strategy 'learned' needs a predictor checkpoint")
     schedule = config.schedule.build()
     keys = _session_keys(config)
-    tag = (f"{config.seed}:{config.distribution.kind}:"
-           f"s{schedule.total_steps}n{schedule.max_interval}")
 
     runs = []
     with ThreadPoolExecutor(max_workers=_pool_size(len(keys))) as pool:
-        for name in config.strategies:
+        for name, run_id in zip(config.strategies, _run_ids(config)):
             t0 = time.perf_counter()
             results = list(pool.map(
                 lambda key: _run_session(name, key, model, params, predictor,
@@ -376,7 +374,7 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                             "horizon %.4f", name, past,
                             predictor_evals * len(results), delta_max)
             runs.append(StrategySamples(
-                run_id=f"{tag}:{name}", strategy=name,
+                run_id=run_id, strategy=name,
                 samples=np.concatenate([out for out, _ in results], axis=0),
                 full_evals=full_evals, predictor_evals=predictor_evals,
                 cache_bytes_peak=max(rep.cache_bytes_peak for rep in reports),
@@ -391,6 +389,8 @@ def run_experiment(config: ExperimentConfig, meanflow_path,
     metrics.csv of another schema is refused before any sampling."""
     out_dir = Path(out_dir)
     _metrics_header(out_dir / "metrics.csv")
+    if config.emit_samples:
+        _check_writable(*sample_paths(config, out_dir))
     runs = sample_strategies(config, meanflow_path, predictor_path)
     reference = sample_data(config.distribution, config.metric_samples,
                             config.metric_seed)
@@ -408,17 +408,42 @@ def run_experiment(config: ExperimentConfig, meanflow_path,
             metric_ms=(time.perf_counter() - t0) * 1e3))
     append_metrics(out_dir / "metrics.csv", records)
     if config.emit_samples:
-        write_samples(out_dir, runs)
+        write_samples(config, out_dir, runs)
     return records
 
 
-def write_samples(out_dir, runs: list[StrategySamples]) -> list[Path]:
-    """Dump each run's samples to samples-<run_id>.csv in out_dir."""
-    paths = []
-    for run in runs:
-        path = Path(out_dir) / f"samples-{run.run_id.replace(':', '-')}.csv"
-        dump_samples(path, run.samples)
-        paths.append(path)
+def run_sample(config: ExperimentConfig, meanflow_path, predictor_path=None,
+               *, out_dir) -> list[tuple[StrategySamples, Path]]:
+    """Sample every configured strategy into its `sample_paths` file in the
+    existing directory out_dir; every file is checked before any sampling."""
+    _check_writable(*sample_paths(config, out_dir))
+    runs = sample_strategies(config, meanflow_path, predictor_path)
+    return list(zip(runs, write_samples(config, out_dir, runs)))
+
+
+def _run_ids(config: ExperimentConfig) -> list[str]:
+    """Each configured strategy's seed:distribution:schedule:strategy."""
+    spec, kind = config.schedule, config.distribution.kind
+    return [f"{config.seed}:{kind}:s{spec.total_steps}n{spec.max_interval}:"
+            f"{name}" for name in config.strategies]
+
+
+def sample_paths(config: ExperimentConfig, out_dir) -> list[Path]:
+    """Each configured strategy's samples-<run_id>.csv in out_dir."""
+    return [Path(out_dir) / f"samples-{run_id.replace(':', '-')}.csv"
+            for run_id in _run_ids(config)]
+
+
+def write_samples(config: ExperimentConfig, out_dir,
+                  runs: list[StrategySamples]) -> list[Path]:
+    """Each run's samples, drawn under `config`, as a CSV at its
+    `sample_paths` file: a header x0, x1, ... and one row per sample."""
+    paths = sample_paths(config, out_dir)
+    for run, path in zip(runs, paths, strict=True):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{i}" for i in range(run.samples.shape[1])])
+            writer.writerows([_cell(v) for v in row] for row in run.samples)
     return paths
 
 
@@ -450,12 +475,3 @@ def append_metrics(path, records: list[MetricsRecord]):
             writer.writerow(METRICS_COLUMNS)
         for rec in records:
             writer.writerow(rec.row())
-
-
-def dump_samples(path, samples: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(samples.shape[1])])
-        for row in samples:
-            writer.writerow([_cell(v) for v in row])
-

@@ -16,9 +16,8 @@ from . import autodiff as ad
 from .cache import CacheState, ScheduleSpec, taylor_forecast
 from .checkpoint import Checkpoint, Stage, load_checkpoint, save_checkpoint
 from .distill import RestrictConfig, sample_t_r
-from .flow import (TimePair, analytic_gaussian_velocity,
-                   analytic_mean_velocity, mean_velocity_step,
-                   squared_error_loss, uniform_pairs)
+from .flow import (analytic_gaussian_velocity, analytic_mean_velocity,
+                   mean_velocity_step, squared_error_loss, uniform_pairs)
 from .metrics import ReferenceTerms, w2_distance
 from .nets import Condition, VelocityModel, VelocityModelConfig
 
@@ -105,26 +104,30 @@ def check_restricted_sampling(seed: int) -> tuple[bool, str]:
 
 def check_taylor_exactness(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
+    pairs = uniform_pairs(20)
+
+    def ring(steps, poly):  # a full ring of polynomial values at grid steps
+        state = CacheState(len(steps) - 1)
+        for j in steps:
+            state.history.append((pairs[j], np.polyval(poly, [pairs[j].t])))
+        return state
+
     worst = 0.0
     for m in (0, 1, 2):
         coeffs = rng.standard_normal(m + 1)
-        grid = [1.0 - j / 20 for j in range(21)]
-        state = CacheState(m)
-        for j in range(0, 2 * (m + 1), 2):
-            value = np.array([sum(c * grid[j] ** i for i, c in enumerate(coeffs))])
-            state.history.append((TimePair(grid[j], grid[j + 1]), value))
-        newest_j = 2 * m
-        for k in (1, 2):
-            want = sum(c * grid[newest_j + k] ** i for i, c in enumerate(coeffs))
-            got = float(taylor_forecast(state, k, 2, m)[0])
-            worst = max(worst, abs(got - want))
-    ok = worst < 1e-9
-    state0 = CacheState(1)
-    state0.history.append((TimePair(0.9, 0.8), np.array([1.5])))
-    state0.history.append((TimePair(0.7, 0.6), np.array([3.7])))
-    reuse = taylor_forecast(state0, 1, 2, 0) is state0.value
-    return ok and reuse, (f"polynomial forecast error {worst:.1e}; "
-                          f"m=0 returns the cached value: {reuse}")
+        state = ring(range(0, 2 * m + 1, 2), coeffs)
+        for j in (2 * m + 1, 2 * m + 2):
+            got = taylor_forecast(state, pairs[j], m)[0]
+            worst = max(worst, abs(got - np.polyval(coeffs, pairs[j].t)))
+    # gaps 1 then 2 (newest last): order 2 falls to the newest gap's order 1
+    coeffs = rng.standard_normal(3)
+    falls = (taylor_forecast(ring((0, 1, 3), coeffs), pairs[4], 2).tobytes()
+             == taylor_forecast(ring((1, 3), coeffs), pairs[4], 1).tobytes())
+    state0 = ring((0, 2), (1.5, 2.2))
+    reuse = taylor_forecast(state0, pairs[3], 0) is state0.value
+    return worst < 1e-9 and falls and reuse, (
+        f"polynomial forecast error {worst:.1e}; mixed gaps fall to order 1: "
+        f"{falls}; m=0 returns the cached value: {reuse}")
 
 
 def check_schedule_counts(_seed: int) -> tuple[bool, str]:

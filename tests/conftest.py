@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flowcache import autodiff as ad
+from flowcache import optim
 from flowcache.cli import main
 
 
@@ -15,6 +16,20 @@ def rel_err(a, b, floor=1e-12):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def descended_grads(monkeypatch) -> list:
+    """A list that collects the gradients of every `optim.adam_step` call,
+    as the step receives them."""
+    seen = []
+    step = optim.adam_step
+
+    def spy(params, grads, state):
+        seen.append({name: g.copy() for name, g in grads.items()})
+        return step(params, grads, state)
+
+    monkeypatch.setattr(optim, "adam_step", spy)
+    return seen
 
 
 def fd_grad(f, x, h=1e-5):

@@ -115,6 +115,9 @@ BLOCKED = {
                       (predictor_train, "train_predictor")),
     "metrics": ("bench", "meanflow.fck", "metrics.csv",
                 (runner, "sample_strategies")),
+    "sample": ("sample", "meanflow.fck",
+               "samples-0-checkerboard-s20n2-none.csv",
+               (runner, "sample_strategies")),
 }
 
 
@@ -341,6 +344,22 @@ def test_bench_emit_samples_matches_sample(tmp_path, tiny_pipeline):
         assert (bench / name).read_bytes() == (sample / name).read_bytes()
 
 
+def test_bench_checks_its_sample_files_before_sampling(
+        tmp_path, tiny_pipeline, capsys, monkeypatch):
+    config, root = tiny_pipeline
+    emitting = tmp_path / "emit.json"
+    emitting.write_text(json.dumps({**TINY_CONFIG, "emit_samples": True}))
+    monkeypatch.setattr(runner, "sample_strategies", _no_work)
+    out = tmp_path / "out"
+    blocked = out / "samples-0-checkerboard-s20n2-taylor.csv"
+    blocked.mkdir(parents=True)
+    assert main(["bench", "--config", str(emitting), "--out", str(out),
+                 *checkpoint_args(root)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot write {blocked}: it is a directory" in err
+    assert [p.name for p in out.iterdir()] == [blocked.name]
+
+
 def _pop_entry(key):
     return lambda ckpt: ckpt.config.pop(key)
 
@@ -392,7 +411,12 @@ RESEALED = {
                          "snapshot entry 'restrict' is missing"),
     "restrict-wrong-type": ("train-predictor", "meanflow.fck",
                             _set_field("restrict", "restrict_factor", True),
-                            "'restrict': restrict_factor must be a number"),
+                            "'restrict': restrict_factor must be a finite "
+                            "number"),
+    "restrict-nan": ("train-predictor", "meanflow.fck",
+                     _set_field("restrict", "restrict_factor", float("nan")),
+                     "'restrict': restrict_factor must be a finite number, "
+                     "got nan"),
     "predictor-missing": ("bench", "predictor.fck", _pop_entry("predictor"),
                           "snapshot entry 'predictor' is missing"),
     "predictor-unknown-field": ("bench", "predictor.fck",
@@ -422,10 +446,14 @@ RESEALED = {
     "delta-max-string": ("sample", "predictor.fck",
                          _set_entry("delta_max", "x"),
                          "snapshot entry 'delta_max': delta_max must be a "
-                         "number, got 'x'"),
+                         "finite number, got 'x'"),
+    "delta-max-inf": ("bench", "predictor.fck",
+                      _set_entry("delta_max", float("inf")),
+                      "snapshot entry 'delta_max': delta_max must be a "
+                      "finite number, got inf"),
     "delta-max-bool": ("bench", "predictor.fck", _set_entry("delta_max", True),
                        "snapshot entry 'delta_max': delta_max must be a "
-                       "number, got True"),
+                       "finite number, got True"),
     "delta-max-negative": ("sample", "predictor.fck",
                            _set_entry("delta_max", -1),
                            "snapshot entry 'delta_max': delta_max must lie "

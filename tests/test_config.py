@@ -29,6 +29,10 @@ BAD_CONFIGS = {
     "workers": {"workers": 1},
     "lr_final": {"meanflow": {"lr_final": "abc"}},
     "grad_clip": {"meanflow": {"grad_clip": "abc"}},
+    # a float must be finite
+    "lambda_adv_nan": {"predictor": {"lambda_adv": float("nan")}},
+    "lr_overflow": {"base_train": {"lr": 1e999}},
+    "grad_clip_inf_string": {"meanflow": {"grad_clip": "inf"}},
     # one case per training-settings rule
     "iters_negative": {"meanflow": {"iters": -1}},
     "batch_size_zero": {"base_train": {"batch_size": 0}},
@@ -99,6 +103,11 @@ NAMED = {
     "explicit_null_item": "'schedule': explicit must be a list of items each "
                           "a string, or null, got ['full', None]",
     "lr_from_bool": "'base_train': lr",
+    "lambda_adv_nan": "'predictor': lambda_adv must be a finite number, "
+                      "got nan",
+    "lr_overflow": "'base_train': lr must be a finite number, got inf",
+    "grad_clip_inf_string": "'meanflow': grad_clip must be a finite number, "
+                            "or null, got 'inf'",
     "iters_null": "'base_train': iters",
     "strategies_from_string": "strategies",
     "strategy_item_not_string": "strategies",

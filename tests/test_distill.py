@@ -16,7 +16,7 @@ from flowcache.nets import Condition, VelocityModel, VelocityModelConfig
 from flowcache.optim import (OptimizerState, StepReport, TrainSettings,
                              cosine_lr)
 
-from conftest import fd_grad, rel_err
+from conftest import descended_grads, fd_grad, rel_err
 
 
 class ScriptedRng:
@@ -398,7 +398,7 @@ def normwise_rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def test_step_matches_per_group_scalar_reference(rng):
+def test_step_matches_per_group_scalar_reference(rng, monkeypatch):
     teacher, tparams, student, sparams = group_models(rng)
     groups = step_groups(rng, [TimePair(0.8, 0.65), TimePair(0.4, 0.4),
                                TimePair(0.3, 0.12), TimePair(0.95, 0.9)])
@@ -415,10 +415,11 @@ def test_step_matches_per_group_scalar_reference(rng):
     ref_grads = ad.param_grads(ref_loss, leaves)
 
     opt = OptimizerState.init(sparams, lr=1e-3)
+    descended = descended_grads(monkeypatch)
     rep = distill.meanflow_distill_step(
         student, sparams, teacher, tparams, groups, RestrictConfig(0.2), opt,
         clip=None)
-    seen = opt.last_grads  # the gradients the step descended
+    (seen,) = descended
     assert abs(rep.loss - float(ref_loss.value)) < 1e-12 * abs(rep.loss)
     assert set(seen) == set(ref_grads)
     for name, g in ref_grads.items():

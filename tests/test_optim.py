@@ -14,6 +14,8 @@ from flowcache.errors import ContractViolation, NumericFailure
 from flowcache.optim import (OptimizerState, adam_step, cosine_lr, descend,
                              spectral_normalize)
 
+from conftest import descended_grads
+
 
 def reference_adam(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     """Independent scalar Adam, straight from the published update rules."""
@@ -98,20 +100,24 @@ def test_scheduled_rate_follows_cosine_lr(lr_final):
         assert cosine_lr(lr, lr_final, iters - 1, iters) == lr_final
 
 
-def linear_step(coefs, clip):
-    """`descend` on the loss sum(c * w) from w = 0: the gradient is coefs."""
+def linear_step(coefs, clip, monkeypatch):
+    """`descend` on the loss sum(c * w) from w = 0: the gradient is coefs.
+    Returns the step's report and the gradients it descended."""
     params = ad.ParameterSet({k: np.array([0.0]) for k in coefs})
     leaves = params.lift()
     loss = ad.sum_(ad.concat([ad.mul(leaves[k], c) for k, c in coefs.items()]))
     opt = OptimizerState.init(params, lr=0.1)
-    return descend(params, leaves, loss, opt, clip), opt.last_grads
+    seen = descended_grads(monkeypatch)
+    report = descend(params, leaves, loss, opt, clip)
+    (grads,) = seen
+    return report, grads
 
 
-def test_clip_grad_norm():
-    report, grads = linear_step({"a": 3.0, "b": 4.0}, clip=1.0)
+def test_clip_grad_norm(monkeypatch):
+    report, grads = linear_step({"a": 3.0, "b": 4.0}, 1.0, monkeypatch)
     assert abs(report.grad_norm - 5.0) < 1e-12
     assert abs(np.sqrt(grads["a"] ** 2 + grads["b"] ** 2) - 1.0) < 1e-12
-    report2, grads2 = linear_step({"a": 0.3}, clip=1.0)
+    report2, grads2 = linear_step({"a": 0.3}, 1.0, monkeypatch)
     assert abs(report2.grad_norm - 0.3) < 1e-12
     assert np.array_equal(grads2["a"], np.array([0.3]))
 
