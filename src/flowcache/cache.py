@@ -4,10 +4,14 @@ predictor) with exact evaluation and memory accounting.
 
 A schedule is a list of step modes on the uniform grid from t=1 down to 0;
 FULL steps run the backbone and refresh the cache, PREDICT steps ask the
-strategy for the mean velocity. `ScheduleSpec.build` makes every schedule,
-and the config calls it at load. Its mode list is `explicit` when given, else
-the shipped fixture when `fixture` is true, else `warmup_full` FULL steps and
-then blocks of one FULL and N-1 PREDICT steps.
+strategy for the mean velocity. `ScheduleSpec` is the one schedule type: it
+is the config's `schedule` section, and `cached_sample` walks it. Its modes
+are worked out and checked once, when the spec is made (so at config load).
+They are `explicit` when given, else the `FIXTURE_MODES` row keyed by
+(total_steps, max_interval) when `fixture` is true, else `warmup_full` FULL
+steps and then blocks of one FULL and N-1 PREDICT steps. `warmup_full` shapes
+only that last pattern, so a spec that sets it with a fixture or an explicit
+list is refused.
 The cache's whole state is one ring of recent full evaluations, (pair, u)
 entries: naive reuse and the learned predictor keep a ring of one, whatever
 the schedule length; Taylor order m keeps m+1 entries. Naive reuse is the
@@ -33,11 +37,13 @@ warm-up ring or a change of spacing forecasts at the order it supports.
 The shipped 20-step fixtures reproduce the (N, full, predict) budget splits
 (4, 8, 12), (3, 11, 9), (2, 13, 7); exact placement of the FULL steps is one
 valid choice (prediction runs first, trailing steps full), documented here
-because only the counts are externally pinned.
+because only the counts are externally pinned. Another grid's fixture is one
+more `FIXTURE_MODES` row.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -67,63 +73,35 @@ class Strategy(Enum):
 # Schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step modes on `flow.uniform_pairs(len(modes))`: the first is FULL,
-    and no run of PREDICT steps is longer than N-1."""
-
-    modes: tuple[StepMode, ...]
-    max_interval: int  # N
-
-    def __post_init__(self):
-        if not self.modes or self.modes[0] is not StepMode.FULL:
-            raise ContractViolation("the first step must be full")
-        run = 0
-        for i, mode in enumerate(self.modes):
-            run = run + 1 if mode is StepMode.PREDICT else 0
-            if run > self.max_interval - 1:
-                raise ContractViolation(
-                    f"a run of predict steps exceeds max_interval - 1 "
-                    f"({self.max_interval - 1}) at index {i}")
-
-    @property
-    def pairs(self) -> list[TimePair]:
-        return uniform_pairs(len(self.modes))
-
-    @property
-    def total_steps(self) -> int:
-        return len(self.modes)
-
-    def mode_counts(self) -> tuple[int, int]:
-        full = self.modes.count(StepMode.FULL)
-        return full, len(self.modes) - full
-
-
-# 20-step fixtures matching the published full/predict budget splits.
-# Placement: alternation first, trailing FULL run (one valid choice).
-FIXTURE_MODES_20: dict[int, list[str]] = {
-    4: ["full"] * 4 + (["full"] + ["predict"] * 3) * 4,
-    3: (["full", "predict", "predict"] * 3
-        + ["full", "predict"] * 3 + ["full"] * 5),
-    2: ["full", "predict"] * 7 + ["full"] * 6,
+# Shipped fixtures, keyed by (total_steps, max_interval N). The 20-step rows
+# match the published full/predict budget splits. Placement: alternation
+# first, trailing FULL run (one valid choice).
+FIXTURE_MODES: dict[tuple[int, int], list[str]] = {
+    (20, 4): ["full"] * 4 + (["full"] + ["predict"] * 3) * 4,
+    (20, 3): (["full", "predict", "predict"] * 3
+              + ["full", "predict"] * 3 + ["full"] * 5),
+    (20, 2): ["full", "predict"] * 7 + ["full"] * 6,
 }
 
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """The config's `schedule` section; it builds its schedule when it is
-    made, so the config checks it at load."""
+    """The config's `schedule` section and the schedule the walker walks:
+    step modes on `flow.uniform_pairs(total_steps)`. The modes are worked
+    out and checked when the spec is made: the first is FULL, and no run of
+    PREDICT steps is longer than N-1."""
 
     total_steps: int = 20
-    max_interval: int = 2
+    max_interval: int = 2  # N
     warmup_full: int = 0
     fixture: bool = True
     explicit: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.build()
+        self.modes  # works out and checks the modes, once
 
-    def build(self) -> StepSchedule:
+    @functools.cached_property
+    def modes(self) -> tuple[StepMode, ...]:
         total, n, warmup = self.total_steps, self.max_interval, self.warmup_full
         if total < 1 or n < 1:
             raise ContractViolation(f"total_steps and max_interval must be "
@@ -131,14 +109,19 @@ class ScheduleSpec:
         if not 0 <= warmup < total:
             raise ContractViolation(
                 f"warmup_full must lie in [0, total_steps), got {warmup}")
+        if warmup and (self.fixture or self.explicit is not None):
+            raise ContractViolation(
+                f"warmup_full {warmup} applies only to the pattern: set "
+                f"fixture to false and explicit to null")
         if self.explicit is not None:
             names = self.explicit
         elif self.fixture:
-            if total != 20 or n not in FIXTURE_MODES_20:
+            if (total, n) not in FIXTURE_MODES:
                 raise ContractViolation(
                     f"no shipped fixture for total_steps {total}, max_interval "
-                    f"{n}: the fixtures have 20 steps and N = 2, 3 or 4")
-            names = FIXTURE_MODES_20[n]
+                    f"{n}: the fixtures are (total_steps, max_interval) "
+                    f"{sorted(FIXTURE_MODES)}")
+            names = FIXTURE_MODES[total, n]
         else:
             names = ["full" if j < warmup or (j - warmup) % n == 0
                      else "predict" for j in range(total)]
@@ -148,7 +131,25 @@ class ScheduleSpec:
         for i, name in enumerate(names):
             if name.lower() not in ("full", "predict"):
                 raise ContractViolation(f"explicit: bad mode {name!r} at index {i}")
-        return StepSchedule(tuple(StepMode(name.lower()) for name in names), n)
+        modes = tuple(StepMode(name.lower()) for name in names)
+        if modes[0] is not StepMode.FULL:
+            raise ContractViolation("the first step must be full")
+        run = 0
+        for i, mode in enumerate(modes):
+            run = run + 1 if mode is StepMode.PREDICT else 0
+            if run > n - 1:
+                raise ContractViolation(
+                    f"a run of predict steps exceeds max_interval - 1 "
+                    f"({n - 1}) at index {i}")
+        return modes
+
+    @property
+    def pairs(self) -> list[TimePair]:
+        return uniform_pairs(self.total_steps)
+
+    def mode_counts(self) -> tuple[int, int]:
+        full = self.modes.count(StepMode.FULL)
+        return full, self.total_steps - full
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,7 @@ def learned_predict(predictor: Predictor, params: ParameterSet,
 # ---------------------------------------------------------------------------
 
 def cached_sample(model: VelocityModel, params: ParameterSet,
-                  schedule: StepSchedule, strategy: Strategy, x1,
+                  schedule: ScheduleSpec, strategy: Strategy, x1,
                   cond: Condition = Condition(),
                   predictor: Predictor | None = None,
                   predictor_params: ParameterSet | None = None,

@@ -17,8 +17,8 @@ Layout (all integers little-endian):
 
 A checkpoint's identity is its trailing digest; children record it as
 pdigest. The pipeline order BASE_FM -> CFG_DISTILLED -> MEANFLOW ->
-{PREDICTOR, DISCRIMINATOR} is enforced at load time from the recorded
-parent stage and may be re-verified against an actual parent file.
+PREDICTOR is enforced at load time from the recorded parent stage and may
+be re-verified against an actual parent file.
 
 The runner writes each child with the stage and digest of the parent it
 loaded, and checks snapshot entries and tensors as it reads (exit 3 too).
@@ -50,7 +50,6 @@ class Stage(IntEnum):
     CFG_DISTILLED = 1
     MEANFLOW = 2
     PREDICTOR = 3
-    DISCRIMINATOR = 4
 
 
 EXPECTED_PARENT: dict[Stage, Stage | None] = {
@@ -58,7 +57,6 @@ EXPECTED_PARENT: dict[Stage, Stage | None] = {
     Stage.CFG_DISTILLED: Stage.BASE_FM,
     Stage.MEANFLOW: Stage.CFG_DISTILLED,
     Stage.PREDICTOR: Stage.MEANFLOW,
-    Stage.DISCRIMINATOR: Stage.MEANFLOW,
 }
 
 

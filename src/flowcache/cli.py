@@ -150,11 +150,9 @@ def _dispatch(args) -> int:
                                            args.out / "meanflow.fck")
         print(f"wrote {path}")
     elif args.command == "train-predictor":
-        pred, disc = runner.run_train_predictor(
-            config, args.checkpoint, args.out / "predictor.fck",
-            args.out / "discriminator.fck")
-        print(f"wrote {pred}")
-        print(f"wrote {disc}")
+        path = runner.run_train_predictor(config, args.checkpoint,
+                                          args.out / "predictor.fck")
+        print(f"wrote {path}")
     elif args.command in ("sample", "bench"):
         meanflow = args.checkpoint[0]
         predictor = args.checkpoint[1] if len(args.checkpoint) > 1 else None

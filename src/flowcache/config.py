@@ -22,12 +22,15 @@ and so does any ContractViolation the dataclass raises for a value out of
 its range. Each key of `DEFAULTS` is a field of exactly one of the
 dataclasses that read its section.
 
-The `schedule` section is read into `cache.ScheduleSpec`, which builds its
-schedule as it is read. So a spec the sampler cannot walk (max_interval 0, a
-fixture that is not shipped, warmup_full >= total_steps, an explicit list of
-the wrong length or with a bad mode) fails at load, for every command. Of
-`explicit`, `fixture` and the warmup-then-blocks pattern, the first that
-applies gives the step modes.
+The `schedule` section is read into `cache.ScheduleSpec`, the one schedule
+type: the sampler walks `config.schedule` itself, and the spec works out and
+checks its step modes as it is read. So a spec the sampler cannot walk
+(max_interval 0, a (total_steps, max_interval) with no `cache.FIXTURE_MODES`
+row, warmup_full >= total_steps, an explicit list of the wrong length or
+with a bad mode) fails at load, for every command. Of `explicit`, `fixture`
+and the warmup-then-blocks pattern, the first that applies gives the step
+modes; `warmup_full` shapes only the pattern, so a nonzero warmup_full with
+a fixture or an explicit list fails too.
 """
 
 from __future__ import annotations

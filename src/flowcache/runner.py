@@ -220,28 +220,21 @@ def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
 
 
 def run_train_predictor(config: ExperimentConfig, meanflow_path,
-                        out_pred, out_disc) -> tuple[Path, Path]:
-    _check_writable(out_pred, _step_log(out_pred), out_disc)
+                        out_path) -> Path:
+    _check_writable(out_path, _step_log(out_path))
     parent, backbone = _open_stage(meanflow_path,
                                    EXPECTED_PARENT[Stage.PREDICTOR])
     restrict = _snapshot_entry(meanflow_path, parent, "restrict",
                                distill.RestrictConfig)
     predictor = Predictor(config.predictor, backbone)
-    params, disc, reports, _ = predictor_train.train_predictor(
+    params, _, reports, _ = predictor_train.train_predictor(
         backbone, parent.params, predictor, config.distribution,
         restrict=restrict, cfg=config.predictor_train, seed=config.seed)
-    velocity = asdict(backbone.config)
-    pred_path = _save_stage(out_pred, Stage.PREDICTOR, params,
-                            {"velocity": velocity,
-                             "predictor": asdict(config.predictor),
-                             "delta_max": config.predictor_train.delta_max},
-                            parent, reports)
-    disc_entries = {**disc.params.entries,
-                    **{f"aux.u.{name}": u for name, u in disc.u_state.items()}}
-    return pred_path, _save_stage(out_disc, Stage.DISCRIMINATOR,
-                                  ParameterSet(disc_entries),
-                                  {"velocity": velocity, **asdict(disc.config)},
-                                  parent)
+    return _save_stage(out_path, Stage.PREDICTOR, params,
+                       {"velocity": asdict(backbone.config),
+                        "predictor": asdict(config.predictor),
+                        "delta_max": config.predictor_train.delta_max},
+                       parent, reports)
 
 
 def load_sampler(meanflow_path, predictor_path=None):
@@ -308,7 +301,7 @@ def _pool_size(sessions: int) -> int:
 
 
 def _run_session(strategy_name, key, model, params, predictor, pparams,
-                 delta_max, schedule, config):
+                 delta_max, config):
     class_id, offset, count = key
     seq = np.random.SeedSequence([config.seed, config.metric_seed,
                                   class_id, offset])
@@ -316,6 +309,7 @@ def _run_session(strategy_name, key, model, params, predictor, pparams,
     x1 = rng.standard_normal((count, config.distribution.dim))
     g = config.sample_cfg_scale if model.config.accepts_cfg else None
     cond = Condition(class_id, g)
+    schedule = config.schedule
     if strategy_name == "none":
         out = mean_velocity_sample(model, params.entries, schedule.pairs,
                                    x1, cond)
@@ -348,7 +342,6 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
         meanflow_path, predictor_path)
     if "learned" in config.strategies and predictor is None:
         raise ConfigError("strategy 'learned' needs a predictor checkpoint")
-    schedule = config.schedule.build()
     keys = _session_keys(config)
 
     runs = []
@@ -357,7 +350,7 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
             t0 = time.perf_counter()
             results = list(pool.map(
                 lambda key: _run_session(name, key, model, params, predictor,
-                                         pparams, delta_max, schedule, config),
+                                         pparams, delta_max, config),
                 keys))
             wall_ms = (time.perf_counter() - t0) * 1e3
             reports = [rep for _, rep in results]

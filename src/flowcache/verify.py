@@ -131,7 +131,7 @@ def check_taylor_exactness(seed: int) -> tuple[bool, str]:
 
 
 def check_schedule_counts(_seed: int) -> tuple[bool, str]:
-    got = {n: ScheduleSpec(max_interval=n).build().mode_counts()
+    got = {n: ScheduleSpec(max_interval=n).mode_counts()
            for n in (4, 3, 2)}
     want = {4: (8, 12), 3: (11, 9), 2: (13, 7)}
     return got == want, f"fixture splits {got}"

@@ -1,7 +1,10 @@
 """Shared test helpers: finite-difference oracles, tiny random nets and a
 tiny trained pipeline."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,18 @@ def descended_grads(monkeypatch) -> list:
 
     monkeypatch.setattr(optim, "adam_step", spy)
     return seen
+
+
+def load_perfbench(name, monkeypatch):
+    """perfbench's `<name>.py` as the module `name`, loaded without writing
+    bytecode next to it; both settings are undone after the test."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fd_grad(f, x, h=1e-5):

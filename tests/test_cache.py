@@ -19,6 +19,8 @@ from flowcache.flow import (TimePair, mean_velocity_sample, mean_velocity_step,
 from flowcache.nets import (Condition, Predictor, PredictorConfig,
                             VelocityModel, VelocityModelConfig)
 
+from conftest import load_perfbench
+
 
 def make_model(rng, input_dim=2):
     m = VelocityModel(VelocityModelConfig(
@@ -40,11 +42,11 @@ def make_predictor(rng, backbone):
 def pattern_schedule(total_steps, N, warmup_full=0, explicit=None):
     """The warmup-then-blocks schedule, or an explicit mode list."""
     return ScheduleSpec(total_steps, N, warmup_full, fixture=False,
-                        explicit=explicit).build()
+                        explicit=explicit)
 
 
 def shipped_fixture(N):
-    return ScheduleSpec(max_interval=N).build()
+    return ScheduleSpec(max_interval=N)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,15 @@ def test_explicit_validation_errors():
         pattern_schedule(0, N=1)
     with pytest.raises(ContractViolation):
         pattern_schedule(10, N=1, warmup_full=10)
+
+
+def test_perfbench_fixture_counts_match_the_table(monkeypatch):
+    # perfbench checks every bench walk against its own copy of the splits
+    workloads = load_perfbench("workloads", monkeypatch)
+    total = workloads.TOTAL_STEPS
+    for n, full in workloads.FIXTURE_FULL.items():
+        spec = ScheduleSpec(total_steps=total, max_interval=n)
+        assert spec.mode_counts() == (full, total - full), n
 
 
 def test_schedule_json_roundtrip_shape():

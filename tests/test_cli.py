@@ -4,7 +4,6 @@ and what a CLI process loads and pins."""
 
 import csv
 import errno
-import importlib.util
 import json
 import math
 import os
@@ -23,10 +22,9 @@ from flowcache.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_LINEAGE,
 from flowcache.config import load_config
 from flowcache.runner import METRICS_COLUMNS
 
-from conftest import TINY_CONFIG, train_pipeline
+from conftest import TINY_CONFIG, load_perfbench, train_pipeline
 
-CHECKPOINTS = ("base.fck", "cfg.fck", "meanflow.fck", "predictor.fck",
-               "discriminator.fck")
+CHECKPOINTS = ("base.fck", "cfg.fck", "meanflow.fck", "predictor.fck")
 
 
 def checkpoint_args(root):
@@ -111,8 +109,8 @@ BLOCKED = {
                 (distill, "train_cfg")),
     "meanflow": ("distill-meanflow", "cfg.fck", "meanflow.fck",
                  (distill, "train_meanflow")),
-    "discriminator": ("train-predictor", "meanflow.fck", "discriminator.fck",
-                      (predictor_train, "train_predictor")),
+    "predictor": ("train-predictor", "meanflow.fck", "predictor.fck",
+                  (predictor_train, "train_predictor")),
     "metrics": ("bench", "meanflow.fck", "metrics.csv",
                 (runner, "sample_strategies")),
     "sample": ("sample", "meanflow.fck",
@@ -164,12 +162,8 @@ def test_perfbench_tracer_reads_every_training_loss(tmp_path, tiny_pipeline,
                                                     monkeypatch):
     # perfbench's traced run prints the last loss each training loop returns
     # and indexes the list it read: a loss its tracer cannot read would stop
-    # that run. tracing.py is loaded without writing bytecode next to it.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec.loader.exec_module(tracing)
+    # that run
+    tracing = load_perfbench("tracing", monkeypatch)
     tracer = tracing.install(tracing.Tracer())
     try:
         train_pipeline(tiny_pipeline[0], tmp_path)
@@ -209,8 +203,8 @@ def test_digest_corrupted_checkpoint_exits_3(tmp_path, tiny_pipeline, capsys):
      "expected a MEANFLOW checkpoint, found PREDICTOR"),
     ("bench", ["cfg.fck"],
      "expected a MEANFLOW checkpoint, found CFG_DISTILLED"),
-    ("bench", ["meanflow.fck", "discriminator.fck"],
-     "expected a PREDICTOR checkpoint, found DISCRIMINATOR"),
+    ("bench", ["meanflow.fck", "cfg.fck"],
+     "expected a PREDICTOR checkpoint, found CFG_DISTILLED"),
 ])
 def test_wrong_stage_checkpoint_exits_3(tmp_path, tiny_pipeline, capsys,
                                         command, given, message):

@@ -3,20 +3,24 @@ wrong type and out-of-range settings, through the parser and through the
 CLI's exit code 2; every default is read by exactly one typed field; the
 schedule section takes its modes from explicit, then fixture, then pattern."""
 
-import importlib.util
 import json
-import sys
-from dataclasses import fields
-from pathlib import Path
+from dataclasses import asdict, fields
 from typing import get_type_hints
 
 import pytest
 
 from flowcache import config as config_module
+from flowcache.autodiff import ParameterSet
+from flowcache.cache import ScheduleSpec
+from flowcache.checkpoint import (Checkpoint, Stage, load_checkpoint,
+                                  save_checkpoint)
 from flowcache.cli import EXIT_CONFIG, main
 from flowcache.config import (DEFAULTS, SECTION_FIELDS, ExperimentConfig,
-                              config_from_dict, default_config)
+                              config_from_dict, default_config,
+                              read_dataclass)
 from flowcache.errors import ConfigError
+
+from conftest import load_perfbench
 
 BAD_CONFIGS = {
     "distribution": {"distribution": {"sigm": 1.0}},
@@ -82,6 +86,10 @@ BAD_CONFIGS = {
     "schedule_fixture_total_steps": {"schedule": {"total_steps": 19}},
     "schedule_warmup_not_below_total": {"schedule": {
         "total_steps": 5, "warmup_full": 5, "fixture": False}},
+    "schedule_warmup_with_fixture": {"schedule": {"warmup_full": 3}},
+    "schedule_warmup_with_explicit": {"schedule": {
+        "total_steps": 3, "warmup_full": 1, "fixture": False,
+        "explicit": ["full", "predict", "full"]}},
     "schedule_explicit_short": {"schedule": {
         "total_steps": 4, "explicit": ["full"] * 3}},
     "schedule_explicit_bad_mode": {"schedule": {
@@ -136,6 +144,10 @@ NAMED = {
     "schedule_fixture_total_steps": "'schedule': no shipped fixture for "
                                     "total_steps 19",
     "schedule_warmup_not_below_total": "'schedule': warmup_full",
+    "schedule_warmup_with_fixture": "'schedule': warmup_full 3 applies only "
+                                    "to the pattern",
+    "schedule_warmup_with_explicit": "'schedule': warmup_full 1 applies "
+                                     "only to the pattern",
     "schedule_explicit_short": "'schedule': explicit has 3 modes",
     "schedule_explicit_bad_mode": "'schedule': explicit: bad mode 'hold'",
     "schedule_explicit_predict_first": "'schedule': the first step",
@@ -200,7 +212,7 @@ def test_every_default_is_read_by_one_typed_field():
     ({"max_interval": 2}, 13, 7),
     ({"total_steps": 10, "max_interval": 3, "warmup_full": 2,
       "fixture": False}, 5, 5),
-    ({"total_steps": 3, "max_interval": 7, "warmup_full": 2,
+    ({"total_steps": 3, "max_interval": 7, "warmup_full": 0,
       "explicit": ["full", "predict", "FULL"]}, 2, 1),
 ])
 def test_schedule_section_builds_the_sampled_schedule(spec, full, predict):
@@ -209,21 +221,34 @@ def test_schedule_section_builds_the_sampled_schedule(spec, full, predict):
     config = config_from_dict({"schedule": {
         "total_steps": 20, "max_interval": 2, "warmup_full": 0,
         "fixture": True, "explicit": None, **spec}})
-    schedule = config.schedule.build()
-    assert schedule.mode_counts() == (full, predict)
-    assert schedule.max_interval == config.schedule.max_interval
+    assert config.schedule.mode_counts() == (full, predict)
+
+
+@pytest.mark.parametrize("spec", [
+    ScheduleSpec(max_interval=3),
+    ScheduleSpec(total_steps=12, max_interval=5, warmup_full=1, fixture=False),
+    ScheduleSpec(total_steps=3, max_interval=7,
+                 explicit=("full", "predict", "FULL")),
+])
+def test_schedule_spec_survives_a_snapshot(spec, tmp_path):
+    # a checkpoint snapshot stores asdict(spec) as JSON; read back as the
+    # config reader reads the section, it is the same spec with the same modes
+    stored = asdict(spec)
+    assert set(stored) == set(DEFAULTS["schedule"])
+    path = tmp_path / "spec.fck"
+    save_checkpoint(path, Checkpoint(stage=Stage.BASE_FM,
+                                     params=ParameterSet({}),
+                                     config={"schedule": stored}))
+    back = read_dataclass("schedule", ScheduleSpec,
+                          load_checkpoint(path).config["schedule"])
+    assert back == spec
+    assert back.modes == spec.modes
 
 
 def test_perfbench_pinned_configs_load(monkeypatch):
     # perfbench writes these configs for every run: a key the reader stops
-    # knowing would fail every op of the workload that pins it with exit 2.
-    # workloads.py is loaded without writing bytecode next to it.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.setitem(sys.modules, "workloads", module)
-    spec.loader.exec_module(module)
+    # knowing would fail every op of the workload that pins it with exit 2
+    module = load_perfbench("workloads", monkeypatch)
     configs = {"TRAIN_CONFIG": module.TRAIN_CONFIG}
     for name, workload in module.WORKLOADS.items():
         configs.update({f"{name}/{key}": config

@@ -26,18 +26,14 @@ from conftest import TINY_CONFIG
 
 def test_stage_files_record_the_parent_they_loaded(tiny_pipeline):
     _, root = tiny_pipeline
-    files = {name: load_checkpoint(root / f"{name}.fck") for name in
-             ("base", "cfg", "meanflow", "predictor", "discriminator")}
+    names = ("base", "cfg", "meanflow", "predictor")
+    assert sorted(p.stem for p in root.glob("*.fck")) == sorted(names)
+    files = {name: load_checkpoint(root / f"{name}.fck") for name in names}
     assert files["base"].parent_stage is None
-    for child, parent in (("cfg", "base"), ("meanflow", "cfg"),
-                          ("predictor", "meanflow"),
-                          ("discriminator", "meanflow")):
+    for child, parent in zip(names[1:], names[:-1]):
         verify_parent(files[child], files[parent], child_path=child)
     velocity = files["meanflow"].config["velocity"]
     assert files["predictor"].config["velocity"] == velocity
-    assert files["discriminator"].config == {
-        "velocity": velocity, "scales": [1, 2], "hidden_dim": 4,
-        "spectral_norm": True}
 
 
 @pytest.mark.parametrize("stage,steps", [
@@ -55,11 +51,6 @@ def test_each_stage_writes_one_record_per_step(tiny_pipeline, stage, steps):
     scored = [r["d_real_score"] is not None for r in records]
     assert scored == ([False, False, True, True] if stage == "predictor"
                       else [False] * steps)
-
-
-def test_discriminator_has_no_step_log(tiny_pipeline):
-    _, root = tiny_pipeline
-    assert not (root / "discriminator.jsonl").exists()
 
 
 def force_pool(monkeypatch, cores):
