@@ -14,7 +14,8 @@ Every value is checked against its field's annotation:
 - a float from a number, or from a string that parses as one, and only
   if it is finite (NaN, inf and 1e999 are refused);
 - a str only from a string;
-- a tuple only from a list, each item checked against the item type;
+- a tuple only from a list or a tuple (what `dataclasses.asdict` leaves),
+  each item checked against the item type;
 - a `| None` annotation also admits null.
 
 A value of another type raises ConfigError naming the section and the key,
@@ -191,7 +192,7 @@ def _value_reader(hint):
         what, cast = _value_reader(get_args(hint)[0])
 
         def cast_list(value):
-            if not isinstance(value, list):
+            if not isinstance(value, (list, tuple)):
                 raise ValueError
             return tuple(cast(item) for item in value)
         return f"a list of items each {what}", cast_list

@@ -1,6 +1,8 @@
 """Sample-quality metrics: 2-Wasserstein distance and energy distance.
 
-Both metrics are exact at every sample count.
+Both metrics are exact at every sample count. Both refuse non-finite
+samples with NumericFailure before any solve, and the 2-D W2 also refuses
+squared distances that overflow float64.
 
 w2_distance is the optimal-transport cost between two equal-size empirical
 sets. In 1D it is the sorted coupling. In 2D it is the optimal assignment
@@ -10,26 +12,59 @@ growing as the sets move apart. Its value is taken from the matched pairs'
 squared distances; for two coordinates these are bit-equal to the cost
 matrix entries.
 
+W2 has a floor: two independent 2048-point draws of the checkerboard data
+read .150, .171 and .190 (seeds 777/778, 778/779 and 777/779), so an
+unpaired W2 gap below about .04 ranks nothing.
+
 The solver takes no starting duals, but a shifted cost matrix does their
 work. Subtracting a potential v_j from every entry of column j adds the
 constant -sum(v) to every assignment's total, so the optimal assignment,
-and the W2 read from the original pairs, do not change. A `ReferenceTerms`
-holder keeps such column potentials for one reference set. The first 2-D
-W2 call given the holder solves cold, then derives v from its optimal
-assignment by a fixed number of Bellman-Ford sweeps over the reduced costs
-(`_column_potentials`). Every later call against the same reference
-subtracts v from its own cost matrix in place. For sample sets that nearly
-share an optimal coupling (the strategies of one bench draw their samples
-from the same noise), a warm solve then takes a seventh to a tenth of a
-cold one's time. Row potentials would change nothing: the solver's own row
-duals absorb any per-row constant.
+and the W2 read from the original pairs, do not change, whatever v is:
+exactness never depends on how good the potentials are, only the time does.
+Row potentials would change nothing: the solver's own row duals absorb any
+per-row constant.
 
-Against a 2048-point checkerboard reference (2-vCPU x86 VM, one BLAS thread)
-a cold solve takes about 1 s for a second checkerboard draw and about 3 s
-for standard normal noise or a lightly trained sampler's output; at n = 4096
-the same pairs take about 3-6 s and 24 s. On the bench's paired strategy
-sets the potentials pass takes about 0.3 s and each warm solve 0.3-0.5 s,
-against 3 s cold.
+A cold solve starts from auction prices. An epsilon-scaling auction
+(Bertsekas, "The auction algorithm: a distributed relaxation method for the
+assignment problem", 1988) runs over the cost matrix first
+(`_auction_prices`), and the solver then takes cost + p, in place, as the
+potentials v = -p. Each round every unassigned row bids for its cheapest
+column under cost + p, raising its price by the margin over the row's
+second cheapest plus epsilon. Epsilon falls from 2% of the mean cost by
+factors of 5 to 3% of the mean nearest-neighbour cost, floored at 1e-5 of
+the mean cost so that identical sets still get a positive epsilon. Each
+phase hands the rest to the solver once 0.5% of rows wait, and all phases
+together stop bidding after 64 n rows, which ends any price war between
+tied rows. An all-zero cost matrix skips the auction.
+
+A `ReferenceTerms` holder keeps column potentials for one reference set.
+The first 2-D W2 call given the holder solves cold, then derives v from its
+optimal assignment by a fixed number of Bellman-Ford sweeps over the
+reduced costs of the price-shifted matrix (`_column_potentials`), minus the
+prices. Every later call against the same reference subtracts v from its
+own cost matrix in place. For sample sets that nearly share an optimal
+coupling (the strategies of one bench draw their samples from the same
+noise), a warm solve then takes a fraction of a cold one's time.
+
+In-process timings of the plain cold solve against the auction start
+(auction plus shifted solve), in seconds, on a 2-vCPU x86 VM with one BLAS
+thread (BENCH_22.json):
+
+    sets                               n = 2048             n = 4096
+    bench fixture samples vs reference 2.4-2.7 -> 0.57-0.68  16-17 -> 2.5-2.8
+    noise vs checkerboard data         2.2-2.4 -> 0.49-0.60   21.7 -> 2.8
+    noise vs two_moons data            2.7-3.3 -> 0.66-0.82   21.2 -> 3.9
+    noise vs eight_gaussians data      1.6-1.8 -> 0.64-0.73   15.5 -> 4.1
+    checkerboard data vs data          0.58-0.60 -> 0.41-0.52  2.5 -> 2.6
+    two_moons data vs data             0.70-0.74 -> 0.51-0.54  3.7 -> 2.6
+    eight_gaussians data vs data       0.70-0.72 -> 0.73-0.76  6.3 -> 5.0
+
+The auction takes 41-82% of the started time, about 70% on the bench's
+sets. Close sets, whose plain solve is already short, gain least and can
+lose up to about 5%. A bench run's first W2 call, cold solve plus
+potentials pass, fell from 3.0-3.8 s to 0.9-1.1 s. Its warm solves take
+0.3-0.4 s, and the learned strategy's 0.45-0.56 s against 0.33-0.41 s
+before, since its potentials now come from the shifted matrix.
 
 energy_distance is the V-statistic 2 E|A-B| - E|A-A'| - E|B-B'|. In 1D each
 mean |X-Y| term comes from sorted values with prefix sums and searchsorted,
@@ -52,7 +87,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import as_f64
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericFailure
 
 
 def _check_samples(a, b, equal_n=True):
@@ -66,16 +101,41 @@ def _check_samples(a, b, equal_n=True):
     if equal_n and a.shape[0] != b.shape[0]:
         raise ContractViolation(
             f"sample counts differ: {a.shape[0]} vs {b.shape[0]}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericFailure("a metric was given non-finite samples")
     return a, b
 
 
-# Bellman-Ford sweeps of the potentials pass, and its row chunk in matrix
-# entries (2 MB of float64). On the bench's sets (n = 2048, three bench
-# seeds) 10, 30 and 100 sweeps take about 0.12, 0.3 and 0.75 s and leave
-# warm solves of about 1.25, 0.35 and 0.15 s (the learned strategy's about
-# 1.2, 0.45 and 0.6 s); 20 and 50 sweeps cost more in total than 30.
+# Bellman-Ford sweeps of the potentials pass, and the row chunk (in matrix
+# entries: 2 MB of float64) in which the pass and the auction read the cost
+# matrix. On the bench's sets (n = 2048, three bench seeds) 10, 30 and 100
+# sweeps take about 0.12, 0.3 and 0.75 s and leave warm solves of about
+# 1.25, 0.35 and 0.15 s (the learned strategy's about 1.2, 0.45 and 0.6 s);
+# 20 and 50 sweeps cost more in total than 30.
 _POTENTIAL_SWEEPS = 30
 _CHUNK_ENTRIES = 1 << 18
+
+# The auction start's settings (module docstring), measured at n = 2048 on
+# two bench `none` sets and on data and noise against checkerboard,
+# two_moons and eight_gaussians draws (2-vCPU x86 VM, one BLAS thread). The
+# total over those 8 solves stayed within run-to-run noise, 5.3-6.4 s, for
+# first epsilons of 0.5-10% of the mean cost and steps of 3-10. Handing off
+# at 0.5% of rows rather than 2% cut a bench set's shifted solve from about
+# 0.6 to 0.25 s; 0.2% or no hand-off cost more auction than it saved, and
+# handing off the middle phases at 3% took 1.6x longer in all. A schedule of
+# 3, 0.3 and 0.03 times the mean nearest-neighbour cost, floored at 1e-3 of
+# the mean cost and restarting every phase, spent 3405 rounds in its first
+# phase on close eight_gaussians draws: 2.1 s against 0.8 s cold. Keeping
+# epsilon-optimal pairs across phases, with the lower floor, brought that to
+# 0.85-1.05 s. Bench sets bid for 30-35 n rows in all and close sets for
+# 36-60 n. The cap stops the close eight_gaussians draws at n = 4096, which
+# bid for about 76 n uncapped; capped, they solve in 5.0 s against 6.3 s.
+_AUCTION_FIRST_EPS = 0.02
+_AUCTION_EPS_STEP = 5.0
+_AUCTION_LAST_EPS = 0.03
+_AUCTION_EPS_FLOOR = 1e-5
+_AUCTION_HANDOFF = 0.005
+_AUCTION_ROW_PASSES = 64
 
 
 class ReferenceTerms:
@@ -101,6 +161,21 @@ class ReferenceTerms:
                 "these reference terms were built on another reference set")
 
 
+def _row_blocks(cost: np.ndarray, rows: np.ndarray, buffer: np.ndarray):
+    """(offset, chunk, block) over `rows` in chunks of len(buffer): block
+    holds the chunk's rows of cost, read into buffer, so that no second
+    n x n array is allocated."""
+    for start in range(0, len(rows), len(buffer)):
+        chunk = rows[start:start + len(buffer)]
+        block = np.take(cost, chunk, axis=0, out=buffer[:len(chunk)],
+                        mode="clip")  # "raise" buffers the output
+        yield start, chunk, block
+
+
+def _row_buffer(n: int) -> np.ndarray:
+    return np.empty((max(1, min(n, _CHUNK_ENTRIES // n)), n))
+
+
 def _column_potentials(cost: np.ndarray, cols: np.ndarray,
                        sweeps: int = _POTENTIAL_SWEEPS) -> np.ndarray:
     """Column potentials v of the square cost matrix whose optimal
@@ -110,21 +185,18 @@ def _column_potentials(cost: np.ndarray, cols: np.ndarray,
     u_i = c_i,cols[i] - v_cols[i], over only the rows whose u changed in
     the sweep before. Run to convergence, this is a feasible dual that is
     tight on the assignment; a fixed number of sweeps gives a near-feasible
-    one. Rows are read in chunks, so no second n x n array is allocated."""
+    one."""
     n = cost.shape[0]
     matched = cost[np.arange(n), cols]
     row_of = np.empty(n, dtype=np.intp)
     row_of[cols] = np.arange(n)
-    buffer = np.empty((max(1, min(n, _CHUNK_ENTRIES // n)), n))
+    buffer = _row_buffer(n)
     v = np.zeros(n)
     active = np.arange(n)
     for _ in range(sweeps):
         u = matched - v[cols]
         relaxed = v.copy()
-        for start in range(0, len(active), len(buffer)):
-            rows = active[start:start + len(buffer)]
-            block = np.take(cost, rows, axis=0, out=buffer[:len(rows)],
-                            mode="clip")  # "raise" buffers the output
+        for _, rows, block in _row_blocks(cost, active, buffer):
             block -= u[rows, None]
             np.minimum(relaxed, block.min(axis=0), out=relaxed)
         lowered = relaxed < v
@@ -135,6 +207,84 @@ def _column_potentials(cost: np.ndarray, cols: np.ndarray,
     return v
 
 
+def _epsilons(cost: np.ndarray, mean_cost: float) -> list[float]:
+    """The auction's epsilon per phase, largest first; no phase comes within
+    a factor sqrt(_AUCTION_EPS_STEP) above the last."""
+    last = max(_AUCTION_LAST_EPS * cost.min(axis=1).mean(),
+               _AUCTION_EPS_FLOOR * mean_cost)
+    eps = [_AUCTION_FIRST_EPS * mean_cost]
+    while eps[-1] > last * np.sqrt(_AUCTION_EPS_STEP):
+        eps.append(eps[-1] / _AUCTION_EPS_STEP)
+    return [*eps[:-1], last]
+
+
+def _auction_prices(cost: np.ndarray) -> np.ndarray:
+    """Column prices p from an epsilon-scaling auction (Bertsekas, 1988) on
+    the square cost matrix; every row's column nearly minimizes c_ij + p_j.
+
+    Each round, every unassigned row bids for its cheapest column under
+    cost + p, raising that column's price by its margin over its second
+    cheapest plus epsilon (Jacobi bidding); each column goes to its highest
+    bidder, and the row that held it is unassigned. A phase keeps the pairs
+    still epsilon-optimal under its smaller epsilon. Prices are zero for an
+    all-zero matrix or a single row. The rows of every round are read in
+    chunks, so no second n x n array is allocated."""
+    n = cost.shape[0]
+    prices = np.zeros(n)
+    mean_cost = cost.mean()
+    if n < 2 or mean_cost == 0.0:
+        return prices
+    buffer = _row_buffer(n)
+    owner = np.full(n, -1, dtype=np.intp)  # the row holding each column
+    held = np.full(n, -1, dtype=np.intp)  # the column each row holds
+    budget = _AUCTION_ROW_PASSES * n
+    for eps in _epsilons(cost, mean_cost):
+        kept = np.flatnonzero(held >= 0)
+        for _, rows, block in _row_blocks(cost, kept, buffer):
+            block += prices
+            slack = block[np.arange(len(rows)), held[rows]] - block.min(axis=1)
+            lost = rows[slack > eps]
+            owner[held[lost]] = -1
+            held[lost] = -1
+        unassigned = np.flatnonzero(held < 0)
+        while len(unassigned) > _AUCTION_HANDOFF * n and budget > 0:
+            budget -= len(unassigned)
+            best, bid = _bids(cost, prices, unassigned, buffer)
+            bid += eps
+            order = np.lexsort((-bid, best))  # by column, highest bid first
+            top = np.ones(len(order), dtype=bool)
+            top[1:] = best[order[1:]] != best[order[:-1]]
+            won = order[top]
+            cols = best[won]
+            displaced = owner[cols]
+            displaced = displaced[displaced >= 0]
+            held[displaced] = -1
+            owner[cols] = unassigned[won]
+            held[unassigned[won]] = cols
+            prices[cols] += bid[won]
+            waiting = np.ones(len(unassigned), dtype=bool)
+            waiting[won] = False
+            unassigned = np.concatenate((unassigned[waiting], displaced))
+    return prices
+
+
+def _bids(cost: np.ndarray, prices: np.ndarray, rows: np.ndarray,
+          buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cheapest column under cost + prices, and that column's
+    margin below the row's second cheapest."""
+    best = np.empty(len(rows), dtype=np.intp)
+    margin = np.empty(len(rows))
+    for start, chunk, block in _row_blocks(cost, rows, buffer):
+        block += prices
+        at = np.arange(len(chunk))
+        cols = block.argmin(axis=1)
+        cheapest = block[at, cols]
+        block[at, cols] = np.inf
+        best[start:start + len(chunk)] = cols
+        margin[start:start + len(chunk)] = block.min(axis=1) - cheapest
+    return best, margin
+
+
 def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
     """2-Wasserstein distance between equal-size empirical sample sets.
 
@@ -142,6 +292,8 @@ def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
     potentials when they are empty and solves from them otherwise; the
     value is the same either way."""
     a, b = _check_samples(a, b)
+    if a.shape[0] == 0:
+        raise ContractViolation("w2_distance needs at least one point per set")
     d = a.shape[1]
     if d not in (1, 2):
         raise ContractViolation("w2_distance supports 1-D and 2-D samples")
@@ -156,11 +308,14 @@ def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
         terms.bind(b)
     warmed = terms is not None and terms.potentials is not None
     cost = cdist(a, b, metric="sqeuclidean")
-    if warmed:
-        cost -= terms.potentials
+    if not np.isfinite(cost.sum()):
+        raise NumericFailure("squared distances between the sample sets "
+                             "overflow float64")
+    shift = terms.potentials if warmed else -_auction_prices(cost)
+    cost -= shift
     _, cols = linear_sum_assignment(cost)
     if terms is not None and not warmed:
-        terms.potentials = _column_potentials(cost, cols)
+        terms.potentials = _column_potentials(cost, cols) + shift
     diff = a - b[cols]
     return float(np.sqrt(np.sum(diff * diff, axis=1).mean()))
 

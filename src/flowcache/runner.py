@@ -32,11 +32,12 @@ sessions running in parallel, and `metric_ms` the time of its W2 and energy
 distance; the timing columns are the only non-deterministic ones in the CSV.
 
 Every strategy's metrics are measured against one reference set, through one
-`ReferenceTerms` holder: the first strategy's 2-D W2 solve is cold and its
-`metric_ms` includes the potentials pass, the reference's energy self term
-and, in a process that has run no 2-D metric yet, the import of scipy's
-solver (about 0.2 s); the later strategies' solves start from those
-potentials and reuse that term (see metrics). Each value equals a call
+`ReferenceTerms` holder: the first strategy's 2-D W2 solve is cold, and its
+`metric_ms` includes the auction that starts that solve, the solve, the
+potentials pass, the reference's energy self term and, in a process that
+has run no 2-D metric yet, the import of scipy's solver (about 0.2 s); the
+later strategies' solves start from those potentials and reuse that term
+(see metrics). Each value equals a call
 without the holder; the holder changes only the time.
 
 The 512-row chunk is a measured memory and locality choice, not a leftover:

@@ -162,26 +162,41 @@ def check_checkpoint_roundtrip(seed: int) -> tuple[bool, str]:
     return ok, "save/load round-trip bit-exact"
 
 
+def _plain_w2(a, b) -> float:
+    """W2 from scipy's assignment on the unshifted cost matrix: no auction
+    prices, no potentials."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    _, cols = linear_sum_assignment(cdist(a, b, metric="sqeuclidean"))
+    diff = a - b[cols]
+    return float(np.sqrt(np.sum(diff * diff, axis=1).mean()))
+
+
 def check_w2(seed: int) -> tuple[bool, str]:
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     zero = w2_distance(a, b)
     one = w2_distance(np.array([[0.0]]), np.array([[1.0]]))
-    # warm start: potentials from one draw, used on a paired perturbation
-    # and on far-off noise, must leave each value equal to a cold solve's
+    # the auction-started cold solve, and warm solves from the potentials of
+    # one draw (a paired perturbation and far-off noise), must each give the
+    # plain solve's value
     rng = np.random.default_rng(seed)
     reference = rng.standard_normal((256, 2))
     first = rng.standard_normal((256, 2))
     warm = ReferenceTerms()
-    w2_distance(first, reference, warm)
     pairs = (first + 1e-3 * rng.standard_normal(first.shape),
              3.0 + rng.standard_normal(first.shape))
+    cold_equal = (
+        w2_distance(first, reference, warm) == _plain_w2(first, reference)
+        and all(w2_distance(x, reference) == _plain_w2(x, reference)
+                for x in pairs))
     warm_equal = warm.potentials is not None and all(
-        w2_distance(x, reference, warm) == w2_distance(x, reference)
+        w2_distance(x, reference, warm) == _plain_w2(x, reference)
         for x in pairs)
-    return zero == 0.0 and one == 1.0 and warm_equal, (
-        f"permuted sets {zero}, unit masses {one}, "
-        f"warm start equals cold: {warm_equal}")
+    return zero == 0.0 and one == 1.0 and cold_equal and warm_equal, (
+        f"permuted sets {zero}, unit masses {one}, auction start equals the "
+        f"plain solve: {cold_equal}, warm start equals it: {warm_equal}")
 
 
 CHECKS = [

@@ -289,6 +289,26 @@ def test_bench_refuses_metrics_csv_of_another_schema(tmp_path, tiny_pipeline,
     assert old.read_bytes() == before
 
 
+def test_bench_of_non_finite_samples_exits_4(tmp_path, tiny_pipeline, capsys,
+                                              monkeypatch):
+    # before the check, scipy's solver raised ValueError, an undocumented exit
+    config, root = tiny_pipeline
+    sample = runner.sample_strategies
+
+    def diverged(*args, **kwargs):
+        runs = sample(*args, **kwargs)
+        runs[0].samples[5, 0] = np.nan
+        return runs
+
+    monkeypatch.setattr(runner, "sample_strategies", diverged)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["bench", "--config", str(config), "--out", str(out),
+                 *checkpoint_args(root)]) == EXIT_NUMERIC
+    assert "non-finite samples" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_sample_writes_samples_and_no_metrics(tmp_path, tiny_pipeline, capsys):
     config, root = tiny_pipeline
     assert main(["sample", "--config", str(config), "--out", str(tmp_path),

@@ -243,6 +243,10 @@ def test_schedule_spec_survives_a_snapshot(spec, tmp_path):
                           load_checkpoint(path).config["schedule"])
     assert back == spec
     assert back.modes == spec.modes
+    # in process, without JSON, asdict leaves explicit a tuple
+    direct = read_dataclass("schedule", ScheduleSpec, stored)
+    assert direct == spec
+    assert direct.modes == spec.modes
 
 
 def test_perfbench_pinned_configs_load(monkeypatch):

@@ -1,7 +1,8 @@
 """Transport and energy metrics against independent oracles: brute-force
 assignment enumeration, an LP relaxation, all-pairs distance matrices, and
-closed forms. The warm-started 2-D W2 is checked against cold solves, and
-the energy distance with a held reference term against one without."""
+closed forms. The auction-started and the warm-started 2-D W2 are checked
+against a plain assignment solve on the unshifted cost matrix, and the
+energy distance with a held reference term against one without."""
 
 import itertools
 import tracemalloc
@@ -14,11 +15,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
-from flowcache.errors import ContractViolation
+from flowcache.errors import ContractViolation, NumericFailure
 from flowcache.flow import ToyDistribution, sample_data
 from flowcache import metrics
-from flowcache.metrics import (ReferenceTerms, _column_potentials,
-                               energy_distance, w2_distance)
+from flowcache.metrics import (ReferenceTerms, _auction_prices,
+                               _column_potentials, _epsilons, energy_distance,
+                               w2_distance)
 
 
 def brute_force_w2(a, b):
@@ -29,6 +31,14 @@ def brute_force_w2(a, b):
     for perm in itertools.permutations(range(n)):
         best = min(best, sum(cost[i, perm[i]] for i in range(n)))
     return float(np.sqrt(best / n))
+
+
+def lsa_w2(a, b):
+    """W2 from scipy's assignment on the unshifted cost matrix, read from the
+    matched pairs as w2_distance reads it: no auction, no potentials."""
+    _, cols = linear_sum_assignment(cdist(a, b, metric="sqeuclidean"))
+    diff = a - b[cols]
+    return float(np.sqrt(np.sum(diff * diff, axis=1).mean()))
 
 
 def lp_w2(a, b):
@@ -132,7 +142,7 @@ CHECKERBOARD = ToyDistribution("checkerboard")
 
 def warmed_holder(first, reference):
     warm = ReferenceTerms()
-    assert w2_distance(first, reference, warm) == w2_distance(first, reference)
+    assert w2_distance(first, reference, warm) == lsa_w2(first, reference)
     assert warm.potentials is not None
     return warm
 
@@ -143,7 +153,7 @@ def test_warm_equals_cold_on_paired_sets(rng, scale):
     first = sample_data(CHECKERBOARD, 512, 2) + 0.1 * rng.standard_normal((512, 2))
     warm = warmed_holder(first, reference)
     paired = first + scale * rng.standard_normal(first.shape)
-    assert w2_distance(paired, reference, warm) == w2_distance(paired, reference)
+    assert w2_distance(paired, reference, warm) == lsa_w2(paired, reference)
 
 
 def test_warm_equals_cold_far_from_the_holders_set(rng):
@@ -151,11 +161,12 @@ def test_warm_equals_cold_far_from_the_holders_set(rng):
     reference = sample_data(CHECKERBOARD, 512, 1)
     warm = warmed_holder(sample_data(CHECKERBOARD, 512, 2), reference)
     noise = rng.standard_normal((512, 2))
-    assert w2_distance(noise, reference, warm) == w2_distance(noise, reference)
+    assert w2_distance(noise, reference, warm) == lsa_w2(noise, reference)
 
 
-# Points on a grid of quarters: every cost, potential and sum below is exact,
-# so tied optimal assignments give the same W2 bit for bit.
+# Points on a grid of quarters: every cost and sum of costs is exact, and
+# distinct assignment totals differ by at least 1/16, far above the rounding
+# of a shifted cost, so tied optimal assignments give the same W2 bit for bit.
 quarter = st.integers(-16, 16).map(lambda k: k / 4.0)
 
 
@@ -166,7 +177,7 @@ def test_warm_equals_cold_property(data, n):
                                                 elements=quarter))
                                for _ in range(3))
     warm = warmed_holder(first, reference)
-    assert w2_distance(other, reference, warm) == w2_distance(other, reference)
+    assert w2_distance(other, reference, warm) == lsa_w2(other, reference)
 
 
 def test_holder_filled_by_the_first_2d_call_only(rng):
@@ -222,6 +233,117 @@ def test_potentials_pass_allocates_no_square_temporary(rng):
     finally:
         tracemalloc.stop()
     assert peak < cost.nbytes / 2
+
+
+# ---------------------------------------------------------------------------
+# w2 auction start
+# ---------------------------------------------------------------------------
+
+def _noise_and_checkerboard(n):
+    return (np.random.default_rng(n).standard_normal((n, 2)),
+            sample_data(CHECKERBOARD, n, 1))
+
+
+def _cases():
+    rng = np.random.default_rng(7)
+    same = rng.standard_normal((256, 2))
+    return {
+        "noise-vs-checkerboard": _noise_and_checkerboard(512),
+        "identical": (same, same.copy()),  # epsilon comes from its floor
+        "all-points-equal": (np.ones((64, 2)), np.ones((64, 2))),  # zero cost
+        "two-point-masses": (np.zeros((64, 2)), np.ones((64, 2))),  # all ties
+        "n1": (rng.standard_normal((1, 2)), rng.standard_normal((1, 2))),
+        "n2": (rng.standard_normal((2, 2)), rng.standard_normal((2, 2))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_cases()))
+def test_auction_start_matches_the_plain_solve(case):
+    a, b = _cases()[case]
+    cost = cdist(a, b, metric="sqeuclidean")
+    prices = _auction_prices(cost)
+    assert prices.shape == (len(b),) and np.isfinite(prices).all()
+    if not cost.any():
+        assert not prices.any()  # a zero cost matrix skips the auction
+    assert w2_distance(a, b) == lsa_w2(a, b)
+    warm = ReferenceTerms()
+    assert w2_distance(a, b, warm) == lsa_w2(a, b)
+    assert np.isfinite(warm.potentials).all()
+
+
+def test_auction_epsilons_fall_to_a_positive_floor(rng):
+    same = rng.standard_normal((128, 2))
+    cost = cdist(same, same, metric="sqeuclidean")  # nearest-neighbour cost 0
+    eps = _epsilons(cost, cost.mean())
+    assert eps[-1] == metrics._AUCTION_EPS_FLOOR * cost.mean() > 0
+    assert all(x > y for x, y in zip(eps, eps[1:]))
+
+
+def test_auction_prices_nearly_tighten_the_optimal_assignment():
+    # what makes the shifted solve fast: under cost + prices each row's
+    # optimal column is within about the last epsilon of its cheapest
+    cost = cdist(*_noise_and_checkerboard(512), metric="sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+
+    def mean_slack(shifted):
+        return np.mean(shifted[rows, cols] - shifted.min(axis=1))
+
+    prices = _auction_prices(cost)
+    assert mean_slack(cost + prices) < _epsilons(cost, cost.mean())[-1]
+    assert mean_slack(cost + prices) < mean_slack(cost) / 20
+
+
+# Few grid points for many samples: duplicate points and tied assignments.
+coarse = st.integers(-2, 2).map(lambda k: k / 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_auction_start_property(data, n):
+    a, b = (data.draw(arrays(np.float64, (n, 2), elements=coarse))
+            for _ in range(2))
+    assert w2_distance(a, b) == lsa_w2(a, b)
+
+
+def test_auction_allocates_no_square_temporary(rng):
+    n = 1024
+    cost = cdist(rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+                 metric="sqeuclidean")
+    tracemalloc.start()
+    try:
+        _auction_prices(cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cost.nbytes / 2
+
+
+# ---------------------------------------------------------------------------
+# invalid samples
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("metric", [w2_distance, energy_distance])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("in_reference", [False, True])
+def test_non_finite_samples_raise_numeric_failure(rng, metric, dim, bad,
+                                                  in_reference):
+    a, b = rng.standard_normal((8, dim)), rng.standard_normal((8, dim))
+    (b if in_reference else a)[3, 0] = bad
+    with pytest.raises(NumericFailure, match="non-finite samples"):
+        metric(a, b)
+
+
+def test_overflowing_squared_distances_raise_numeric_failure():
+    a = np.array([[0.0, 0.0], [1e200, 0.0]])
+    with pytest.raises(NumericFailure, match="overflow"):
+        w2_distance(a, -a)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_w2_of_empty_sets_rejected(dim):
+    with pytest.raises(ContractViolation, match="at least one point"):
+        w2_distance(np.empty((0, dim)), np.empty((0, dim)))
 
 
 # ---------------------------------------------------------------------------
