@@ -17,7 +17,8 @@ unsupported version, a config snapshot or tensors that do not describe the
 stage's network); 4 numeric failure. All state comes from the config
 file and flags; environment variables never change an output. The BLAS pin
 (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`) is read only to size the
-sampling thread pool.
+sampling pool, whose workers are the calling thread and its helper threads
+(see runner).
 
 Before it dispatches, `main` pins glibc's allocator for the rest of the
 process (`_pin_heap`): a fixed mmap threshold of 32 MiB, the ceiling of

@@ -1,8 +1,12 @@
 """Sample-quality metrics: 2-Wasserstein distance and energy distance.
 
 Both metrics are exact at every sample count. Both refuse non-finite
-samples with NumericFailure before any solve, and the 2-D W2 also refuses
-squared distances that overflow float64.
+samples with NumericFailure before any solve, and raise it too when the
+distances between finite samples overflow float64: the 2-D W2 checks its
+cost matrix before the solve, and the 1-D W2 and the energy distance check
+their value. Finite points as far apart as 1e200 overflow the squared
+distances of W2 and the 2-D energy's pairwise norms; the 1-D energy squares
+nothing, so at that spread it still gives its exact value.
 
 w2_distance is the optimal-transport cost between two equal-size empirical
 sets. In 1D it is the sorted coupling. In 2D it is the optimal assignment
@@ -88,6 +92,10 @@ import numpy as np
 
 from .autodiff import as_f64
 from .errors import ContractViolation, NumericFailure
+
+
+_SQUARES_OVERFLOW = ("squared distances between the sample sets overflow "
+                     "float64")
 
 
 def _check_samples(a, b, equal_n=True):
@@ -300,7 +308,11 @@ def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
     if d == 1:
         sa = np.sort(a[:, 0])
         sb = np.sort(b[:, 0])
-        return float(np.sqrt(np.mean((sa - sb) ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.mean((sa - sb) ** 2)
+        if not np.isfinite(value):
+            raise NumericFailure(_SQUARES_OVERFLOW)
+        return float(np.sqrt(value))
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
@@ -309,8 +321,7 @@ def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
     warmed = terms is not None and terms.potentials is not None
     cost = cdist(a, b, metric="sqeuclidean")
     if not np.isfinite(cost.sum()):
-        raise NumericFailure("squared distances between the sample sets "
-                             "overflow float64")
+        raise NumericFailure(_SQUARES_OVERFLOW)
     shift = terms.potentials if warmed else -_auction_prices(cost)
     cost -= shift
     _, cols = linear_sum_assignment(cost)
@@ -352,7 +363,12 @@ def energy_distance(a, b, terms: ReferenceTerms | None = None) -> float:
         raise ContractViolation("energy_distance needs at least 2 points per set")
     if terms is not None:
         terms.bind(b)
-        if terms.self_energy is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if terms is not None and terms.self_energy is None:
             terms.self_energy = _mean_abs_diff(b, b)
-    bb = _mean_abs_diff(b, b) if terms is None else terms.self_energy
-    return 2.0 * _mean_abs_diff(a, b) - _mean_abs_diff(a, a) - bb
+        bb = _mean_abs_diff(b, b) if terms is None else terms.self_energy
+        value = 2.0 * _mean_abs_diff(a, b) - _mean_abs_diff(a, a) - bb
+    if not np.isfinite(value):
+        raise NumericFailure("distances between the sample sets overflow "
+                             "float64")
+    return value

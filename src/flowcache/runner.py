@@ -20,16 +20,29 @@ directory, or a file or folder without write access, in their place raises
 ConfigError (exit 2) naming the path.
 
 Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
-their own RNG stream from the root seed. Each strategy's sessions run on a
-thread pool, since numpy and scipy release the GIL inside their kernels; the
-results come back in key order. The pool holds min(sessions, cores // BLAS
-threads) workers: the cores this process may run on, divided by the BLAS pin
-it runs under (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`; a missing or
-malformed pin counts as all cores, so an unpinned run samples on one worker).
-The keys, not the pool, fix the sample streams, and so every metric value, for
-a given seed. `wall_clock_ms` is a strategy's sampling wall time with its
-sessions running in parallel, and `metric_ms` the time of its W2 and energy
-distance; the timing columns are the only non-deterministic ones in the CSV.
+their own RNG stream from the root seed. All of a run's sessions wait in one
+queue, strategy by strategy in config order, and a pool drains it from the
+front, since numpy and scipy release the GIL inside their kernels. The pool
+holds min(sessions per strategy, cores // BLAS threads) workers: the cores
+this process may run on, divided by the BLAS pin it runs under
+(`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`; a missing or malformed pin
+counts as all cores, so an unpinned run samples on one worker). The thread
+that asked for the samples is one of the workers, the others are helper
+threads. It takes each strategy's samples, in key order, as soon as that
+strategy's last session ends, and `bench` scores them then, while the
+helpers sample the later strategies; while it waits for a strategy, it runs
+sessions itself. So no more threads are busy than the pool holds, and the
+strategies are still scored one at a time, in config order. The keys, not
+the pool, fix the sample streams, and so every metric value, for a given
+seed.
+
+`wall_clock_ms` is the time from a strategy's first session start to its
+last session end, and `metric_ms` the time of its W2 and energy distance.
+Both overlap other work: a strategy's sessions share the pool with the next
+strategy's and with the caller's scoring, and the scoring shares the cores
+with the helpers' sampling. The timing columns are the only
+non-deterministic ones in the CSV, and `metrics.csv` is written only after
+every strategy has been sampled and scored.
 
 Every strategy's metrics are measured against one reference set, through one
 `ReferenceTerms` holder: the first strategy's 2-D W2 solve is cold, and its
@@ -53,8 +66,10 @@ import csv
 import json
 import logging
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -284,10 +299,11 @@ def _usable_cores() -> int:
 
 
 def _pool_size(sessions: int) -> int:
-    """Sampling workers: the cores the BLAS pin leaves free, at most one per
-    session. The pin is the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
-    that holds a positive integer, as OpenBLAS reads them; without one, BLAS
-    may use every core and the pool is 1."""
+    """Sampling workers, the calling thread included: the cores the BLAS pin
+    leaves free, at most one per session of a strategy. The pin is the first
+    of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that holds a positive
+    integer, as OpenBLAS reads them; without one, BLAS may use every core
+    and the pool is 1."""
     cores = _usable_cores()
     blas = cores
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -333,9 +349,100 @@ class StrategySamples:
     wall_clock_ms: float
 
 
+class _SessionQueue:
+    """Every (strategy, session) job of one run, strategy by strategy in
+    config order, in one queue that helper threads and the thread calling
+    `done` drain from the front.
+
+    `done(i)` runs the next jobs itself until strategy i's last session has
+    ended, so at most helpers + 1 sessions run at once. The first exception
+    a session raises stops the queue, and every later `done` raises it."""
+
+    def __init__(self, run, strategies: int, sessions: int):
+        self._run = run  # run(i, k) samples session k of strategy i
+        self._jobs = iter([(i, k) for i in range(strategies)
+                           for k in range(sessions)])
+        self._outs = [[None] * sessions for _ in range(strategies)]
+        self._spans = [[] for _ in range(strategies)]
+        self._left = [sessions] * strategies
+        self._error: BaseException | None = None
+        self._stopped = False
+        self._cond = threading.Condition()
+
+    def _next_job(self):
+        """The front job, or None once the queue is empty, failed or
+        stopped; the caller holds the lock."""
+        if self._error is None and not self._stopped:
+            return next(self._jobs, None)
+        return None
+
+    def _work(self, job) -> None:
+        i, k = job
+        start = time.perf_counter()
+        try:
+            out = self._run(i, k)
+        except BaseException as exc:
+            with self._cond:
+                self._error = self._error or exc
+                self._cond.notify_all()
+            return
+        end = time.perf_counter()
+        with self._cond:
+            self._outs[i][k] = out
+            self._spans[i].append((start, end))
+            self._left[i] -= 1
+            self._cond.notify_all()
+
+    def _help(self) -> None:
+        while True:
+            with self._cond:
+                job = self._next_job()
+            if job is None:
+                return
+            self._work(job)
+
+    @contextmanager
+    def helpers(self, count: int):
+        """`count` helper threads drain the queue until the block ends; on
+        the way out the queue stops and the helpers finish their sessions."""
+        threads = [threading.Thread(target=self._help, name=f"sampler-{n}")
+                   for n in range(count)]
+        for thread in threads:
+            thread.start()
+        try:
+            yield self
+        finally:
+            with self._cond:
+                self._stopped = True
+            for thread in threads:
+                thread.join()
+
+    def done(self, i: int) -> tuple[list, float]:
+        """Strategy i's session results in key order, and the milliseconds
+        from its first session's start to its last session's end."""
+        while True:
+            with self._cond:
+                if self._error is not None:
+                    raise self._error
+                if not self._left[i]:
+                    break
+                job = self._next_job()
+                if job is None:
+                    self._cond.wait()
+                    continue
+            self._work(job)
+        outs, self._outs[i] = self._outs[i], None
+        starts, ends = zip(*self._spans[i])
+        return outs, (max(ends) - min(starts)) * 1e3
+
+
 def sample_strategies(config: ExperimentConfig, meanflow_path,
-                      predictor_path=None) -> list[StrategySamples]:
-    """Draw config.metric_samples points with every configured strategy.
+                      predictor_path=None) -> Iterator[StrategySamples]:
+    """Draw config.metric_samples points with every configured strategy,
+    yielding each strategy's samples in config order as soon as its last
+    session ends. The sessions of the strategies after it go on sampling on
+    the helper threads while the consumer works on it; close the iterator
+    (`contextlib.closing`) to stop them when leaving it early.
 
     A strategy whose learned predictions query the cache past the
     predictor's trained horizon logs one warning with their count."""
@@ -343,17 +450,14 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
         meanflow_path, predictor_path)
     if "learned" in config.strategies and predictor is None:
         raise ConfigError("strategy 'learned' needs a predictor checkpoint")
-    keys = _session_keys(config)
-
-    runs = []
-    with ThreadPoolExecutor(max_workers=_pool_size(len(keys))) as pool:
-        for name, run_id in zip(config.strategies, _run_ids(config)):
-            t0 = time.perf_counter()
-            results = list(pool.map(
-                lambda key: _run_session(name, key, model, params, predictor,
-                                         pparams, delta_max, config),
-                keys))
-            wall_ms = (time.perf_counter() - t0) * 1e3
+    names, keys = config.strategies, _session_keys(config)
+    queue = _SessionQueue(
+        lambda i, k: _run_session(names[i], keys[k], model, params, predictor,
+                                  pparams, delta_max, config),
+        len(names), len(keys))
+    with queue.helpers(_pool_size(len(keys)) - 1):
+        for i, (name, run_id) in enumerate(zip(names, _run_ids(config))):
+            results, wall_ms = queue.done(i)
             reports = [rep for _, rep in results]
             counts = {(rep.full_evals, rep.predictor_evals) for rep in reports}
             if len(counts) > 1:
@@ -367,39 +471,43 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                             "queried the cache past the predictor's trained "
                             "horizon %.4f", name, past,
                             predictor_evals * len(results), delta_max)
-            runs.append(StrategySamples(
+            yield StrategySamples(
                 run_id=run_id, strategy=name,
                 samples=np.concatenate([out for out, _ in results], axis=0),
                 full_evals=full_evals, predictor_evals=predictor_evals,
                 cache_bytes_peak=max(rep.cache_bytes_peak for rep in reports),
-                wall_clock_ms=wall_ms))
-    return runs
+                wall_clock_ms=wall_ms)
 
 
 def run_experiment(config: ExperimentConfig, meanflow_path,
                    predictor_path=None, *, out_dir) -> list[MetricsRecord]:
     """Benchmark every configured strategy; appends rows to metrics.csv in
     the existing directory out_dir and returns the records. An existing
-    metrics.csv of another schema is refused before any sampling."""
+    metrics.csv of another schema is refused before any sampling. Each
+    strategy is scored as soon as its samples are in, while the later
+    strategies sample."""
     out_dir = Path(out_dir)
     _metrics_header(out_dir / "metrics.csv")
     if config.emit_samples:
         _check_writable(*sample_paths(config, out_dir))
-    runs = sample_strategies(config, meanflow_path, predictor_path)
     reference = sample_data(config.distribution, config.metric_samples,
                             config.metric_seed)
     terms = ReferenceTerms()
-    records = []
-    for run in runs:
-        t0 = time.perf_counter()
-        w2 = w2_distance(run.samples, reference, terms)
-        energy = energy_distance(run.samples, reference, terms)
-        records.append(MetricsRecord(
-            run_id=run.run_id, strategy=run.strategy,
-            full_evals=run.full_evals, predictor_evals=run.predictor_evals,
-            w2=w2, energy_distance=energy, wall_clock_ms=run.wall_clock_ms,
-            cache_bytes_peak=run.cache_bytes_peak,
-            metric_ms=(time.perf_counter() - t0) * 1e3))
+    runs, records = [], []
+    with closing(sample_strategies(config, meanflow_path,
+                                   predictor_path)) as sampled:
+        for run in sampled:
+            t0 = time.perf_counter()
+            w2 = w2_distance(run.samples, reference, terms)
+            energy = energy_distance(run.samples, reference, terms)
+            runs.append(run)
+            records.append(MetricsRecord(
+                run_id=run.run_id, strategy=run.strategy,
+                full_evals=run.full_evals,
+                predictor_evals=run.predictor_evals, w2=w2,
+                energy_distance=energy, wall_clock_ms=run.wall_clock_ms,
+                cache_bytes_peak=run.cache_bytes_peak,
+                metric_ms=(time.perf_counter() - t0) * 1e3))
     append_metrics(out_dir / "metrics.csv", records)
     if config.emit_samples:
         write_samples(config, out_dir, runs)
@@ -411,7 +519,7 @@ def run_sample(config: ExperimentConfig, meanflow_path, predictor_path=None,
     """Sample every configured strategy into its `sample_paths` file in the
     existing directory out_dir; every file is checked before any sampling."""
     _check_writable(*sample_paths(config, out_dir))
-    runs = sample_strategies(config, meanflow_path, predictor_path)
+    runs = list(sample_strategies(config, meanflow_path, predictor_path))
     return list(zip(runs, write_samples(config, out_dir, runs)))
 
 

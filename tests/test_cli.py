@@ -9,6 +9,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -291,21 +293,52 @@ def test_bench_refuses_metrics_csv_of_another_schema(tmp_path, tiny_pipeline,
 
 def test_bench_of_non_finite_samples_exits_4(tmp_path, tiny_pipeline, capsys,
                                               monkeypatch):
-    # before the check, scipy's solver raised ValueError, an undocumented exit
+    # before the check, scipy's solver raised ValueError, an undocumented exit.
+    # On a pool of 2 the helper thread is still sampling the later strategies
+    # when the first one's scoring fails; the run stops it.
     config, root = tiny_pipeline
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 2)
     sample = runner.sample_strategies
 
     def diverged(*args, **kwargs):
-        runs = sample(*args, **kwargs)
-        runs[0].samples[5, 0] = np.nan
-        return runs
+        with closing(sample(*args, **kwargs)) as runs:
+            first = next(runs)
+            first.samples[5, 0] = np.nan
+            yield first
+            yield from runs
 
     monkeypatch.setattr(runner, "sample_strategies", diverged)
     out = tmp_path / "out"
     out.mkdir()
+    threads = threading.active_count()
     assert main(["bench", "--config", str(config), "--out", str(out),
                  *checkpoint_args(root)]) == EXIT_NUMERIC
     assert "non-finite samples" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert threading.active_count() == threads
+
+
+def test_bench_of_overflowing_1d_samples_exits_4(tmp_path, capsys,
+                                                 monkeypatch):
+    # finite 1-D samples 1e200 out: their W2 read inf before the check
+    config = tmp_path / "gaussian1d.json"
+    config.write_text(json.dumps({**TINY_CONFIG,
+                                  "distribution": {"kind": "gaussian1d"}}))
+    train_pipeline(config, tmp_path)
+    session = runner._run_session
+
+    def far_out(*args):
+        out, report = session(*args)
+        return out * 1e200, report
+
+    monkeypatch.setattr(runner, "_run_session", far_out)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["bench", "--config", str(config), "--out", str(out),
+                 *checkpoint_args(tmp_path)]) == EXIT_NUMERIC
+    assert "overflow float64" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -329,8 +362,9 @@ def test_sample_cells_are_the_sampled_floats(tmp_path, tiny_pipeline):
     config, root = tiny_pipeline
     assert main(["sample", "--config", str(config), "--out", str(tmp_path),
                  *checkpoint_args(root)]) == EXIT_OK
-    runs = runner.sample_strategies(load_config(config), root / "meanflow.fck",
-                                    root / "predictor.fck")
+    runs = list(runner.sample_strategies(load_config(config),
+                                         root / "meanflow.fck",
+                                         root / "predictor.fck"))
     assert len(runs) == 4
     for run in runs:
         path = tmp_path / f"samples-{run.run_id.replace(':', '-')}.csv"

@@ -340,6 +340,34 @@ def test_overflowing_squared_distances_raise_numeric_failure():
         w2_distance(a, -a)
 
 
+# finite points whose distances square past float64 (1-D; padded to 2-D with
+# a zero column)
+FAR_APART = (np.array([[1e200], [0.0], [1.0]]),
+             np.array([[-1e200], [0.0], [2.0]]))
+
+
+def _padded(x):
+    return np.hstack([x, np.zeros_like(x)])
+
+
+@pytest.mark.parametrize("metric,dim", [
+    (w2_distance, 1), (w2_distance, 2), (energy_distance, 2)])
+def test_overflowing_distances_raise_numeric_failure(metric, dim):
+    # before the check the 1-D W2 returned inf and the 2-D energy nan
+    a, b = FAR_APART if dim == 1 else map(_padded, FAR_APART)
+    with pytest.raises(NumericFailure, match="overflow"):
+        metric(a, b)
+
+
+def test_1d_energy_is_exact_until_its_sums_overflow():
+    # the 1-D energy sums |x - y| without squaring it: 1e200 apart still
+    # gives the V-statistic, (2 * 6e200 - 4e200 - 4e200) / 9
+    a, b = FAR_APART
+    assert energy_distance(a, b) == pytest.approx(4e200 / 9, rel=1e-12)
+    with pytest.raises(NumericFailure, match="overflow"):
+        energy_distance(a * 1e108, b * 1e108)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_w2_of_empty_sets_rejected(dim):
     with pytest.raises(ContractViolation, match="at least one point"):

@@ -1,5 +1,6 @@
 """Runner invariants that must hold without `assert` (they survive -O), the
-sampling pool's size rule, and outputs that do not depend on the pool."""
+sampling pool's size rule, outputs that do not depend on the pool, and
+scoring that overlaps the sampling of the later strategies."""
 
 import csv
 import json
@@ -7,6 +8,7 @@ import logging
 import math
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import fields, replace
 
@@ -75,8 +77,9 @@ def test_sessions_disagreeing_on_nfe_raise(tiny_pipeline, monkeypatch):
     config, root = tiny_pipeline
     miscount_class_1(monkeypatch)
     with pytest.raises(ContractViolation, match="disagree on NFE counts"):
-        runner.sample_strategies(load_config(config), root / "meanflow.fck",
-                                 root / "predictor.fck")
+        list(runner.sample_strategies(load_config(config),
+                                      root / "meanflow.fck",
+                                      root / "predictor.fck"))
 
 
 @pytest.mark.parametrize("openblas,omp,cores,sessions,size", [
@@ -170,8 +173,9 @@ def test_nfe_disagreement_crosses_the_pool(tiny_pipeline, monkeypatch):
     assert runner._pool_size(2) == 2
     miscount_class_1(monkeypatch)
     with pytest.raises(ContractViolation, match="disagree on NFE counts"):
-        runner.sample_strategies(load_config(config), root / "meanflow.fck",
-                                 root / "predictor.fck")
+        list(runner.sample_strategies(load_config(config),
+                                      root / "meanflow.fck",
+                                      root / "predictor.fck"))
 
 
 def test_numeric_failure_in_one_session_exits_4(tmp_path, tiny_pipeline,
@@ -205,8 +209,8 @@ def test_out_of_horizon_queries_warn_once_per_strategy(tiny_pipeline,
     def run():
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="flowcache"):
-            runs = runner.sample_strategies(cfg, root / "meanflow.fck",
-                                            root / "predictor.fck")
+            runs = list(runner.sample_strategies(cfg, root / "meanflow.fck",
+                                                 root / "predictor.fck"))
         return runs, [r.getMessage() for r in caplog.records]
 
     _, messages = run()
@@ -254,3 +258,161 @@ def test_w2_column_equals_a_cold_recomputation(tmp_path, tiny_pipeline,
     with open(tmp_path / "metrics.csv", newline="") as fh:
         column = [float(row["w2"]) for row in csv.DictReader(fh)]
     assert column == [r.w2 for r in records]
+
+
+TIMEOUT_S = 10
+
+
+def wait_for(event, what):
+    """Wait for `event`; a scheduler that never sets it fails the test
+    instead of hanging it."""
+    if not event.wait(TIMEOUT_S):
+        raise AssertionError(f"waited {TIMEOUT_S} s for {what}")
+
+
+def none_sampled_first(monkeypatch, config, before):
+    """A pool of 2 in which every later strategy's session waits until the
+    last `none` session has ended, then calls before(name, key) and walks.
+
+    Both threads sample `none` before anything else, so the calling thread
+    takes no job past the next strategy's before it scores `none`."""
+    force_pool(monkeypatch, 2)
+    left = len(runner._session_keys(config))
+    lock, sampled = threading.Lock(), threading.Event()
+    original = runner._run_session
+
+    def gated(name, key, *rest):
+        nonlocal left
+        if name != "none":
+            wait_for(sampled, "the `none` sessions")
+            before(name, key)
+            return original(name, key, *rest)
+        out = original(name, key, *rest)
+        with lock:
+            left -= 1
+            if not left:
+                sampled.set()
+        return out
+
+    monkeypatch.setattr(runner, "_run_session", gated)
+
+
+def spy_first_w2(monkeypatch, during=lambda: None):
+    """An event set by the runner's first w2_distance call (which scores
+    `none`), which runs during() before it computes."""
+    scored = threading.Event()
+    w2 = runner.w2_distance
+
+    def spy(samples, reference, terms=None):
+        if not scored.is_set():
+            scored.set()
+            during()
+        return w2(samples, reference, terms)
+
+    monkeypatch.setattr(runner, "w2_distance", spy)
+    return scored
+
+
+def test_later_strategies_sample_while_none_is_scored(tmp_path, tiny_pipeline,
+                                                      monkeypatch):
+    # a scheduler that samples every strategy before it scores one times out
+    # in the gated `learned` sessions
+    config, root = tiny_pipeline
+    cfg = load_config(config)
+    scored = spy_first_w2(monkeypatch)
+    gated = []
+
+    def learned_after_none_is_scored(name, key):
+        if name == "learned":
+            wait_for(scored, "`none` to be scored")
+            gated.append(key)
+
+    none_sampled_first(monkeypatch, cfg, learned_after_none_is_scored)
+    records = runner.run_experiment(cfg, root / "meanflow.fck",
+                                    root / "predictor.fck", out_dir=tmp_path)
+    assert [r.strategy for r in records] == list(cfg.strategies)
+    assert sorted(gated) == runner._session_keys(cfg)
+
+
+def test_session_failure_while_scoring_exits_4(tmp_path, tiny_pipeline,
+                                               monkeypatch, capsys):
+    # a later strategy's session fails while `none` is scored: the run
+    # exits 4, writes no metrics.csv and leaves no sampling thread behind
+    config, root = tiny_pipeline
+    failed = threading.Event()
+    scoring = spy_first_w2(
+        monkeypatch, lambda: wait_for(failed, "the taylor session to fail"))
+
+    def fail_during_scoring(name, key):
+        if name == "taylor" and key[0] == 1:
+            wait_for(scoring, "`none` to be scored")
+            failed.set()
+            raise NumericFailure("non-finite value in session (1, 0)")
+
+    none_sampled_first(monkeypatch, load_config(config), fail_during_scoring)
+    threads = threading.active_count()
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path),
+                 "--checkpoint", str(root / "meanflow.fck"),
+                 "--checkpoint", str(root / "predictor.fck")]) == EXIT_NUMERIC
+    assert "non-finite value in session (1, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+    assert threading.active_count() == threads
+
+
+def test_wall_clock_ms_spans_a_strategys_sessions(tmp_path, tiny_pipeline,
+                                                  monkeypatch):
+    # each strategy's wall_clock_ms runs from its first session's start to
+    # its last session's end: at least its longest session, and within the
+    # whole call
+    config, root = tiny_pipeline
+    cfg = load_config(config)
+    force_pool(monkeypatch, 2)
+    sessions_ms = {}
+    original = runner._run_session
+
+    def timed(name, key, *rest):
+        t0 = time.perf_counter()
+        out = original(name, key, *rest)
+        sessions_ms.setdefault(name, []).append(
+            (time.perf_counter() - t0) * 1e3)
+        return out
+
+    monkeypatch.setattr(runner, "_run_session", timed)
+    t0 = time.perf_counter()
+    records = runner.run_experiment(cfg, root / "meanflow.fck",
+                                    root / "predictor.fck", out_dir=tmp_path)
+    whole_ms = (time.perf_counter() - t0) * 1e3
+    assert [r.strategy for r in records] == list(cfg.strategies)
+    for record in records:
+        longest = max(sessions_ms[record.strategy])
+        assert 0 < longest <= record.wall_clock_ms <= whole_ms
+
+
+def test_session_queue_loses_no_session_under_contention():
+    # more threads than cores, switching every microsecond: every session's
+    # result reaches its strategy, in key order, and every wait ends
+    strategies, sessions = 6, 16
+
+    def session(i, k):
+        time.sleep(1e-3)  # the consumer often waits for a helper's session
+        return i, k
+
+    queue = runner._SessionQueue(session, strategies, sessions)
+    done = []
+
+    def consume():
+        with queue.helpers(4):
+            done.extend(queue.done(i) for i in range(strategies))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive()
+    assert [outs for outs, _ in done] == [
+        [(i, k) for k in range(sessions)] for i in range(strategies)]
+    assert all(wall_ms >= 0 for _, wall_ms in done)
