@@ -41,14 +41,13 @@ phase hands the rest to the solver once 0.5% of rows wait, and all phases
 together stop bidding after 64 n rows, which ends any price war between
 tied rows. An all-zero cost matrix skips the auction.
 
-A `ReferenceTerms` holder keeps column potentials for one reference set.
-The first 2-D W2 call given the holder solves cold, then derives v from its
-optimal assignment by a fixed number of Bellman-Ford sweeps over the
-reduced costs of the price-shifted matrix (`_column_potentials`), minus the
-prices. Every later call against the same reference subtracts v from its
-own cost matrix in place. For sample sets that nearly share an optimal
-coupling (the strategies of one bench draw their samples from the same
-noise), a warm solve then takes a fraction of a cold one's time.
+A `ReferenceTerms` holder keeps column potentials for one reference set:
+the first 2-D W2 call given the holder stores its own shift, v = -p, an
+epsilon-feasible column dual of its cost matrix, and every later call
+against the same reference subtracts v from its own cost matrix in place.
+For sample sets that nearly share an optimal coupling (the strategies of
+one bench draw their samples from the same noise), a warm solve then takes
+a fraction of a cold one's time.
 
 In-process timings of the plain cold solve against the auction start
 (auction plus shifted solve), in seconds, on a 2-vCPU x86 VM with one BLAS
@@ -65,10 +64,11 @@ thread (BENCH_22.json):
 
 The auction takes 41-82% of the started time, about 70% on the bench's
 sets. Close sets, whose plain solve is already short, gain least and can
-lose up to about 5%. A bench run's first W2 call, cold solve plus
-potentials pass, fell from 3.0-3.8 s to 0.9-1.1 s. Its warm solves take
-0.3-0.4 s, and the learned strategy's 0.45-0.56 s against 0.33-0.41 s
-before, since its potentials now come from the shifted matrix.
+lose up to about 5%. On the bench fixture (seeds 3, 5, 200, 201, 400 and
+401, in-process, same VM) a bench run's first W2 call, the cold solve, takes
+0.52-0.87 s (median 0.63). The naive and taylor strategies' warm solves
+take 0.15-0.33 s (median 0.21), the learned strategy's 0.41-0.72 s (median
+0.51).
 
 energy_distance is the V-statistic 2 E|A-B| - E|A-A'| - E|B-B'|. In 1D each
 mean |X-Y| term comes from sorted values with prefix sums and searchsorted,
@@ -114,13 +114,8 @@ def _check_samples(a, b, equal_n=True):
     return a, b
 
 
-# Bellman-Ford sweeps of the potentials pass, and the row chunk (in matrix
-# entries: 2 MB of float64) in which the pass and the auction read the cost
-# matrix. On the bench's sets (n = 2048, three bench seeds) 10, 30 and 100
-# sweeps take about 0.12, 0.3 and 0.75 s and leave warm solves of about
-# 1.25, 0.35 and 0.15 s (the learned strategy's about 1.2, 0.45 and 0.6 s);
-# 20 and 50 sweeps cost more in total than 30.
-_POTENTIAL_SWEEPS = 30
+# The row chunk (in matrix entries: 2 MB of float64) in which the auction
+# reads the cost matrix.
 _CHUNK_ENTRIES = 1 << 18
 
 # The auction start's settings (module docstring), measured at n = 2048 on
@@ -148,7 +143,8 @@ _AUCTION_ROW_PASSES = 64
 
 class ReferenceTerms:
     """The terms of the metrics that depend on one reference set only: the
-    2-D W2's column potentials and the energy distance's E|B-B'|.
+    2-D W2's column potentials (minus the first solve's auction prices) and
+    the energy distance's E|B-B'|.
 
     Pass one holder to every w2_distance and energy_distance call against
     the same reference: the first call of each metric fills its term, later
@@ -182,37 +178,6 @@ def _row_blocks(cost: np.ndarray, rows: np.ndarray, buffer: np.ndarray):
 
 def _row_buffer(n: int) -> np.ndarray:
     return np.empty((max(1, min(n, _CHUNK_ENTRIES // n)), n))
-
-
-def _column_potentials(cost: np.ndarray, cols: np.ndarray,
-                       sweeps: int = _POTENTIAL_SWEEPS) -> np.ndarray:
-    """Column potentials v of the square cost matrix whose optimal
-    assignment matches row i to column cols[i].
-
-    Each sweep relaxes v_j <- min(v_j, min_i c_ij - u_i) with
-    u_i = c_i,cols[i] - v_cols[i], over only the rows whose u changed in
-    the sweep before. Run to convergence, this is a feasible dual that is
-    tight on the assignment; a fixed number of sweeps gives a near-feasible
-    one."""
-    n = cost.shape[0]
-    matched = cost[np.arange(n), cols]
-    row_of = np.empty(n, dtype=np.intp)
-    row_of[cols] = np.arange(n)
-    buffer = _row_buffer(n)
-    v = np.zeros(n)
-    active = np.arange(n)
-    for _ in range(sweeps):
-        u = matched - v[cols]
-        relaxed = v.copy()
-        for _, rows, block in _row_blocks(cost, active, buffer):
-            block -= u[rows, None]
-            np.minimum(relaxed, block.min(axis=0), out=relaxed)
-        lowered = relaxed < v
-        if not lowered.any():
-            break
-        v = relaxed
-        active = np.sort(row_of[lowered])
-    return v
 
 
 def _epsilons(cost: np.ndarray, mean_cost: float) -> list[float]:
@@ -296,9 +261,9 @@ def _bids(cost: np.ndarray, prices: np.ndarray, rows: np.ndarray,
 def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
     """2-Wasserstein distance between equal-size empirical sample sets.
 
-    b is the reference set. With a `terms` holder, a 2-D call fills its
-    potentials when they are empty and solves from them otherwise; the
-    value is the same either way."""
+    b is the reference set. With a `terms` holder, a 2-D call whose
+    holder is empty stores minus its auction's prices as the potentials,
+    and later calls start from them; the value is the same either way."""
     a, b = _check_samples(a, b)
     if a.shape[0] == 0:
         raise ContractViolation("w2_distance needs at least one point per set")
@@ -318,15 +283,16 @@ def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
 
     if terms is not None:
         terms.bind(b)
-    warmed = terms is not None and terms.potentials is not None
     cost = cdist(a, b, metric="sqeuclidean")
     if not np.isfinite(cost.sum()):
         raise NumericFailure(_SQUARES_OVERFLOW)
-    shift = terms.potentials if warmed else -_auction_prices(cost)
+    shift = None if terms is None else terms.potentials
+    if shift is None:
+        shift = -_auction_prices(cost)
+        if terms is not None:
+            terms.potentials = shift
     cost -= shift
     _, cols = linear_sum_assignment(cost)
-    if terms is not None and not warmed:
-        terms.potentials = _column_potentials(cost, cols) + shift
     diff = a - b[cols]
     return float(np.sqrt(np.sum(diff * diff, axis=1).mean()))
 

@@ -23,7 +23,7 @@ Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
 their own RNG stream from the root seed. All of a run's sessions wait in one
 queue, strategy by strategy in config order, and a pool drains it from the
 front, since numpy and scipy release the GIL inside their kernels. The pool
-holds min(sessions per strategy, cores // BLAS threads) workers: the cores
+holds min(sessions of the run, cores // BLAS threads) workers: the cores
 this process may run on, divided by the BLAS pin it runs under
 (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`; a missing or malformed pin
 counts as all cores, so an unpinned run samples on one worker). The thread
@@ -47,11 +47,11 @@ every strategy has been sampled and scored.
 Every strategy's metrics are measured against one reference set, through one
 `ReferenceTerms` holder: the first strategy's 2-D W2 solve is cold, and its
 `metric_ms` includes the auction that starts that solve, the solve, the
-potentials pass, the reference's energy self term and, in a process that
-has run no 2-D metric yet, the import of scipy's solver (about 0.2 s); the
-later strategies' solves start from those potentials and reuse that term
-(see metrics). Each value equals a call
-without the holder; the holder changes only the time.
+reference's energy self term and, in a process that has run no 2-D metric
+yet, the import of scipy's solver (about 0.2 s); the later strategies'
+solves start from that auction's prices and reuse that term (see metrics).
+Each value equals a call without the holder; the holder changes only the
+time.
 
 The 512-row chunk is a measured memory and locality choice, not a leftover:
 it keeps every step's activations a few hundred kilobytes. Sampling the
@@ -300,7 +300,7 @@ def _usable_cores() -> int:
 
 def _pool_size(sessions: int) -> int:
     """Sampling workers, the calling thread included: the cores the BLAS pin
-    leaves free, at most one per session of a strategy. The pin is the first
+    leaves free, at most one per session of the run. The pin is the first
     of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that holds a positive
     integer, as OpenBLAS reads them; without one, BLAS may use every core
     and the pool is 1."""
@@ -455,7 +455,7 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
         lambda i, k: _run_session(names[i], keys[k], model, params, predictor,
                                   pparams, delta_max, config),
         len(names), len(keys))
-    with queue.helpers(_pool_size(len(keys)) - 1):
+    with queue.helpers(_pool_size(len(names) * len(keys)) - 1):
         for i, (name, run_id) in enumerate(zip(names, _run_ids(config))):
             results, wall_ms = queue.done(i)
             reports = [rep for _, rep in results]

@@ -178,9 +178,9 @@ def check_w2(seed: int) -> tuple[bool, str]:
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     zero = w2_distance(a, b)
     one = w2_distance(np.array([[0.0]]), np.array([[1.0]]))
-    # the auction-started cold solve, and warm solves from the potentials of
-    # one draw (a paired perturbation and far-off noise), must each give the
-    # plain solve's value
+    # the auction-started cold solve, and warm solves that start from that
+    # cold auction's prices (for a paired perturbation and far-off noise),
+    # must each give the plain solve's value
     rng = np.random.default_rng(seed)
     reference = rng.standard_normal((256, 2))
     first = rng.standard_normal((256, 2))
@@ -196,7 +196,8 @@ def check_w2(seed: int) -> tuple[bool, str]:
         for x in pairs)
     return zero == 0.0 and one == 1.0 and cold_equal and warm_equal, (
         f"permuted sets {zero}, unit masses {one}, auction start equals the "
-        f"plain solve: {cold_equal}, warm start equals it: {warm_equal}")
+        f"plain solve: {cold_equal}, warm start from the cold auction's "
+        f"prices equals it: {warm_equal}")
 
 
 CHECKS = [

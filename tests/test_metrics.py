@@ -18,9 +18,8 @@ from scipy.spatial.distance import cdist
 from flowcache.errors import ContractViolation, NumericFailure
 from flowcache.flow import ToyDistribution, sample_data
 from flowcache import metrics
-from flowcache.metrics import (ReferenceTerms, _auction_prices,
-                               _column_potentials, _epsilons, energy_distance,
-                               w2_distance)
+from flowcache.metrics import (ReferenceTerms, _auction_prices, _epsilons,
+                               energy_distance, w2_distance)
 
 
 def brute_force_w2(a, b):
@@ -209,30 +208,26 @@ def test_holder_of_another_reference_rejected(rng):
             w2_distance(rng.standard_normal(other.shape), other, warm)
 
 
-def test_converged_potentials_are_a_tight_feasible_dual(rng):
-    # run to convergence, the sweeps give u_i + v_j <= c_ij everywhere with
-    # equality on the optimal assignment: a certificate of its optimality
-    cost = cdist(rng.standard_normal((48, 2)), rng.standard_normal((48, 2)),
-                 metric="sqeuclidean")
-    rows, cols = linear_sum_assignment(cost)
-    v = _column_potentials(cost, cols, sweeps=10_000)
-    u = cost[rows, cols] - v[cols]
-    assert np.min(cost - u[:, None] - v[None, :]) > -1e-12
-    assert abs(np.sum(u) + np.sum(v) - np.sum(cost[rows, cols])) < 1e-9
+def test_holder_keeps_the_cold_auctions_prices(rng, monkeypatch):
+    # one auction per holder: the warm calls start from minus its prices
+    reference = sample_data(CHECKERBOARD, 256, 1)
+    draws = [sample_data(CHECKERBOARD, 256, 2) + scale * rng.standard_normal(
+        (256, 2)) for scale in (0.0, 1e-3, 1e-2, 1.0)]
+    prices = []
 
+    def spy(cost):
+        prices.append(_auction_prices(cost))
+        return prices[-1]
 
-def test_potentials_pass_allocates_no_square_temporary(rng):
-    n = 1024
-    cost = cdist(rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
-                 metric="sqeuclidean")
-    _, cols = linear_sum_assignment(cost)
-    tracemalloc.start()
-    try:
-        _column_potentials(cost, cols, sweeps=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < cost.nbytes / 2
+    monkeypatch.setattr(metrics, "_auction_prices", spy)
+    warm = ReferenceTerms()
+    for x in draws:
+        assert w2_distance(x, reference, warm) == lsa_w2(x, reference)
+    assert len(prices) == 1
+    assert np.array_equal(warm.potentials, -prices[0])
+    for x in draws:
+        w2_distance(x, reference)
+    assert len(prices) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from flowcache.flow import sample_data
 from flowcache.metrics import energy_distance, w2_distance
 from flowcache.optim import StepReport
 
-from conftest import TINY_CONFIG
+from conftest import TINY_CONFIG, train_pipeline
 
 
 def test_stage_files_record_the_parent_they_loaded(tiny_pipeline):
@@ -176,6 +176,34 @@ def test_nfe_disagreement_crosses_the_pool(tiny_pipeline, monkeypatch):
         list(runner.sample_strategies(load_config(config),
                                       root / "meanflow.fck",
                                       root / "predictor.fck"))
+
+
+def test_one_session_per_strategy_still_fills_the_pool(tmp_path, monkeypatch):
+    # gaussian1d has one class, so 64 points are one session per strategy;
+    # the pool is sized by the run's sessions, and the first two sessions,
+    # each held until the other runs, need a helper thread
+    config = tmp_path / "gaussian1d.json"
+    config.write_text(json.dumps({**TINY_CONFIG,
+                                  "distribution": {"kind": "gaussian1d"}}))
+    train_pipeline(config, tmp_path)
+    cfg = load_config(config)
+    assert len(runner._session_keys(cfg)) == 1
+    force_pool(monkeypatch, 2)
+    both = threading.Barrier(2, timeout=TIMEOUT_S)
+    threads = []
+    original = runner._run_session
+
+    def spy(name, key, *rest):
+        threads.append(threading.current_thread().name)
+        if name in cfg.strategies[:2]:
+            both.wait()
+        return original(name, key, *rest)
+
+    monkeypatch.setattr(runner, "_run_session", spy)
+    runs = list(runner.sample_strategies(cfg, tmp_path / "meanflow.fck",
+                                         tmp_path / "predictor.fck"))
+    assert [run.strategy for run in runs] == list(cfg.strategies)
+    assert any(name.startswith("sampler-") for name in threads)
 
 
 def test_numeric_failure_in_one_session_exits_4(tmp_path, tiny_pipeline,
