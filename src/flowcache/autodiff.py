@@ -452,10 +452,9 @@ def param_grads(loss: Node, leaves: dict[str, Node]) -> dict[str, Array]:
 
 @dataclass
 class ParameterSet:
-    """Named flat collection of weight tensors; version bumps on updates."""
+    """Named flat collection of weight tensors."""
 
     entries: dict[str, Array] = field(default_factory=dict)
-    version: int = 0
 
     def __post_init__(self):
         self.entries = {k: as_f64(v) for k, v in self.entries.items()}
@@ -464,7 +463,7 @@ class ParameterSet:
                 raise NumericFailure(f"parameter '{name}' contains non-finite values")
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet({k: v.copy() for k, v in self.entries.items()}, self.version)
+        return ParameterSet({k: v.copy() for k, v in self.entries.items()})
 
     def __getitem__(self, name: str) -> Array:
         return self.entries[name]

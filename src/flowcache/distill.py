@@ -36,7 +36,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, as_f64, value_of
 from .errors import ContractViolation, NumericFailure
-from .flow import PathSample, TimePair, ToyDistribution, squared_error_loss
+from .flow import (TimePair, ToyDistribution, draw_path, interpolate,
+                   squared_error_loss)
 from .nets import Condition, VelocityModel
 from .optim import OptimizerState, StepReport, TrainSettings, descend
 
@@ -90,23 +91,22 @@ def cfg_mixture(v_cond, v_uncond, g: float):
 
 def cfg_distill_step(student: VelocityModel, params: ParameterSet,
                      teacher: VelocityModel, teacher_params: ParameterSet,
-                     batch: PathSample, cond: Condition, g: float,
+                     x_t, t: float, class_id: int, g: float,
                      cfg: CfgConfig, opt: OptimizerState) -> StepReport:
     """One optimizer step matching the student to the teacher mixture at one
     (t, g); the teacher is evaluated conditionally and with the null class."""
     if not (cfg.g_min <= g <= cfg.g_max):
         raise ContractViolation(f"g={g} outside [{cfg.g_min}, {cfg.g_max}]")
-    v_c = value_of(teacher.forward(teacher_params.entries, batch.xt, batch.t,
-                                   None, Condition(cond.class_id)))
-    v_uc = value_of(teacher.forward(teacher_params.entries, batch.xt, batch.t,
-                                    None, Condition(None)))
+    v_c = value_of(teacher.forward(teacher_params.entries, x_t, t, None,
+                                   Condition(class_id)))
+    v_uc = value_of(teacher.forward(teacher_params.entries, x_t, t, None,
+                                    Condition(None)))
     if not (np.all(np.isfinite(v_c)) and np.all(np.isfinite(v_uc))):
         raise NumericFailure("teacher produced non-finite velocity")
     v_target = cfg_mixture(v_c, v_uc, g)
 
     leaves = params.lift()
-    pred = student.forward(leaves, batch.xt, batch.t, None,
-                           Condition(cond.class_id, g))
+    pred = student.forward(leaves, x_t, t, None, Condition(class_id, g))
     return descend(params, leaves, squared_error_loss(pred, v_target), opt)
 
 
@@ -137,11 +137,10 @@ def train_cfg(student: VelocityModel, teacher: VelocityModel,
         k = int(rng.integers(0, dist.n_classes))
         t = float(rng.uniform())
         g = float(rng.uniform(cfg.g_min, cfg.g_max))
-        x0 = dist.sample_class(k, settings.batch_size, rng)
-        x1 = rng.standard_normal(x0.shape)
-        batch = PathSample.create(x0, x1, t)
+        x0, x1 = draw_path(dist, k, settings.batch_size, rng)
         reports.append(cfg_distill_step(student, params, teacher, teacher_params,
-                                        batch, Condition(k), g, cfg, opt))
+                                        interpolate(x0, x1, t), t, k, g, cfg,
+                                        opt))
     return params, reports
 
 
@@ -183,11 +182,11 @@ def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
                           clip: float | None = 1.0) -> StepReport:
     """One optimizer step over several (pair, sub-batch) groups.
 
-    Each group carries (PathSample-like states, TimePair, Condition), and
-    every group has the same number of rows. The groups are stacked into one
-    batch: one teacher call gives v at (x_t, t) in instantaneous mode, one
-    graph gives u and its tangent, and the gradient descends the mean over
-    all rows of ||u - sg(u_tgt)||^2, its norm clipped at `clip`.
+    Each group carries (x_t, TimePair, Condition), and every group has the
+    same number of rows. The groups are stacked into one batch: one teacher
+    call gives v at (x_t, t) in instantaneous mode, one graph gives u and
+    its tangent, and the gradient descends the mean over all rows of
+    ||u - sg(u_tgt)||^2, its norm clipped at `clip`.
     """
     intervals = [pair.interval for _, pair, _ in groups]
     if max(intervals) > restrict.restrict_factor + 1e-12:
@@ -244,10 +243,8 @@ def train_meanflow(model: VelocityModel, init_params: ParameterSet,
             pair = sample_t_r(restrict, rng)
             k = int(rng.integers(0, dist.n_classes))
             g = float(rng.uniform(cfg.g_min, cfg.g_max)) if cfg is not None else None
-            x0 = dist.sample_class(k, per_group, rng)
-            x1 = rng.standard_normal(x0.shape)
-            x_t = (1.0 - pair.t) * x0 + pair.t * x1
-            groups.append((x_t, pair, Condition(k, g)))
+            x0, x1 = draw_path(dist, k, per_group, rng)
+            groups.append((interpolate(x0, x1, pair.t), pair, Condition(k, g)))
         reports.append(meanflow_distill_step(model, params, teacher,
                                              teacher_params, groups, restrict,
                                              opt, settings.grad_clip))

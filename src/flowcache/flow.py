@@ -32,7 +32,7 @@ DIST_KINDS = ("gaussian1d", "two_moons", "checkerboard", "eight_gaussians")
 
 
 # ---------------------------------------------------------------------------
-# Time pairs and path samples
+# Time pairs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -50,26 +50,6 @@ class TimePair:
     @property
     def interval(self) -> float:
         return self.t - self.r
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One interpolation batch: xt must equal (1-t) x0 + t x1 elementwise."""
-
-    x0: Array
-    x1: Array
-    t: float
-    xt: Array
-
-    def __post_init__(self):
-        expected = (1.0 - self.t) * self.x0 + self.t * self.x1
-        if not np.array_equal(self.xt, expected):
-            raise ContractViolation("xt does not satisfy the interpolation identity")
-
-    @classmethod
-    def create(cls, x0, x1, t: float) -> "PathSample":
-        x0, x1 = as_f64(x0), as_f64(x1)
-        return cls(x0=x0, x1=x1, t=float(t), xt=(1.0 - t) * x0 + t * x1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +139,29 @@ def sample_data(dist: ToyDistribution, n: int, seed: int) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# The interpolation path
+# ---------------------------------------------------------------------------
+
+def draw_path(dist: ToyDistribution, class_id: int, n: int,
+              rng) -> tuple[Array, Array]:
+    """(x0, x1): n points of class `class_id`, then their noise, from `rng`
+    in that order; every training stage draws its batches here."""
+    x0 = dist.sample_class(class_id, n, rng)
+    return x0, rng.standard_normal(x0.shape)
+
+
+def interpolate(x0, x1, t):
+    """The path state x_t = (1 - t) x0 + t x1."""
+    return (1.0 - t) * x0 + t * x1
+
+
+# ---------------------------------------------------------------------------
 # Losses and samplers
 # ---------------------------------------------------------------------------
 
 def squared_error_loss(pred, target):
     """Mean over the batch (rows) of the squared L2 distance to target."""
     return ad.mean(ad.sum_(ad.square(ad.sub(pred, target)), axis=1))
-
-
-def fm_loss_from_output(pred, batch: PathSample):
-    """Mean over the batch of the squared L2 distance to x1 - x0."""
-    return squared_error_loss(pred, batch.x1 - batch.x0)
-
-
-def fm_loss(model: VelocityModel, params, batch: PathSample,
-            cond: Condition = Condition()):
-    """Flow-matching regression loss for an instantaneous-velocity model."""
-    if model.config.accepts_r:
-        raise ContractViolation(
-            "flow-matching regression expects an accepts_r=False model")
-    pred = model.forward(params, batch.xt, batch.t, None, cond)
-    return fm_loss_from_output(pred, batch)
 
 
 def mean_velocity_step(x_t: Array, pair: TimePair, u: Array) -> Array:
@@ -229,24 +211,19 @@ def _path_scale(t, sigma_d: float):
     return ad.sqrt(ad.add(ad.square(ad.mul(ad.sub(1.0, t), sigma_d)), ad.square(t)))
 
 
-def analytic_mean_velocity_tr(x_t, t, r, sigma_d: float):
-    """Graph-compatible core of analytic_mean_velocity (t, r may be Nodes)."""
+def analytic_mean_velocity(x_t, t, r, sigma_d: float):
+    """Exact mean velocity over [r, t]: x_t (1 - s(r)/s(t)) / (t - r).
+
+    The solution operator of the linear path ODE is s(r)/s(t), so this is
+    the integral-mean of the instantaneous field in closed form; t and r may
+    be graph Nodes. For r == t use analytic_gaussian_velocity (the limit).
+    """
     if float(value_of(r)) >= float(value_of(t)):
         raise ContractViolation(
             "analytic_mean_velocity requires r < t; use "
             "analytic_gaussian_velocity for the instantaneous limit")
     ratio = ad.div(_path_scale(r, sigma_d), _path_scale(t, sigma_d))
     return ad.mul(x_t, ad.div(ad.sub(1.0, ratio), ad.sub(t, r)))
-
-
-def analytic_mean_velocity(x_t, pair, sigma_d: float):
-    """Exact mean velocity over [r, t]: x_t (1 - s(r)/s(t)) / (t - r).
-
-    The solution operator of the linear path ODE is s(r)/s(t), so this is
-    the integral-mean of the instantaneous field in closed form. For r == t
-    use analytic_gaussian_velocity (the limit).
-    """
-    return analytic_mean_velocity_tr(x_t, pair.t, pair.r, sigma_d)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +239,9 @@ def train_base(model: VelocityModel, dist: ToyDistribution,
     conditions on scalar times), and with probability p_uncond trains the
     null-condition branch on that batch.
     """
+    if model.config.accepts_r:
+        raise ContractViolation(
+            "flow-matching regression expects an accepts_r=False model")
     rng = np.random.default_rng(np.random.SeedSequence([dist.seed, seed, 11]))
     params = model.init_params(rng)
     opt = OptimizerState.init(params, settings.lr, settings.lr_final,
@@ -271,11 +251,11 @@ def train_base(model: VelocityModel, dist: ToyDistribution,
         k = int(rng.integers(0, dist.n_classes))
         drop = rng.uniform() < settings.p_uncond
         t = float(rng.uniform())
-        x0 = dist.sample_class(k, settings.batch_size, rng)
-        x1 = rng.standard_normal(x0.shape)
-        batch = PathSample.create(x0, x1, t)
+        x0, x1 = draw_path(dist, k, settings.batch_size, rng)
         cond = Condition(class_id=None if drop else k)
         leaves = params.lift()
-        reports.append(descend(params, leaves,
-                               fm_loss(model, leaves, batch, cond), opt))
+        # the loss stays unbound, so its graph is freed before the next step
+        reports.append(descend(params, leaves, squared_error_loss(
+            model.forward(leaves, interpolate(x0, x1, t), t, None, cond),
+            x1 - x0), opt))
     return params, reports

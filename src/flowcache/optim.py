@@ -128,7 +128,6 @@ def adam_step(params: ParameterSet, grads: dict[str, Array],
         v += (1.0 - b2) * g * g
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     state.step_count = t
-    params.version += 1
 
 
 @dataclass

@@ -36,7 +36,8 @@ from . import autodiff as ad
 from .autodiff import ParameterSet, as_f64, value_of
 from .distill import RestrictConfig, sample_t_r
 from .errors import ContractViolation, NumericFailure
-from .flow import TimePair, ToyDistribution, squared_error_loss
+from .flow import (TimePair, ToyDistribution, draw_path, interpolate,
+                   squared_error_loss)
 from .nets import (Condition, Discriminator, DiscriminatorConfig, Predictor,
                    VelocityModel, default_taps)
 from .optim import OptimizerState, StepReport, descend
@@ -109,14 +110,13 @@ def build_training_pair(model: VelocityModel, params: ParameterSet,
     if model.config.accepts_cfg:
         g = float(rng.uniform(model.config.cfg_min, model.config.cfg_max))
     cond = Condition(k, g)
-    x0 = dist.sample_class(k, cfg.batch_size, rng)
-    eps = rng.standard_normal(x0.shape)
+    x0, eps = draw_path(dist, k, cfg.batch_size, rng)
 
-    x_t = (1.0 - pair.t) * x0 + pair.t * eps
+    x_t = interpolate(x0, eps, pair.t)
     cache_value = as_f64(value_of(model.forward(params.entries, x_t, pair.t,
                                                 pair.r, cond)))
     query = TimePair(max(0.0, pair.t - delta), max(0.0, pair.r - delta))
-    x_q = (1.0 - query.t) * x0 + query.t * eps
+    x_q = interpolate(x0, eps, query.t)
     target_u = as_f64(value_of(model.forward(params.entries, x_q, query.t,
                                              query.r, cond)))
     if not (np.all(np.isfinite(cache_value)) and np.all(np.isfinite(target_u))):

@@ -82,7 +82,7 @@ from .checkpoint import (EXPECTED_PARENT, Checkpoint, Stage, load_checkpoint,
                          save_checkpoint, verify_parent)
 from .config import ExperimentConfig, read_dataclass
 from .errors import (ConfigError, ContractViolation, CorruptCheckpointError,
-                     LineageError)
+                     LineageError, NumericFailure)
 from .flow import mean_velocity_sample, sample_data
 from .metrics import ReferenceTerms, energy_distance, w2_distance
 from .nets import (Condition, Predictor, PredictorConfig, VelocityModel,
@@ -445,7 +445,8 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
     (`contextlib.closing`) to stop them when leaving it early.
 
     A strategy whose learned predictions query the cache past the
-    predictor's trained horizon logs one warning with their count."""
+    predictor's trained horizon logs one warning with their count. A
+    strategy with a non-finite sample raises NumericFailure naming it."""
     model, params, predictor, pparams, delta_max = load_sampler(
         meanflow_path, predictor_path)
     if "learned" in config.strategies and predictor is None:
@@ -471,9 +472,12 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                             "queried the cache past the predictor's trained "
                             "horizon %.4f", name, past,
                             predictor_evals * len(results), delta_max)
+            samples = np.concatenate([out for out, _ in results], axis=0)
+            if not np.isfinite(samples).all():
+                raise NumericFailure(
+                    f"strategy '{name}' produced non-finite samples")
             yield StrategySamples(
-                run_id=run_id, strategy=name,
-                samples=np.concatenate([out for out, _ in results], axis=0),
+                run_id=run_id, strategy=name, samples=samples,
                 full_evals=full_evals, predictor_evals=predictor_evals,
                 cache_bytes_peak=max(rep.cache_bytes_peak for rep in reports),
                 wall_clock_ms=wall_ms)

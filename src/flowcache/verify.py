@@ -142,7 +142,7 @@ def check_mean_velocity_oracles(_seed: int) -> tuple[bool, str]:
     x = np.array([[0.8], [-1.1]])
     walk = x.copy()
     for pair in uniform_pairs(5):
-        u = ad.value_of(analytic_mean_velocity(walk, pair, sd))
+        u = ad.value_of(analytic_mean_velocity(walk, pair.t, pair.r, sd))
         walk = mean_velocity_step(walk, pair, u)
     err = float(np.max(np.abs(walk - sd * x)))
     v_mid = float(ad.value_of(analytic_gaussian_velocity(

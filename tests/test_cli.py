@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import flowcache
-from flowcache import cli, distill, flow, predictor_train, runner, verify
+from flowcache import (cli, distill, flow, nets, predictor_train, runner,
+                       verify)
 from flowcache.checkpoint import load_checkpoint, save_checkpoint
 from flowcache.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_LINEAGE,
                            EXIT_NUMERIC, EXIT_OK, main)
@@ -340,6 +341,26 @@ def test_bench_of_overflowing_1d_samples_exits_4(tmp_path, capsys,
                  *checkpoint_args(tmp_path)]) == EXIT_NUMERIC
     assert "overflow float64" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_sample_of_non_finite_samples_exits_4(tmp_path, tiny_pipeline, capsys,
+                                               monkeypatch):
+    # every forward refuses a non-finite x, so only a walk's last velocity
+    # can carry an inf into the samples; `sample` wrote such cells, exit 0
+    config, root = tiny_pipeline
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 1)
+    forward = nets.VelocityModel.forward
+
+    def inf_at_data(self, params, x, t, r=None, *args, **kwargs):
+        out = forward(self, params, x, t, r, *args, **kwargs)
+        return np.full_like(out, np.inf) if r == 0.0 else out
+
+    monkeypatch.setattr(nets.VelocityModel, "forward", inf_at_data)
+    assert main(["sample", "--config", str(config), "--out", str(tmp_path),
+                 *checkpoint_args(root)]) == EXIT_NUMERIC
+    assert ("strategy 'none' produced non-finite samples"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_writes_samples_and_no_metrics(tmp_path, tiny_pipeline, capsys):

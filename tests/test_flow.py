@@ -1,5 +1,6 @@
-"""Distributions, path samples, samplers, and the gaussian1d analytic
-oracles (with the RK4 fine-step integrator as the independent reference)."""
+"""Distributions, the interpolation path, samplers, and the gaussian1d
+analytic oracles (with the RK4 fine-step integrator as the independent
+reference)."""
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from flowcache import autodiff as ad
 from flowcache import flow
 from flowcache.errors import ContractViolation
-from flowcache.flow import (PathSample, TimePair, ToyDistribution,
+from flowcache.flow import (TimePair, ToyDistribution,
                             analytic_gaussian_velocity, analytic_mean_velocity,
-                            fm_loss, fm_loss_from_output, mean_velocity_step,
-                            sample_data, uniform_pairs)
+                            draw_path, interpolate, mean_velocity_step,
+                            sample_data, squared_error_loss, uniform_pairs)
 from flowcache.nets import Condition, VelocityModel, VelocityModelConfig
 from flowcache.optim import TrainSettings
 
@@ -65,7 +66,7 @@ def euler_sample(model, params, x1, steps: int, cond=Condition(),
 
 
 # ---------------------------------------------------------------------------
-# TimePair / PathSample
+# TimePair and the interpolation path
 # ---------------------------------------------------------------------------
 
 @given(st.floats(0, 1), st.floats(0, 1))
@@ -84,13 +85,21 @@ def test_timepair_rejects_bad_order():
         TimePair(1.2, 0.5)
 
 
-def test_path_sample_identity_enforced(rng):
+def test_interpolate_is_the_path_identity(rng):
     x0 = rng.standard_normal((4, 2))
     x1 = rng.standard_normal((4, 2))
-    ps = PathSample.create(x0, x1, 0.3)
-    assert np.array_equal(ps.xt, 0.7 * x0 + 0.3 * x1)
-    with pytest.raises(ContractViolation):
-        PathSample(x0=x0, x1=x1, t=0.3, xt=ps.xt + 1e-9)
+    assert np.array_equal(interpolate(x0, x1, 0.3), 0.7 * x0 + 0.3 * x1)
+    assert np.array_equal(interpolate(x0, x1, 0.0), x0)
+    assert np.array_equal(interpolate(x0, x1, 1.0), x1)
+
+
+def test_draw_path_draws_the_class_then_its_noise():
+    # the order fixes every training stage's stream, so every digest
+    dist = ToyDistribution("checkerboard")
+    x0, x1 = draw_path(dist, 1, 5, dist.rng_for(3))
+    rng = dist.rng_for(3)
+    assert np.array_equal(x0, dist.sample_class(1, 5, rng))
+    assert np.array_equal(x1, rng.standard_normal((5, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +158,27 @@ def test_class_conditional_sampling():
 
 
 # ---------------------------------------------------------------------------
-# fm loss
+# regression loss
 # ---------------------------------------------------------------------------
 
-def test_fm_loss_zero_at_target(rng):
-    ps = PathSample.create(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)), 0.4)
-    assert float(ad.value_of(fm_loss_from_output(ps.x1 - ps.x0, ps))) == 0.0
+def test_squared_error_loss_zero_at_target(rng):
+    target = rng.standard_normal((6, 3)) - rng.standard_normal((6, 3))
+    assert float(ad.value_of(squared_error_loss(target.copy(), target))) == 0.0
 
 
-def test_fm_loss_constant_offset_equals_dim(rng):
+def test_squared_error_loss_constant_offset_equals_dim(rng):
     d = 3
-    ps = PathSample.create(rng.standard_normal((6, d)), rng.standard_normal((6, d)), 0.4)
-    loss = fm_loss_from_output((ps.x1 - ps.x0) + 1.0, ps)
+    target = rng.standard_normal((6, d)) - rng.standard_normal((6, d))
+    loss = squared_error_loss(target + 1.0, target)
     assert abs(float(ad.value_of(loss)) - d) < 1e-12
 
 
-def test_fm_loss_rejects_interval_model(rng):
+def test_train_base_rejects_interval_model():
     m = VelocityModel(VelocityModelConfig(input_dim=2, hidden_dim=8, depth=1,
                                           time_embed_dim=4, accepts_r=True))
-    p = m.init_params(rng)
-    ps = PathSample.create(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), 0.5)
-    with pytest.raises(ContractViolation):
-        fm_loss(m, p.entries, ps, Condition(0))
+    with pytest.raises(ContractViolation, match="accepts_r=False"):
+        flow.train_base(m, ToyDistribution("two_moons"),
+                        TrainSettings(iters=1, batch_size=2, lr=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +283,19 @@ def test_analytic_mean_velocity_limit_to_instantaneous():
     v_inst = ad.value_of(analytic_gaussian_velocity(x, 0.6, sd))
     gaps = [0.1, 0.05, 0.025, 0.0125]
     errs = [abs(float(ad.value_of(
-        analytic_mean_velocity(x, TimePair(0.6, 0.6 - g), sd))[0, 0]) - float(v_inst[0, 0]))
+        analytic_mean_velocity(x, 0.6, 0.6 - g, sd))[0, 0]) - float(v_inst[0, 0]))
         for g in gaps]
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     assert all(1.5 < r < 2.5 for r in ratios)  # O(t-r) convergence
 
 
 def test_analytic_mean_velocity_zero_input():
-    out = analytic_mean_velocity(np.zeros((2, 1)), TimePair(0.9, 0.3), 1.0)
+    out = analytic_mean_velocity(np.zeros((2, 1)), 0.9, 0.3, 1.0)
     assert np.array_equal(ad.value_of(out), np.zeros((2, 1)))
 
 
 def test_analytic_mean_velocity_vs_rk4_oracle():
-    pair = TimePair(1.0, 0.8)
-    u = float(ad.value_of(analytic_mean_velocity(np.array([[1.0]]), pair, 1.0))[0, 0])
+    u = float(ad.value_of(analytic_mean_velocity(np.array([[1.0]]), 1.0, 0.8, 1.0))[0, 0])
     x_r = float(rk4_flow(np.array([[1.0]]), 1.0, 0.8, 1.0)[0, 0])
     u_oracle = (1.0 - x_r) / 0.2
     assert abs(u - u_oracle) < 1e-8
@@ -296,7 +303,7 @@ def test_analytic_mean_velocity_vs_rk4_oracle():
 
 def test_analytic_mean_velocity_requires_gap():
     with pytest.raises(ContractViolation):
-        analytic_mean_velocity(np.zeros((1, 1)), TimePair(0.5, 0.5), 1.0)
+        analytic_mean_velocity(np.zeros((1, 1)), 0.5, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("steps", [1, 3, 7])
@@ -305,7 +312,7 @@ def test_schedule_with_exact_mean_velocity_matches_ode(steps):
     x1 = np.array([[0.9], [-0.4], [2.0]])
     x = x1.copy()
     for pair in uniform_pairs(steps):
-        u = ad.value_of(analytic_mean_velocity(x, pair, sigma_d))
+        u = ad.value_of(analytic_mean_velocity(x, pair.t, pair.r, sigma_d))
         x = mean_velocity_step(x, pair, u)
     ref = rk4_flow(x1, 1.0, 0.0, sigma_d)
     assert np.abs(x - ref).max() < 1e-6
@@ -321,7 +328,7 @@ def test_train_base_decreases_loss():
                                           time_embed_dim=8, condition_vocab=1))
     params, reports = flow.train_base(
         m, dist, TrainSettings(iters=400, batch_size=64, lr=3e-3), seed=0)
-    assert len(reports) == 400 == params.version
+    assert len(reports) == 400
     assert all(r.lr == 3e-3 and np.isfinite(r.grad_norm) for r in reports)
     losses = [r.loss for r in reports]
     assert np.mean(losses[-50:]) < np.mean(losses[:50])
