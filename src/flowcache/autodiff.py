@@ -42,7 +42,10 @@ sinks check: ``backward`` the loss, ``jvp`` its outputs and their tangents
 (``optim.adam_step`` checks the gradients). On a non-finite value
 ``check_finite`` walks the retained graph in topological order and raises
 ``NumericFailure`` naming the origin primitive: the first Node whose value
-or tangent is non-finite while its operands are finite.
+or tangent is non-finite while its operands are finite. ``backward`` holds
+a Node's cotangent only until that Node's VJP has run, and returns the
+gradients of the gradient leaves alone; it leaves the graph as it found
+it, so a second pass over the same graph gives the same gradients.
 
 Everything is float64: the 1e-4 finite-difference tolerances used to verify
 the rules are not reliable in 32-bit.
@@ -418,16 +421,19 @@ def check_finite(x) -> None:
 
 def backward(root: Node) -> dict[int, Array]:
     """Reverse-mode pass from a finite scalar root; returns id(node) ->
-    gradient for the Nodes that need gradients."""
+    gradient for the gradient leaves it reaches (the Nodes without a VJP).
+
+    Each interior cotangent is dropped as soon as its Node's VJP has run,
+    so the pass holds only the cotangents still waiting for their Node. The
+    graph itself is not touched: the pass can be run again."""
     if np.shape(root.value) != ():
         raise ContractViolation("backward requires a scalar root")
     check_finite(root)
     grads: dict[int, Array] = {id(root): np.float64(1.0)}
     for node in reversed(_topo(root, grad_only=True)):
-        g = grads.get(id(node))
-        if g is None or node.vjp is None:
+        if node.vjp is None or id(node) not in grads:
             continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        for parent, pg in zip(node.parents, node.vjp(grads.pop(id(node)))):
             if pg is None:
                 continue
             acc = grads.get(id(parent))

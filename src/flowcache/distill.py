@@ -106,8 +106,10 @@ def cfg_distill_step(student: VelocityModel, params: ParameterSet,
     v_target = cfg_mixture(v_c, v_uc, g)
 
     leaves = params.lift()
-    pred = student.forward(leaves, x_t, t, None, Condition(class_id, g))
-    return descend(params, leaves, squared_error_loss(pred, v_target), opt)
+    # the student output stays unbound, so `descend` frees its graph
+    return descend(params, leaves, squared_error_loss(
+        student.forward(leaves, x_t, t, None, Condition(class_id, g)),
+        v_target), opt)
 
 
 def init_student_from_teacher(student: VelocityModel, teacher_params: ParameterSet,
@@ -205,7 +207,9 @@ def meanflow_distill_step(model: VelocityModel, params: ParameterSet,
     v = value_of(teacher.forward(teacher_params.entries, x_t, t, None, conds))
     leaves = params.lift()
     u, u_tgt = _interval_forward(model, leaves, x_t, t, r, v, conds)
-    report = descend(params, leaves, squared_error_loss(u, u_tgt), opt, clip)
+    loss = squared_error_loss(u, u_tgt)
+    del u  # so `descend` frees its graph
+    report = descend(params, leaves, loss, opt, clip)
     report.interval_min, report.interval_max, report.interval_mean = (
         min(intervals), max(intervals), float(np.mean(intervals)))
     return report

@@ -254,7 +254,7 @@ def train_base(model: VelocityModel, dist: ToyDistribution,
         x0, x1 = draw_path(dist, k, settings.batch_size, rng)
         cond = Condition(class_id=None if drop else k)
         leaves = params.lift()
-        # the loss stays unbound, so its graph is freed before the next step
+        # the model output stays unbound, so `descend` frees its graph
         reports.append(descend(params, leaves, squared_error_loss(
             model.forward(leaves, interpolate(x0, x1, t), t, None, cond),
             x1 - x0), opt))

@@ -1,7 +1,10 @@
 """Adam with its learning-rate schedule, gradient clipping, spectral
 normalization, and the settings of one training loop.
 
-Every training stage steps through `descend`.
+Every training stage steps through `descend`. It consumes the loss's
+graph: once the gradients are taken and the loss value read, the loss Node
+is cut from its operands, so a graph no caller still holds is freed before
+the norm pass and the Adam update run. The loss Node keeps its value.
 
 The cosine learning-rate schedule lives in `OptimizerState`: it holds the
 peak rate, the final rate and the iteration count, and `adam_step` takes
@@ -154,15 +157,22 @@ class StepReport:
 def descend(params: ParameterSet, leaves: dict[str, Node], loss: Node,
             opt: OptimizerState, clip: float | None = None) -> StepReport:
     """One step on `loss` over `leaves`, lifted from `params`; gradients
-    over a global norm of `clip` are scaled in place down to it."""
+    over a global norm of `clip` are scaled in place down to it.
+
+    Consumes the loss's graph: after the gradients are taken, `loss` keeps
+    its value but loses its operands and VJP, so the graph behind it is
+    freed before the update unless the caller still holds one of its Nodes.
+    """
     grads = ad.param_grads(loss, leaves)
+    value = float(loss.value)
+    loss.parents, loss.vjp = (), None
     norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if clip is not None and norm > clip:
         for g in grads.values():
             g *= clip / norm
     lr = opt.current_lr
     adam_step(params, grads, opt)
-    return StepReport(loss=float(loss.value), grad_norm=norm, lr=lr)
+    return StepReport(loss=value, grad_norm=norm, lr=lr)
 
 
 def spectral_normalize(weight: Array | Node,

@@ -153,8 +153,8 @@ def predictor_mse_step(predictor: Predictor, params: ParameterSet,
                        pair: TrainingPair, opt: OptimizerState) -> StepReport:
     """One optimizer step on the squared error to the frozen target."""
     leaves = params.lift()
-    _, loss = _predictor_loss_graph(predictor, leaves, pair)
-    return descend(params, leaves, loss, opt)
+    return descend(params, leaves,
+                   _predictor_loss_graph(predictor, leaves, pair)[1], opt)
 
 
 def hinge_mean(scores, sign: float):
@@ -174,14 +174,14 @@ def gan_step(predictor: Predictor, params: ParameterSet,
 
     # -- predictor update (discriminator frozen as-is) -----------------------
     leaves = params.lift()
-    u_pred, mse = _predictor_loss_graph(predictor, leaves, pair)
-    loss_p = mse
+    u_pred, loss_p = _predictor_loss_graph(predictor, leaves, pair)
     if cfg.lambda_adv > 0.0:
         x_fake = ad.sub(pair.x_query, ad.mul(u_pred, interval))
-        fake_feats = extract_features(extractor, extractor_params, x_fake,
-                                      landed, pair.cond, taps)
-        fake_scores = disc.forward(disc.params.entries, fake_feats)
-        loss_p = ad.add(mse, ad.mul(hinge_mean(fake_scores, 1.0), cfg.lambda_adv))
+        fake_scores = disc.forward(disc.params.entries, extract_features(
+            extractor, extractor_params, x_fake, landed, pair.cond, taps))
+        loss_p = ad.add(loss_p,
+                        ad.mul(hinge_mean(fake_scores, 1.0), cfg.lambda_adv))
+        del x_fake, fake_scores  # so `descend` frees the adversarial graph
     report = descend(params, leaves, loss_p, opt_p)
 
     # -- discriminator update (fake re-scored without gradient) --------------

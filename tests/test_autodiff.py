@@ -2,6 +2,8 @@
 central finite differences and against each other (adjointness), plus the
 hinge and error contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,30 @@ def test_constant_with_tangent_builds_a_node_without_vjp(rng):
     assert y.needs_grad
     assert np.array_equal(y.tangent, out.tangent @ W.value)
     assert y.vjp(np.ones((2, 4)))[0] is None
+
+
+# ---------------------------------------------------------------------------
+# Lifetimes: the reverse pass keeps no cotangent it has used
+# ---------------------------------------------------------------------------
+
+def test_backward_drops_each_used_cotangent(rng):
+    # w and b reach the loss through mul only, so every cotangent is a new
+    # array
+    w, b = ad.leaf(rng.standard_normal(3)), ad.leaf(rng.standard_normal(3))
+    h = ad.mul(w, rng.standard_normal(3))
+    loss = ad.sum_(ad.mul(ad.mul(h, b), 2.0))
+    received = []
+    vjp = h.vjp
+
+    def keep(g):
+        received.append(weakref.ref(g))
+        return vjp(g)
+
+    h.vjp = keep
+    grads = ad.backward(loss)
+    assert len(received) == 1
+    assert received[0]() is None  # Node has no __weakref__; its array has
+    assert set(grads) == {id(w), id(b)}
 
 
 @pytest.mark.parametrize("name,fn", [("add", ad.add), ("sub", ad.sub),

@@ -3,18 +3,19 @@ learning-rate schedule, the one step path; spectral normalization against
 the SVD oracle."""
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flowcache
-from flowcache import autodiff as ad
+from flowcache import autodiff as ad, optim
 from flowcache.errors import ContractViolation, NumericFailure
 from flowcache.optim import (OptimizerState, adam_step, cosine_lr, descend,
                              spectral_normalize)
 
-from conftest import descended_grads
+from conftest import descended_grads, tiny_mlp_forward, tiny_mlp_params
 
 
 def reference_adam(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -119,6 +120,48 @@ def test_clip_grad_norm(monkeypatch):
     report2, grads2 = linear_step({"a": 0.3}, 1.0, monkeypatch)
     assert abs(report2.grad_norm - 0.3) < 1e-12
     assert np.array_equal(grads2["a"], np.array([0.3]))
+
+
+def tiny_mlp_step_loss(rng):
+    """(params, leaves, loss of a tiny net, weak reference to the net's
+    output value); no Node but the loss and the leaves stays bound."""
+    params = tiny_mlp_params(rng)
+    leaves = params.lift()
+    out = tiny_mlp_forward(leaves, rng.standard_normal((4, 3)))
+    output = weakref.ref(out.value)
+    loss = ad.mean(ad.sum_(ad.square(ad.sub(out, rng.standard_normal((4, 2)))),
+                           axis=1))
+    del out
+    return params, leaves, loss, output
+
+
+def test_descend_frees_the_graph_before_the_update(rng, monkeypatch):
+    params, leaves, loss, output = tiny_mlp_step_loss(rng)
+    value = loss.value
+    before = float(value)
+    freed = []
+    step = optim.adam_step
+
+    def spy(params, grads, state):
+        freed.append(output() is None)
+        return step(params, grads, state)
+
+    monkeypatch.setattr(optim, "adam_step", spy)
+    report = descend(params, leaves, loss, OptimizerState.init(params, lr=0.1))
+    assert freed == [True]
+    assert report.loss == before
+    assert loss.value is value and float(loss.value) == before
+
+
+def test_backward_reruns_on_one_graph(rng):
+    # `descend` consumes a graph; `backward` alone leaves it re-runnable
+    _, leaves, loss, output = tiny_mlp_step_loss(rng)
+    first = ad.param_grads(loss, leaves)
+    second = ad.param_grads(loss, leaves)
+    assert output() is not None
+    assert set(first) == set(second) == set(leaves)
+    for name, g in first.items():
+        assert np.array_equal(g, second[name]), name
 
 
 STEP_PARTS = {"adam_step", "clip_grad_norm", "global_grad_norm"}
