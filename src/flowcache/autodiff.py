@@ -15,14 +15,21 @@ the partial is the tangent map, and the partial summed down to the
 operand's shape after broadcasting is the transpose:
 
     add sub mul div sin cos gelu square sqrt maximum_const
+    modulate gated_add
 
 The structural primitives state both maps directly:
 
-    matmul sum mean concat narrow reshape
+    matmul affine sum mean concat narrow reshape
 
-``affine`` is provided as a composite of matmul+add. ``maximum_const`` is
-the hinge primitive; its subgradient at the kink (input exactly equal to the
-constant) is defined to be 0.
+``affine`` (x @ w + b), ``modulate`` (h * (scale + 1) + shift) and
+``gated_add`` (h + gate * z) are fused: each is one Node where the
+composite of matmul, add and mul made two or three, so a graph keeps no
+intermediate product that no VJP reads. Each rule reproduces its
+composite's rounding, including the order in which its tangent terms are
+summed, so its value, tangent and per-operand gradients equal the
+composite's bit for bit.
+``maximum_const`` is the hinge primitive; its subgradient at the kink
+(input exactly equal to the constant) is defined to be 0.
 
 Every op accepts either graph ``Node`` operands or plain numpy
 arrays/floats. With no Node among the operands the op stays out of graph
@@ -139,7 +146,7 @@ def _unbroadcast(g: Array, shape) -> Array:
     return g
 
 
-def _primitive(op: str, raw: Callable, rule: Callable, *operands):
+def _primitive(op: str, raw: Callable, rule: Callable, *operands, order=None):
     """Value, VJP and tangent of a primitive: the one place that builds a
     graph Node.
 
@@ -148,7 +155,10 @@ def _primitive(op: str, raw: Callable, rule: Callable, *operands):
     the map takes the operand's tangent to its share of the output tangent,
     and the transpose takes the output cotangent to the operand's gradient.
     The output tangent is the sum of the maps over the operands that carry a
-    tangent, broadcast to the output's shape (None when none does). The VJP
+    tangent, broadcast to the output's shape (None when none does). The sum
+    runs left to right over the operand indices in ``order`` (default:
+    operand order), which a fused rule states to round as its composite
+    does. The VJP
     calls the transposes of the operands that need gradients only; with no
     such operand there is no VJP, and with no tangent either no Node: the
     op returns ``raw`` of the operand values.
@@ -168,9 +178,10 @@ def _primitive(op: str, raw: Callable, rule: Callable, *operands):
 
     tan = None
     if carried:
-        for x, (tangent_map, _) in zip(operands, maps):
+        for i in order or range(len(operands)):
+            x = operands[i]
             if isinstance(x, Node) and x.tangent is not None:
-                t = tangent_map(x.tangent)
+                t = maps[i][0](x.tangent)
                 tan = t if tan is None else tan + t
         if np.shape(tan) != np.shape(value):
             tan = np.broadcast_to(tan, np.shape(value)).copy()
@@ -185,7 +196,7 @@ def _primitive(op: str, raw: Callable, rule: Callable, *operands):
     return Node(value, op, operands, vjp, tan, True)
 
 
-def _elementwise(op: str, raw: Callable, rule: Callable, *operands):
+def _elementwise(op: str, raw: Callable, rule: Callable, *operands, order=None):
     """A primitive whose ``rule(*values)`` returns the output and one local
     partial per operand: a callable that multiplies an array by
     d(output)/d(operand). The partial is the tangent map; its transpose is
@@ -196,7 +207,7 @@ def _elementwise(op: str, raw: Callable, rule: Callable, *operands):
         return value, [(d, lambda g, d=d, shape=x.shape:
                         _unbroadcast(d(g), shape))
                        for d, x in zip(partials, values)]
-    return _primitive(op, raw, maps, *operands)
+    return _primitive(op, raw, maps, *operands, order=order)
 
 
 def _same(t):
@@ -229,17 +240,32 @@ def div(a, b):
     return _elementwise("div", operator.truediv, rule, a, b)
 
 
+def _matmul_transposes(av, bv):
+    """The transposes of av @ bv to its left and right operands."""
+    if av.ndim == 2:
+        return (lambda g: g @ bv.T), (lambda g: av.T @ g)
+    if av.ndim == 1:
+        return (lambda g: bv @ g), (lambda g: np.outer(av, g))
+    raise ContractViolation("matmul supports 1-D or 2-D left operands only")
+
+
 def matmul(a, b):
     """Matrix product; supports (n,k)@(k,m) and (k,)@(k,m)."""
     def rule(av, bv):
-        if av.ndim == 2:
-            ga, gb = (lambda g: g @ bv.T), (lambda g: av.T @ g)
-        elif av.ndim == 1:
-            ga, gb = (lambda g: bv @ g), (lambda g: np.outer(av, g))
-        else:
-            raise ContractViolation("matmul supports 1-D or 2-D left operands only")
+        ga, gb = _matmul_transposes(av, bv)
         return av @ bv, ((lambda t: t @ bv, ga), (lambda t: av @ t, gb))
     return _primitive("matmul", operator.matmul, rule, a, b)
+
+
+def affine(x, w, b):
+    """x @ w + b, one Node; x is (n,k) or (k,), as for matmul. Its tangent
+    is (t_x @ w + x @ t_w) + t_b, as the composite add(matmul(x, w), b)
+    sums it."""
+    def rule(xv, wv, bv):
+        gx, gw = _matmul_transposes(xv, wv)
+        return xv @ wv + bv, ((lambda t: t @ wv, gx), (lambda t: xv @ t, gw),
+                              (_same, lambda g: _unbroadcast(g, bv.shape)))
+    return _primitive("affine", lambda x, w, b: x @ w + b, rule, x, w, b)
 
 
 def sin(a):
@@ -368,9 +394,25 @@ def reshape(a, shape):
     return _primitive("reshape", lambda x: np.reshape(x, shape), rule, a)
 
 
-def affine(x, w, b):
-    """x @ w + b (composite of the matmul and add primitives)."""
-    return add(matmul(x, w), b)
+def modulate(h, scale, shift):
+    """h * (scale + 1) + shift, one Node: the adaLN modulation. Its tangent
+    is (t_h * (scale + 1) + t_scale * h) + t_shift, as the composite
+    add(mul(h, add(scale, 1)), shift) sums it."""
+    def rule(hv, scale, shift):
+        s1 = scale + 1.0
+        return hv * s1 + shift, (lambda t: t * s1, lambda t: t * hv, _same)
+    return _elementwise("modulate", lambda h, scale, shift: h * (scale + 1.0) + shift,
+                        rule, h, scale, shift)
+
+
+def gated_add(h, gate, z):
+    """h + gate * z, one Node: the gated residual. Its tangent is
+    t_h + (t_gate * z + t_z * gate), as the composite add(h, mul(gate, z))
+    sums it: the product's two terms are summed first."""
+    def rule(hv, gv, zv):
+        return hv + gv * zv, (_same, lambda t: t * zv, lambda t: t * gv)
+    return _elementwise("gated_add", lambda h, gate, z: h + gate * z,
+                        rule, h, gate, z, order=(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ class, and guidance-scale embeddings). Modulation affines and output heads
 start at zero, so a fresh model is the zero velocity field and blocks open
 up through their gates during training.
 
+Each affine layer, each modulation h * (1 + scale) + shift and each gated
+residual h + gate * z is one autodiff primitive (``affine``, ``modulate``,
+``gated_add``), so a graph forward keeps one array per layer output and
+none for the intermediate products no reverse pass reads. The predictor
+core is the same backbone, and the discriminator's layers are ``affine``
+too.
+
 Conditioning is per group. One forward call takes G conditions (t, r and
 class/guidance per group) and splits the rows of x into G equal contiguous
 blocks. The embeddings and every modulation are built once per group, as
@@ -309,14 +316,14 @@ class VelocityModel:
         feats = []
         for i in range(c.depth):
             shift, scale, gate = modulation(f"block{i}.mod", 3)
-            z = ad.reshape(ad.add(ad.mul(h, ad.add(scale, 1.0)), shift), rows)
+            z = ad.reshape(ad.modulate(h, scale, shift), rows)
             z = ad.gelu(ad.affine(z, params[f"block{i}.fc1.w"], params[f"block{i}.fc1.b"]))
             z = ad.affine(z, params[f"block{i}.fc2.w"], params[f"block{i}.fc2.b"])
-            h = ad.add(h, ad.mul(gate, ad.reshape(z, grouped)))
+            h = ad.gated_add(h, gate, ad.reshape(z, grouped))
             feats.append(h)
 
         shift_o, scale_o = modulation("out_mod", 2)
-        y = ad.affine(ad.reshape(ad.add(ad.mul(h, ad.add(scale_o, 1.0)), shift_o), rows),
+        y = ad.affine(ad.reshape(ad.modulate(h, scale_o, shift_o), rows),
                       params["out.w"], params["out.b"])
         if taps is None:
             return y
@@ -460,14 +467,14 @@ class Discriminator:
                 f"got {len(features)}")
         total = None
         for tap, feat in zip(self.config.scales, features):
-            h = ad.gelu(ad.add(
-                ad.matmul(feat, self._weight(params, f"s{tap}.fc1.w", update_u)),
+            h = ad.gelu(ad.affine(
+                feat, self._weight(params, f"s{tap}.fc1.w", update_u),
                 params[f"s{tap}.fc1.b"]))
-            h = ad.gelu(ad.add(
-                ad.matmul(h, self._weight(params, f"s{tap}.fc2.w", update_u)),
+            h = ad.gelu(ad.affine(
+                h, self._weight(params, f"s{tap}.fc2.w", update_u),
                 params[f"s{tap}.fc2.b"]))
-            s = ad.add(
-                ad.matmul(h, self._weight(params, f"s{tap}.head.w", update_u)),
+            s = ad.affine(
+                h, self._weight(params, f"s{tap}.head.w", update_u),
                 params[f"s{tap}.head.b"])
             total = s if total is None else ad.add(total, s)
         n = np.shape(value_of(total))[0]

@@ -157,7 +157,10 @@ class StepReport:
 def descend(params: ParameterSet, leaves: dict[str, Node], loss: Node,
             opt: OptimizerState, clip: float | None = None) -> StepReport:
     """One step on `loss` over `leaves`, lifted from `params`; gradients
-    over a global norm of `clip` are scaled in place down to it.
+    over a global norm of `clip` are scaled down to it. Finite gradients
+    whose norm overflows float64 raise NumericFailure before any parameter
+    or moment is touched: clipping by an infinite norm would zero the step,
+    and Adam's second moment would become infinite.
 
     Consumes the loss's graph: after the gradients are taken, `loss` keeps
     its value but loses its operands and VJP, so the graph behind it is
@@ -166,10 +169,15 @@ def descend(params: ParameterSet, leaves: dict[str, Node], loss: Node,
     grads = ad.param_grads(loss, leaves)
     value = float(loss.value)
     loss.parents, loss.vjp = (), None
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if np.isinf(norm) and all(np.all(np.isfinite(g)) for g in grads.values()):
+        raise NumericFailure("the gradient norm overflows float64: the squares "
+                             "of finite gradients sum past its range")
     if clip is not None and norm > clip:
-        for g in grads.values():
-            g *= clip / norm
+        # not in place: leaves that received one cotangent share its array
+        for name, g in grads.items():
+            grads[name] = g * (clip / norm)
     lr = opt.current_lr
     adam_step(params, grads, opt)
     return StepReport(loss=value, grad_norm=norm, lr=lr)

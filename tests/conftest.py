@@ -73,6 +73,15 @@ def fd_directional(f, xs, ds, h=1e-5):
     return (np.asarray(plus) - np.asarray(minus)) / (2.0 * h)
 
 
+# The fused primitives spelled as the matmul, add and mul chains they
+# replace: the bitwise reference for their values, tangents and gradients.
+COMPOSITES = {
+    "affine": lambda x, w, b: ad.add(ad.matmul(x, w), b),
+    "modulate": lambda h, scale, shift: ad.add(ad.mul(h, ad.add(scale, 1.0)), shift),
+    "gated_add": lambda h, gate, z: ad.add(h, ad.mul(gate, z)),
+}
+
+
 def tiny_mlp_params(rng, d_in=3, d_hidden=5, d_out=2):
     scale = 0.7
     return ad.ParameterSet({

@@ -10,7 +10,8 @@ import pytest
 from flowcache import autodiff as ad
 from flowcache.errors import ContractViolation, NumericFailure
 
-from conftest import fd_grad, fd_directional, rel_err, tiny_mlp_params, tiny_mlp_loss
+from conftest import (COMPOSITES, fd_grad, fd_directional, rel_err, tiny_mlp_params,
+                      tiny_mlp_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +157,84 @@ def test_binary_rules_match_fd(name, fn, sa, sb, rng):
         assert rel_err(tan, ref) < 1e-4, name
 
 
+TERNARY_CASES = [
+    ("affine", ad.affine, ((3, 4), (4, 2), (2,))),
+    ("affine_vec", ad.affine, ((4,), (4, 2), (2,))),
+    ("affine_full_bias", ad.affine, ((3, 4), (4, 2), (3, 2))),
+    ("modulate", ad.modulate, ((3, 4), (4,), (4,))),
+    ("modulate_grouped", ad.modulate, ((2, 3, 4), (2, 1, 4), (2, 1, 4))),
+    ("gated_add", ad.gated_add, ((3, 4), (4,), (3, 4))),
+    ("gated_add_grouped", ad.gated_add, ((2, 3, 4), (2, 1, 4), (2, 3, 4))),
+]
+
+
+@pytest.mark.parametrize("name,fn,shapes", TERNARY_CASES,
+                         ids=[case[0] for case in TERNARY_CASES])
+def test_ternary_rules_match_fd(name, fn, shapes, rng):
+    for trial in range(3):
+        xs = [rng.standard_normal(shape) for shape in shapes]
+        w = rng.standard_normal(np.shape(ad.value_of(fn(*xs))))
+
+        leaves = [ad.leaf(x) for x in xs]
+        loss = ad.sum_(ad.mul(fn(*leaves), w))
+        grads = ad.param_grads(loss, dict(enumerate(leaves)))
+        for i in range(len(xs)):
+            def scalar(xi, i=i):
+                args = list(xs)
+                args[i] = xi
+                return float(np.sum(ad.value_of(fn(*args)) * w))
+            assert rel_err(grads[i], fd_grad(scalar, xs[i].copy())) < 1e-4, (name, i)
+
+        ds = [rng.standard_normal(shape) for shape in shapes]
+        _, tan = ad.jvp(fn, xs, ds)
+        ref = fd_directional(lambda *a: ad.value_of(fn(*a)), xs, ds)
+        assert rel_err(tan, ref) < 1e-4, name
+
+
+@pytest.mark.parametrize("name,fn,shapes", TERNARY_CASES,
+                         ids=[case[0] for case in TERNARY_CASES])
+def test_fused_raw_mode_matches_graph_mode_bitwise(name, fn, shapes, rng):
+    xs = [rng.standard_normal(shape) for shape in shapes]
+    raw = fn(*xs)
+    assert type(raw) is np.ndarray
+    for i in range(len(xs)):
+        # one gradient leaf at a time, the other operands plain
+        args = [ad.leaf(x) if j == i else x for j, x in enumerate(xs)]
+        assert np.array_equal(fn(*args).value, raw), (name, i)
+    assert np.array_equal(fn(*map(ad.leaf, xs)).value, raw), name
+
+
+@pytest.mark.parametrize("name,fn,shapes", TERNARY_CASES,
+                         ids=[case[0] for case in TERNARY_CASES])
+def test_fused_rules_equal_their_composites_bitwise(name, fn, shapes, rng):
+    # every operand carries a tangent and needs a gradient, so each tangent
+    # sum has all its terms and must be grouped as the composite groups it
+    composite = COMPOSITES[fn.__name__]
+    xs = [rng.standard_normal(shape) for shape in shapes]
+    ts = [rng.standard_normal(shape) for shape in shapes]
+    w = rng.standard_normal(np.shape(fn(*xs)))
+    results = []
+    for f in (fn, composite):
+        leaves = [ad.leaf(x, tangent=t) for x, t in zip(xs, ts)]
+        out = f(*leaves)
+        grads = ad.param_grads(ad.sum_(ad.mul(out, w)), dict(enumerate(leaves)))
+        results.append((out.value, out.tangent, grads))
+    (v, t, g), (v_ref, t_ref, g_ref) = results
+    assert np.array_equal(v, v_ref) and np.array_equal(t, t_ref), name
+    for i in g_ref:
+        assert np.array_equal(g[i], g_ref[i]), (name, i)
+
+
 def test_every_documented_primitive_has_fd_case():
     # the primitive names sit on the indented lines of the module docstring
     named = [word for line in ad.__doc__.splitlines() if line.startswith("    ")
              for word in line.split()]
-    assert len(named) == 16
+    assert len(named) == 19
     for name in named:
         assert callable(getattr(ad, name, None) or getattr(ad, name + "_", None)), name
     # concat is covered by its own test below
     covered = ({name for name, *_ in UNARY_CASES} | {name for name, *_ in BINARY_CASES}
-               | {"concat"})
+               | {name for name, *_ in TERNARY_CASES} | {"concat"})
     assert set(named) <= covered, sorted(set(named) - covered)
 
 
@@ -195,6 +264,7 @@ ADJOINT_CASES = (
        ("concat_rows", lambda *ps: ad.concat(ps, axis=0), ((1, 4), (3, 4)), None),
        ("narrow_rows", lambda a: ad.narrow(a, 0, 1, 2), ((3, 4),), None),
        ("reshape_flat", lambda a: ad.reshape(a, (12,)), ((3, 4),), None)]
+    + [(name, fn, shapes, None) for name, fn, shapes in TERNARY_CASES]
 )
 
 

@@ -13,7 +13,7 @@ from flowcache.nets import (Condition, Discriminator, DiscriminatorConfig,
                             VelocityModelConfig, cfg_embed, default_taps,
                             time_embed)
 
-from conftest import fd_directional, fd_grad, rel_err
+from conftest import COMPOSITES, fd_directional, fd_grad, rel_err
 
 
 def small_model(accepts_r=True, accepts_cfg=False, input_dim=2, vocab=2):
@@ -187,6 +187,62 @@ def test_shared_condition_broadcasts_over_groups(rng):
     shared = m.forward(p.entries, x, 0.8, 0.6, [Condition(1, 2.0)] * 4)
     single = m.forward(p.entries, x, 0.8, 0.6, Condition(1, 2.0))
     assert normwise_rel(shared, single) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# fused blocks
+# ---------------------------------------------------------------------------
+
+def forward_record(m, params, x, v, t, r, conds, w):
+    """Output value and tangent, and every parameter gradient of
+    sum(w * (y, taps)), of one graph forward with tangents (v, 1) on (x, t)."""
+    leaves = params.lift()
+    x_node = ad.leaf(x, tangent=v, needs_grad=False)
+    t_node = ad.leaf(t, tangent=np.ones_like(t), needs_grad=False)
+    y, feats = m.forward(leaves, x_node, t_node, r, conds, taps=[1, m.config.depth])
+    loss = ad.sum_(ad.mul(y, w[0]))
+    for f, wf in zip(feats, w[1:]):
+        loss = ad.add(loss, ad.sum_(ad.mul(f, wf)))
+    return y.value, y.tangent, ad.param_grads(loss, leaves)
+
+
+@pytest.mark.parametrize("groups", [1, 4])
+def test_fused_forward_equals_the_composite_bitwise(groups, rng, monkeypatch):
+    # random weights open every gate, and the tangents reach h, the gate
+    # and the block output alike, so each fused tangent sum has all its
+    # terms and must group them as the composite did
+    m = small_model(accepts_cfg=groups > 1)
+    p = randomized(m, rng)
+    x, v = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
+    if groups == 1:
+        t, r, conds = np.float64(0.8), np.float64(0.3), Condition(1)
+    else:
+        t, r, conds = GROUP_T, GROUP_R, GROUP_CONDS
+    w = [rng.standard_normal((12, 2))] + [rng.standard_normal((12, 24))] * 2
+    fused = forward_record(m, p, x, v, t, r, conds, w)
+    for name, composite in COMPOSITES.items():
+        monkeypatch.setattr(ad, name, composite)
+    reference = forward_record(m, p, x, v, t, r, conds, w)
+    assert np.array_equal(fused[0], reference[0])
+    assert np.array_equal(fused[1], reference[1])
+    assert set(fused[2]) == set(reference[2]) == set(p.entries)
+    for name, g in reference[2].items():
+        assert np.array_equal(fused[2][name], g), name
+
+
+def test_forward_graph_keeps_only_what_its_reverse_pass_reads(rng):
+    # perfbench's model (H = 96, depth 4) on a 256-row base-training batch
+    m = VelocityModel(VelocityModelConfig(
+        input_dim=2, hidden_dim=96, depth=4, time_embed_dim=16, cfg_features=16,
+        condition_vocab=2))
+    p = randomized(m, rng, scale=0.1)
+    y = m.forward(p.lift(), rng.standard_normal((256, 2)), 0.7, cond=Condition(1))
+    inner = [node for node in ad._topo(y) if node.parents]
+    assert not [node for node in inner if node.op == "matmul"]
+    # five (256, 96) arrays a block (modulate, fc1, gelu, fc2, gated_add),
+    # the input affine and the output modulation: 22 * 192 KiB = 4.125 MiB
+    held = sum(np.asarray(node.value).nbytes for node in inner)
+    assert held <= 4.25 * 2**20, held / 2**20
 
 
 @pytest.mark.parametrize("case", ["class_id", "cfg_scale", "r_above_t",

@@ -122,6 +122,39 @@ def test_clip_grad_norm(monkeypatch):
     assert np.array_equal(grads2["a"], np.array([0.3]))
 
 
+@pytest.mark.parametrize("clip", [1.0, None])
+def test_overflowing_gradient_norm_raises_before_the_update(clip):
+    # every gradient is finite, but 1e200 squared overflows float64: with
+    # clipping the step would scale to zero, without it Adam's second
+    # moment would become infinite and w would never move again
+    params = ad.ParameterSet({"w": np.array([1.0, 2.0]), "b": np.array([0.5])})
+    leaves = params.lift()
+    loss = ad.sum_(ad.mul(leaves["w"], 1e200))
+    opt = OptimizerState.init(params, lr=0.1)
+    before = params.copy()
+    with pytest.raises(NumericFailure, match="gradient norm overflows float64"):
+        descend(params, leaves, loss, opt, clip)
+    assert opt.step_count == 0
+    for name, p in params.entries.items():
+        assert np.array_equal(p, before[name]), name
+        assert not np.any(opt.first_moment[name]), name
+        assert not np.any(opt.second_moment[name]), name
+
+
+def test_clip_scales_a_shared_gradient_once(monkeypatch):
+    # the add hands one cotangent array to both leaves: it is scaled once,
+    # so the clipped norm is 1
+    params = ad.ParameterSet({"a": np.array([3.0]), "b": np.array([4.0])})
+    leaves = params.lift()
+    loss = ad.sum_(ad.mul(ad.add(leaves["a"], leaves["b"]), 2.0))
+    seen = descended_grads(monkeypatch)
+    report = descend(params, leaves, loss, OptimizerState.init(params, lr=0.1), 1.0)
+    (grads,) = seen
+    assert report.grad_norm == np.sqrt(8.0)
+    assert np.array_equal(grads["a"], np.array([2.0 * (1.0 / report.grad_norm)]))
+    assert np.array_equal(grads["b"], grads["a"])
+
+
 def tiny_mlp_step_loss(rng):
     """(params, leaves, loss of a tiny net, weak reference to the net's
     output value); no Node but the loss and the leaves stays bound."""
