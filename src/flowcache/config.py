@@ -72,7 +72,7 @@ class ExperimentConfig:
     sample_cfg_scale: float
     metric_samples: int
     metric_seed: int
-    emit_samples: bool
+    emit_samples: bool  # only false; configs that set it still load
 
     def __post_init__(self):
         for key, seed in (("seed", self.seed), ("metric_seed", self.metric_seed)):
@@ -95,6 +95,9 @@ class ExperimentConfig:
             raise ContractViolation("metric_samples must be >= 2")
         if self.taylor_order < 0:
             raise ContractViolation("taylor_order must be >= 0")
+        if self.emit_samples:
+            raise ContractViolation("emit_samples must be false: bench writes "
+                                    "no samples, `flowcache sample` does")
         mf = self.meanflow_train
         if mf.batch_size % mf.groups_per_step:
             raise ContractViolation(

@@ -395,40 +395,6 @@ def test_sample_cells_are_the_sampled_floats(tmp_path, tiny_pipeline):
         assert np.array_equal(cells, run.samples), run.strategy
 
 
-def test_bench_emit_samples_matches_sample(tmp_path, tiny_pipeline):
-    # bench with emit_samples writes one file per strategy, byte for byte
-    # the file `flowcache sample` writes for the same config
-    config, root = tiny_pipeline
-    emitting = tmp_path / "emit.json"
-    emitting.write_text(json.dumps({**TINY_CONFIG, "emit_samples": True}))
-    bench, sample = tmp_path / "bench", tmp_path / "sample"
-    assert main(["bench", "--config", str(emitting), "--out", str(bench),
-                 *checkpoint_args(root)]) == EXIT_OK
-    assert main(["sample", "--config", str(emitting), "--out", str(sample),
-                 *checkpoint_args(root)]) == EXIT_OK
-    names = sorted(p.name for p in bench.glob("samples-*.csv"))
-    assert len(names) == 4
-    assert names == sorted(p.name for p in sample.glob("samples-*.csv"))
-    for name in names:
-        assert (bench / name).read_bytes() == (sample / name).read_bytes()
-
-
-def test_bench_checks_its_sample_files_before_sampling(
-        tmp_path, tiny_pipeline, capsys, monkeypatch):
-    config, root = tiny_pipeline
-    emitting = tmp_path / "emit.json"
-    emitting.write_text(json.dumps({**TINY_CONFIG, "emit_samples": True}))
-    monkeypatch.setattr(runner, "sample_strategies", _no_work)
-    out = tmp_path / "out"
-    blocked = out / "samples-0-checkerboard-s20n2-taylor.csv"
-    blocked.mkdir(parents=True)
-    assert main(["bench", "--config", str(emitting), "--out", str(out),
-                 *checkpoint_args(root)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"cannot write {blocked}: it is a directory" in err
-    assert [p.name for p in out.iterdir()] == [blocked.name]
-
-
 def _pop_entry(key):
     return lambda ckpt: ckpt.config.pop(key)
 

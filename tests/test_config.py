@@ -71,6 +71,7 @@ BAD_CONFIGS = {
     "model_cfg_features_zero": {"model": {"cfg_features": 0}},
     "model_time_embed_dim_zero": {"model": {"time_embed_dim": 0}},
     "taylor_order_negative": {"taylor_order": -1},
+    "emit_samples_true": {"emit_samples": True},
     # seeds and the sampling plan
     "seed_negative": {"seed": -1},
     "metric_seed_negative": {"metric_seed": -1},
@@ -131,6 +132,8 @@ NAMED = {
     "model_cfg_features_zero": "'model': cfg_features",
     "model_time_embed_dim_zero": "'model': time_embed_dim",
     "taylor_order_negative": "taylor_order",
+    "emit_samples_true": "emit_samples must be false: bench writes no "
+                         "samples, `flowcache sample` does",
     "seed_negative": "seed must be >= 0",
     "metric_seed_negative": "metric_seed must be >= 0",
     "distribution_seed_negative": "'distribution': seed must be >= 0",

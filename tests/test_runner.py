@@ -1,6 +1,7 @@
 """Runner invariants that must hold without `assert` (they survive -O), the
-sampling pool's size rule, outputs that do not depend on the pool, and
-scoring that overlaps the sampling of the later strategies."""
+sampling pool's size rule, outputs that do not depend on the pool, scoring
+that overlaps the sampling of the later strategies, and an early close that
+starts no queued session."""
 
 import csv
 import json
@@ -9,6 +10,7 @@ import math
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import fields, replace
 
@@ -416,31 +418,43 @@ def test_wall_clock_ms_spans_a_strategys_sessions(tmp_path, tiny_pipeline,
         assert 0 < longest <= record.wall_clock_ms <= whole_ms
 
 
-def test_session_queue_loses_no_session_under_contention():
-    # more threads than cores, switching every microsecond: every session's
-    # result reaches its strategy, in key order, and every wait ends
-    strategies, sessions = 6, 16
+def test_closing_after_the_first_strategy_starts_no_queued_session(
+        tiny_pipeline, monkeypatch):
+    # on a pool of 2 the helper's first session past `none` holds until no
+    # session is pending, which only the close can bring about; a session
+    # that starts once the close has cancelled one is a queued session run
+    config, root = tiny_pipeline
+    cfg = load_config(config)
+    force_pool(monkeypatch, 2)
+    futures, late = [], []
 
-    def session(i, k):
-        time.sleep(1e-3)  # the consumer often waits for a helper's session
-        return i, k
+    class Slot(Future):
+        def __init__(self):
+            super().__init__()
+            futures.append(self)
 
-    queue = runner._SessionQueue(session, strategies, sessions)
-    done = []
+    def pending():
+        return [f for f in futures if not (f.running() or f.done())]
 
-    def consume():
-        with queue.helpers(4):
-            done.extend(queue.done(i) for i in range(strategies))
+    original = runner._run_session
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        consumer = threading.Thread(target=consume, daemon=True)
-        consumer.start()
-        consumer.join(TIMEOUT_S)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not consumer.is_alive()
-    assert [outs for outs, _ in done] == [
-        [(i, k) for k in range(sessions)] for i in range(strategies)]
-    assert all(wall_ms >= 0 for _, wall_ms in done)
+    def held(name, key, *rest):
+        if any(f.cancelled() for f in futures):
+            late.append((name, key))
+        if (name != "none"
+                and threading.current_thread().name.startswith("sampler-")):
+            deadline = time.monotonic() + TIMEOUT_S
+            while pending() and time.monotonic() < deadline:
+                time.sleep(1e-3)
+        return original(name, key, *rest)
+
+    monkeypatch.setattr(runner, "Future", Slot)
+    monkeypatch.setattr(runner, "_run_session", held)
+    threads = threading.active_count()
+    runs = runner.sample_strategies(cfg, root / "meanflow.fck",
+                                    root / "predictor.fck")
+    assert next(runs).strategy == "none"
+    runs.close()
+    assert threading.active_count() == threads
+    assert pending() == [] and any(f.cancelled() for f in futures)
+    assert late == []
