@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -173,8 +174,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: tensor name is not UTF-8") from exc
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(8 * count), dtype="<f8").copy()
+        data = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").copy()
         entries[name] = data.reshape(shape)
     if r.off != len(body):
         raise CorruptCheckpointError(f"{path}: trailing bytes after tensors")

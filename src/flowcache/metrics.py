@@ -281,17 +281,14 @@ def w2_distance(a, b, terms: ReferenceTerms | None = None) -> float:
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
-    if terms is not None:
-        terms.bind(b)
+    terms = ReferenceTerms() if terms is None else terms
+    terms.bind(b)
     cost = cdist(a, b, metric="sqeuclidean")
     if not np.isfinite(cost.sum()):
         raise NumericFailure(_SQUARES_OVERFLOW)
-    shift = None if terms is None else terms.potentials
-    if shift is None:
-        shift = -_auction_prices(cost)
-        if terms is not None:
-            terms.potentials = shift
-    cost -= shift
+    if terms.potentials is None:
+        terms.potentials = -_auction_prices(cost)
+    cost -= terms.potentials
     _, cols = linear_sum_assignment(cost)
     diff = a - b[cols]
     return float(np.sqrt(np.sum(diff * diff, axis=1).mean()))
@@ -327,13 +324,13 @@ def energy_distance(a, b, terms: ReferenceTerms | None = None) -> float:
     a, b = _check_samples(a, b, equal_n=False)
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ContractViolation("energy_distance needs at least 2 points per set")
-    if terms is not None:
-        terms.bind(b)
+    terms = ReferenceTerms() if terms is None else terms
+    terms.bind(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        if terms is not None and terms.self_energy is None:
+        if terms.self_energy is None:
             terms.self_energy = _mean_abs_diff(b, b)
-        bb = _mean_abs_diff(b, b) if terms is None else terms.self_energy
-        value = 2.0 * _mean_abs_diff(a, b) - _mean_abs_diff(a, a) - bb
+        value = (2.0 * _mean_abs_diff(a, b) - _mean_abs_diff(a, a)
+                 - terms.self_energy)
     if not np.isfinite(value):
         raise NumericFailure("distances between the sample sets overflow "
                              "float64")

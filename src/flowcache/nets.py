@@ -4,7 +4,9 @@ The shared backbone is a residual MLP whose blocks are modulated by a
 conditioning vector (shift/scale/gate computed per block from the time,
 class, and guidance-scale embeddings). Modulation affines and output heads
 start at zero, so a fresh model is the zero velocity field and blocks open
-up through their gates during training.
+up through their gates during training. ``VelocityModel.param_specs`` is the
+one table of tensors: each row gives a name, a shape and an initializer
+(zeros, orthogonal, or a scaled normal draw), in the order the draws are made.
 
 Each affine layer, each modulation h * (1 + scale) + shift and each gated
 residual h + gate * z is one autodiff primitive (``affine``, ``modulate``,
@@ -85,6 +87,12 @@ def _orthogonal(rng, shape) -> Array:
     return q[:rows, :cols]
 
 
+# init kinds of VelocityModel.param_specs; any other init is the standard
+# deviation of a normal draw
+ZEROS = "zeros"
+ORTHOGONAL = "orthogonal"
+
+
 # ---------------------------------------------------------------------------
 # Velocity model
 # ---------------------------------------------------------------------------
@@ -160,60 +168,44 @@ class VelocityModel:
 
     # -- parameters ---------------------------------------------------------
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+    def param_specs(self) -> list[tuple[str, tuple[int, ...], str | float]]:
+        """(name, shape, init) of every tensor, in the order init_params
+        draws them; init is ZEROS, ORTHOGONAL or a normal draw's std."""
         c = self.config
         H, E, d = c.hidden_dim, c.time_embed_dim, c.input_dim
-        shapes: dict[str, tuple[int, ...]] = {
-            "input.w": (d, H), "input.b": (H,),
-            "time_t.w": (E, H), "time_t.b": (H,),
-            "class_emb": (c.condition_vocab + 1, H),
-        }
+        specs = [("input.w", (d, H), ORTHOGONAL), ("input.b", (H,), ZEROS),
+                 ("time_t.w", (E, H), ORTHOGONAL), ("time_t.b", (H,), ZEROS),
+                 ("class_emb", (c.condition_vocab + 1, H), 0.02)]
         if c.accepts_r:
-            shapes["time_r.w"] = (E, H)
-            shapes["time_r.b"] = (H,)
+            specs += [("time_r.w", (E, H), ORTHOGONAL), ("time_r.b", (H,), ZEROS)]
         if c.accepts_cfg:
             F = c.cfg_features
-            shapes.update({
-                "cfg.w1": (F,), "cfg.b1": (F,),
-                "cfg.w2": (F, H), "cfg.b2": (H,),
-                "cfg.skip": (H,),
-            })
+            specs += [("cfg.w1", (F,), 0.5), ("cfg.b1", (F,), ZEROS),
+                      ("cfg.w2", (F, H), ZEROS), ("cfg.b2", (H,), ZEROS),
+                      ("cfg.skip", (H,), 0.02)]
         for i in range(c.depth):
-            shapes[f"block{i}.mod.w"] = (H, 3 * H)
-            shapes[f"block{i}.mod.b"] = (3 * H,)
-            shapes[f"block{i}.fc1.w"] = (H, H)
-            shapes[f"block{i}.fc1.b"] = (H,)
-            shapes[f"block{i}.fc2.w"] = (H, H)
-            shapes[f"block{i}.fc2.b"] = (H,)
-        shapes["out_mod.w"] = (H, 2 * H)
-        shapes["out_mod.b"] = (2 * H,)
-        shapes["out.w"] = (H, c.output_dim)
-        shapes["out.b"] = (c.output_dim,)
-        return shapes
+            b = f"block{i}"
+            specs += [(f"{b}.mod.w", (H, 3 * H), ZEROS), (f"{b}.mod.b", (3 * H,), ZEROS),
+                      (f"{b}.fc1.w", (H, H), ORTHOGONAL), (f"{b}.fc1.b", (H,), ZEROS),
+                      (f"{b}.fc2.w", (H, H), ORTHOGONAL), (f"{b}.fc2.b", (H,), ZEROS)]
+        return specs + [("out_mod.w", (H, 2 * H), ZEROS), ("out_mod.b", (2 * H,), ZEROS),
+                        ("out.w", (H, c.output_dim), ZEROS), ("out.b", (c.output_dim,), ZEROS)]
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: shape for name, shape, _ in self.param_specs()}
 
     def param_count(self) -> int:
-        return int(sum(math.prod(s) for s in self.param_shapes().values()))
+        return sum(math.prod(shape) for _, shape, _ in self.param_specs())
 
     def init_params(self, rng) -> ParameterSet:
-        c = self.config
         entries: dict[str, Array] = {}
-        for name, shape in self.param_shapes().items():
-            if name in ("out.w", "out.b") or ".mod." in name or name.startswith("out_mod"):
+        for name, shape, init in self.param_specs():
+            if init == ZEROS:
                 entries[name] = np.zeros(shape)
-            elif name == "class_emb":
-                entries[name] = 0.02 * rng.standard_normal(shape)
-            elif name == "cfg.w1":
-                entries[name] = 0.5 * rng.standard_normal(shape)
-            elif name == "cfg.skip":
-                entries[name] = 0.02 * rng.standard_normal(shape)
-            elif name == "cfg.w2":
-                entries[name] = np.zeros(shape)
-            elif name.endswith(".b") or name.endswith(".b1") or name.endswith(".b2"):
-                entries[name] = np.zeros(shape)
-            elif len(shape) == 2:
+            elif init == ORTHOGONAL:
                 entries[name] = _orthogonal(rng, shape)
             else:
-                entries[name] = np.zeros(shape)
+                entries[name] = init * rng.standard_normal(shape)
         return ParameterSet(entries)
 
     # -- forward ------------------------------------------------------------
@@ -387,6 +379,9 @@ class Predictor:
                 f"predictor has {self.param_count()} parameters, over the "
                 f"{config.parameter_budget_ratio:.0%} budget of "
                 f"{budget:.0f} for this backbone")
+
+    def param_specs(self):
+        return self._core.param_specs()
 
     def param_shapes(self):
         return self._core.param_shapes()

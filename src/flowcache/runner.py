@@ -505,13 +505,17 @@ def sample_paths(config: ExperimentConfig, out_dir) -> list[Path]:
 
 def _metrics_header(path: Path) -> list[str]:
     """Header of an existing metrics CSV, [] for a missing or empty file. A
-    file with another header (an older schema), or a path no file can be
-    written to, raises ConfigError."""
+    file with another header (an older schema) or none that can be read, or
+    a path no file can be written to, raises ConfigError."""
     _check_writable(path)
     header = []
     if path.exists():
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), [])
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                header = next(csv.reader(fh), [])
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"cannot read the header of {path}: {exc}; "
+                              f"write to another output directory") from exc
     if header and tuple(header) != METRICS_COLUMNS:
         raise ConfigError(
             f"{path} has columns {header}, expected {list(METRICS_COLUMNS)}; "

@@ -4,6 +4,7 @@ and what a CLI process loads and pins."""
 
 import csv
 import errno
+import hashlib
 import json
 import math
 import os
@@ -84,6 +85,17 @@ def test_unknown_model_key_exits_2(tmp_path):
     config.write_text(json.dumps({"model": {"hiden_dim": 8}}))
     assert main(["train-base", "--config", str(config),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "latin.json"
+    config.write_bytes(b"\xff" + json.dumps(TINY_CONFIG).encode())
+    assert main(["train-base", "--config", str(config),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot read config file {config}: 'utf-8' codec" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "base.fck").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -290,6 +302,30 @@ def test_bench_refuses_metrics_csv_of_another_schema(tmp_path, tiny_pipeline,
                  *checkpoint_args(root)]) == EXIT_CONFIG
     assert "expected ['run_id'" in capsys.readouterr().err
     assert old.read_bytes() == before
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"\xffrun_id,strategy\r\n", "codec can't decode byte 0xff"),
+    (b"x" * (csv.field_size_limit() + 1) + b"\r\n", "field larger than"),
+], ids=["not-utf8", "field-over-limit"])
+def test_bench_refuses_metrics_csv_it_cannot_read(tmp_path, tiny_pipeline,
+                                                  capsys, monkeypatch,
+                                                  content, message):
+    config, root = tiny_pipeline
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the metrics.csv header")
+
+    monkeypatch.setattr(runner, "sample_strategies", no_sampling)
+    old = tmp_path / "metrics.csv"
+    old.write_bytes(content)
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path),
+                 *checkpoint_args(root)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot read the header of {old}" in err
+    assert message in err
+    assert "Traceback" not in err
+    assert old.read_bytes() == content
 
 
 def test_bench_of_non_finite_samples_exits_4(tmp_path, tiny_pipeline, capsys,
@@ -500,17 +536,11 @@ RESEALED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(RESEALED))
-def test_resealed_snapshot_mismatch_exits_3(tmp_path, tiny_pipeline, capsys,
-                                            case):
-    # the file is rewritten with a valid digest, so only the reader's checks
-    # of its snapshot and tensors can reject it
-    command, name, edit, message = RESEALED[case]
-    config, root = tiny_pipeline
-    ckpt = load_checkpoint(root / name)
-    edit(ckpt)
-    resealed = tmp_path / name
-    save_checkpoint(resealed, ckpt)
+def _resealed_exits_3(command, resealed, message, config, root, tmp_path,
+                      capsys):
+    """Run `command` on the resealed file in place of its namesake in root
+    and check that the reader rejects it (exit 3) with `message`."""
+    name = resealed.name
     given = ([resealed] if command in ("distill-cfg", "distill-meanflow",
                                        "train-predictor")
              else [tmp_path / n if n == name else root / n
@@ -524,6 +554,42 @@ def test_resealed_snapshot_mismatch_exits_3(tmp_path, tiny_pipeline, capsys,
     assert message in err
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", sorted(RESEALED))
+def test_resealed_snapshot_mismatch_exits_3(tmp_path, tiny_pipeline, capsys,
+                                            case):
+    # the file is rewritten with a valid digest, so only the reader's checks
+    # of its snapshot and tensors can reject it
+    command, name, edit, message = RESEALED[case]
+    config, root = tiny_pipeline
+    ckpt = load_checkpoint(root / name)
+    edit(ckpt)
+    resealed = tmp_path / name
+    save_checkpoint(resealed, ckpt)
+    _resealed_exits_3(command, resealed, message, config, root, tmp_path,
+                      capsys)
+
+
+@pytest.mark.parametrize("command,name", [("distill-cfg", "base.fck"),
+                                          ("sample", "meanflow.fck"),
+                                          ("bench", "predictor.fck")])
+def test_resealed_tensor_of_overflowing_extents_exits_3(
+        tmp_path, tiny_pipeline, capsys, command, name):
+    # extents (2^32 - 1, 2^32 - 1) count more entries than an int64 holds;
+    # the file has no data for them, so the count must read as truncation
+    config, root = tiny_pipeline
+    ckpt = load_checkpoint(root / name)
+    _set_tensor("out.b", (0, 0))(ckpt)
+    resealed = tmp_path / name
+    save_checkpoint(resealed, ckpt)
+    body = resealed.read_bytes()[:-32]
+    empty = b"\x05\x00out.b\x02" + b"\x00" * 8
+    assert body.count(empty) == 1
+    body = body.replace(empty, b"\x05\x00out.b\x02" + b"\xff" * 8)
+    resealed.write_bytes(body + hashlib.sha256(body).digest())
+    _resealed_exits_3(command, resealed, "truncated checkpoint", config, root,
+                      tmp_path, capsys)
 
 
 # Runs the CLI in one fresh interpreter and reports, after each command,

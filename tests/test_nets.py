@@ -1,6 +1,7 @@
 """Network contracts: embeddings, forward shapes/derivatives, parameter
 budgets, and discriminator spectral behavior."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 
 from flowcache import autodiff as ad
 from flowcache.errors import ContractViolation, NumericFailure
-from flowcache.nets import (Condition, Discriminator, DiscriminatorConfig,
-                            Predictor, PredictorConfig, VelocityModel,
-                            VelocityModelConfig, cfg_embed, default_taps,
-                            time_embed)
+from flowcache.nets import (ORTHOGONAL, ZEROS, Condition, Discriminator,
+                            DiscriminatorConfig, Predictor, PredictorConfig,
+                            VelocityModel, VelocityModelConfig, cfg_embed,
+                            default_taps, time_embed)
 
 from conftest import COMPOSITES, fd_directional, fd_grad, rel_err
 
@@ -332,6 +333,70 @@ def test_predictor_zero_init_output(rng):
                             rng.standard_normal((4, 2)), 0.5, 0.3,
                             Condition(0, 2.0))
     assert np.array_equal(out, np.zeros((4, 2)))
+
+
+# ---------------------------------------------------------------------------
+# parameter table
+# ---------------------------------------------------------------------------
+
+def table_networks():
+    """The four backbone head combinations and a predictor core."""
+    return {"plain": small_model(accepts_r=False),
+            "accepts_r": small_model(),
+            "accepts_cfg": small_model(accepts_r=False, accepts_cfg=True),
+            "both": small_model(accepts_cfg=True),
+            "predictor": backbone_and_predictor()[1]}
+
+
+# sha256 over each tensor's name, shape and values rounded to 1e-6, in table
+# order, of init_params(default_rng(0)), taken before the table replaced the
+# name rules. LAPACK's QR differs by up to 5e-15 between BLAS kernels (seen
+# with OPENBLAS_CORETYPE), so exact bytes would differ on another CPU; a
+# change to any row's order, shape, kind or scale moves far more than 1e-6.
+INIT_DIGESTS = {
+    "plain": "ee6be3cf2d9fc41af924697e0a594a5ad34aa072ac72d65e705c322279a8b2af",
+    "accepts_r": "e54c7acb676d769e1eef56ade214a91237a3bd9fae3038e430bbbf86bba539b9",
+    "accepts_cfg": "e9ab28d8f60b53a94329b4fd7a93a5c85d85e79ed4f67323a2b610637ab53bde",
+    "both": "4d8b25466384917542335985b0e802fc1c87f546d183ce9627df9daa04b84899",
+    "predictor": "66f00c5aa8c128be7db3f72aaec7d268f7b42d27e9240383835b4a3d98c7c237",
+}
+
+
+@pytest.mark.parametrize("net", sorted(INIT_DIGESTS))
+def test_init_params_are_stable(net):
+    params = table_networks()[net].init_params(np.random.default_rng(0))
+    h = hashlib.sha256()
+    for name, v in params.entries.items():
+        h.update(f"{name}{v.shape}".encode())
+        h.update((np.round(v, 6) + 0.0).tobytes())  # + 0.0 turns -0.0 to 0.0
+    assert h.hexdigest() == INIT_DIGESTS[net]
+
+
+@pytest.mark.parametrize("net", sorted(INIT_DIGESTS))
+def test_init_params_draw_each_declared_kind(net):
+    m = table_networks()[net]
+    specs = m.param_specs()
+    params = m.init_params(np.random.default_rng(0))
+    assert list(params.entries) == [name for name, _, _ in specs]
+    for name, shape, init in specs:
+        w = params[name]
+        assert w.shape == shape, name
+        if init == ZEROS:
+            assert not np.any(w), name
+        elif init == ORTHOGONAL:
+            gram = w.T @ w if shape[0] >= shape[1] else w @ w.T
+            assert np.allclose(gram, np.eye(min(shape)), atol=1e-12), name
+        else:
+            # a normal draw of std `init`: the sample std lies near it
+            assert 0.6 < np.std(w) / init < 1.6, name
+
+
+@pytest.mark.parametrize("net", sorted(INIT_DIGESTS))
+def test_param_shapes_and_count_read_the_table(net):
+    m = table_networks()[net]
+    specs = m.param_specs()
+    assert list(m.param_shapes().items()) == [(n, s) for n, s, _ in specs]
+    assert m.param_count() == sum(math.prod(s) for _, s, _ in specs)
 
 
 # ---------------------------------------------------------------------------
