@@ -64,9 +64,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractViolation, NumericFailure
+from .kernels import erf
 
 Array = np.ndarray
 

@@ -30,10 +30,12 @@ in again. On perfbench's `train` config
 (2-vCPU x86 VM) a fresh `train-base` process took 21-22k minor faults in
 all, or 133k in one run; without scipy's solver imported at start-up it
 took 48-132k, and a `distill-cfg` after it in the same process up to 105k
-more. Pinned, a fresh training process takes 15-19k at hash seeds 0-2,
-about 13k of them its imports. The pin changes no output. It is glibc-only (without
-`mallopt` it does nothing) and process-local: it is made in `main`, not at
-import, so importing flowcache as a library leaves the allocator as it was.
+more. Pinned, a fresh `train-base` or `distill-cfg` process takes 9.3-9.8k
+at hash seeds 0-2, about 6.1k of them its imports (15-19k and 12-13k while
+the CLI still imported the scipy packages). The pin changes no output. It
+is glibc-only (without `mallopt` it does nothing) and process-local: it is
+made in `main`, not at import, so importing flowcache as a library leaves
+the allocator as it was.
 """
 
 from __future__ import annotations

@@ -52,10 +52,9 @@ every strategy has been sampled and scored.
 
 Every strategy's metrics are measured against one reference set, through one
 `ReferenceTerms` holder: the first strategy's 2-D W2 solve is cold, and its
-`metric_ms` includes the auction that starts that solve, the solve, the
-reference's energy self term and, in a process that has run no 2-D metric
-yet, the import of scipy's solver (about 0.2 s); the later strategies'
-solves start from that auction's prices and reuse that term (see metrics).
+`metric_ms` includes the auction that starts that solve, the solve and the
+reference's energy self term; the later strategies' solves start from that
+auction's prices and reuse that term (see metrics).
 Each value equals a call without the holder; the holder changes only the
 time.
 

@@ -164,7 +164,11 @@ def check_checkpoint_roundtrip(seed: int) -> tuple[bool, str]:
 
 def _plain_w2(a, b) -> float:
     """W2 from scipy's assignment on the unshifted cost matrix: no auction
-    prices, no potentials."""
+    prices, no potentials.
+
+    It imports the public scipy.optimize and scipy.spatial names on purpose,
+    not the compiled routines `kernels` loads, so that it stays a reference
+    independent of how w2_distance reaches them."""
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
