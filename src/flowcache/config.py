@@ -23,6 +23,10 @@ and so does any ContractViolation the dataclass raises for a value out of
 its range. Each key of `DEFAULTS` is a field of exactly one of the
 dataclasses that read its section.
 
+Each section shapes the stage that introduces it (`model` train-base, the
+`cfg_distill` range distill-cfg) and later stages read the snapshot; the
+exception is the distribution, which no snapshot records.
+
 The `schedule` section is read into `cache.ScheduleSpec`, the one schedule
 type: the sampler walks `config.schedule` itself, and the spec works out and
 checks its step modes as it is read. So a spec the sampler cannot walk
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -58,7 +62,7 @@ STRATEGY_NAMES = ("none", *(s.value for s in Strategy))
 class ExperimentConfig:
     seed: int
     distribution: ToyDistribution
-    model: VelocityModelConfig  # the base model's; see velocity_config
+    model: VelocityModelConfig  # the base model's
     base_train: TrainSettings
     cfg_distill: CfgConfig
     cfg_train: TrainSettings
@@ -103,9 +107,6 @@ class ExperimentConfig:
             raise ContractViolation(
                 f"'meanflow': batch_size {mf.batch_size} is not a multiple "
                 f"of groups_per_step {mf.groups_per_step}")
-
-    def velocity_config(self, accepts_r: bool, accepts_cfg: bool) -> VelocityModelConfig:
-        return replace(self.model, accepts_r=accepts_r, accepts_cfg=accepts_cfg)
 
 
 # The ExperimentConfig fields read from each section, in reading order; the

@@ -114,12 +114,15 @@ def cfg_distill_step(student: VelocityModel, params: ParameterSet,
 
 def init_student_from_teacher(student: VelocityModel, teacher_params: ParameterSet,
                               rng) -> ParameterSet:
-    """Student starts as a copy of the teacher where names/shapes agree; the
-    interval-time pathway starts at zero so r is initially ignored."""
-    params = student.init_params(rng)
+    """The student's init with every teacher tensor copied in: one the
+    student lacks or shapes otherwise raises ContractViolation naming it.
+    The interval-time pathway starts at zero so r is initially ignored."""
+    params, shapes = student.init_params(rng), student.param_shapes()
     for name, value in teacher_params.entries.items():
-        if name in params.entries and params.entries[name].shape == value.shape:
-            params.entries[name] = value.copy()
+        if shapes.get(name) != value.shape:
+            raise ContractViolation(f"teacher tensor '{name}' has shape {value.shape}, "
+                                    f"the student's is {shapes.get(name)}")
+        params.entries[name] = value.copy()
     if "time_r.w" in params.entries:
         params.entries["time_r.w"] = np.zeros_like(params.entries["time_r.w"])
         params.entries["time_r.b"] = np.zeros_like(params.entries["time_r.b"])

@@ -4,9 +4,9 @@ The shared backbone is a residual MLP whose blocks are modulated by a
 conditioning vector (shift/scale/gate computed per block from the time,
 class, and guidance-scale embeddings). Modulation affines and output heads
 start at zero, so a fresh model is the zero velocity field and blocks open
-up through their gates during training. ``VelocityModel.param_specs`` is the
-one table of tensors: each row gives a name, a shape and an initializer
-(zeros, orthogonal, or a scaled normal draw), in the order the draws are made.
+up through their gates during training. Every ``Network`` declares its
+tensors once, in its ``param_specs`` table: each row gives a name, a shape
+and an initializer (zeros, orthogonal, or a scaled normal draw), in draw order.
 
 Each affine layer, each modulation h * (1 + scale) + shift and each gated
 residual h + gate * z is one autodiff primitive (``affine``, ``modulate``,
@@ -87,10 +87,32 @@ def _orthogonal(rng, shape) -> Array:
     return q[:rows, :cols]
 
 
-# init kinds of VelocityModel.param_specs; any other init is the standard
-# deviation of a normal draw
+# init kinds of a param_specs row; any other init is the standard deviation
+# of a normal draw
 ZEROS = "zeros"
 ORTHOGONAL = "orthogonal"
+
+
+class Network:
+    """A network whose tensors are its `param_specs()` rows (name, shape, init),
+    in the order init_params draws them; init is ZEROS, ORTHOGONAL or a std."""
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: shape for name, shape, _ in self.param_specs()}
+
+    def param_count(self) -> int:
+        return sum(math.prod(shape) for _, shape, _ in self.param_specs())
+
+    def init_params(self, rng) -> ParameterSet:
+        entries: dict[str, Array] = {}
+        for name, shape, init in self.param_specs():
+            if init == ZEROS:
+                entries[name] = np.zeros(shape)
+            elif init == ORTHOGONAL:
+                entries[name] = _orthogonal(rng, shape)
+            else:
+                entries[name] = init * rng.standard_normal(shape)
+        return ParameterSet(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +181,7 @@ def _unit_times(name: str, value) -> list[float]:
     return times
 
 
-class VelocityModel:
+class VelocityModel(Network):
     """Velocity network u(x, r, t, c); with accepts_r=False it is the plain
     instantaneous field v(x, t, c)."""
 
@@ -168,9 +190,7 @@ class VelocityModel:
 
     # -- parameters ---------------------------------------------------------
 
-    def param_specs(self) -> list[tuple[str, tuple[int, ...], str | float]]:
-        """(name, shape, init) of every tensor, in the order init_params
-        draws them; init is ZEROS, ORTHOGONAL or a normal draw's std."""
+    def param_specs(self):
         c = self.config
         H, E, d = c.hidden_dim, c.time_embed_dim, c.input_dim
         specs = [("input.w", (d, H), ORTHOGONAL), ("input.b", (H,), ZEROS),
@@ -190,23 +210,6 @@ class VelocityModel:
                       (f"{b}.fc2.w", (H, H), ORTHOGONAL), (f"{b}.fc2.b", (H,), ZEROS)]
         return specs + [("out_mod.w", (H, 2 * H), ZEROS), ("out_mod.b", (2 * H,), ZEROS),
                         ("out.w", (H, c.output_dim), ZEROS), ("out.b", (c.output_dim,), ZEROS)]
-
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: shape for name, shape, _ in self.param_specs()}
-
-    def param_count(self) -> int:
-        return sum(math.prod(shape) for _, shape, _ in self.param_specs())
-
-    def init_params(self, rng) -> ParameterSet:
-        entries: dict[str, Array] = {}
-        for name, shape, init in self.param_specs():
-            if init == ZEROS:
-                entries[name] = np.zeros(shape)
-            elif init == ORTHOGONAL:
-                entries[name] = _orthogonal(rng, shape)
-            else:
-                entries[name] = init * rng.standard_normal(shape)
-        return ParameterSet(entries)
 
     # -- forward ------------------------------------------------------------
 
@@ -351,7 +354,7 @@ class PredictorConfig:
             raise ContractViolation("parameter_budget_ratio must lie in (0, 0.04]")
 
 
-class Predictor:
+class Predictor(Network):
     """Small network predicting the next mean velocity from the cached one
     plus the current state, times, and condition. Built against a specific
     backbone so the parameter budget is checked at construction."""
@@ -383,15 +386,6 @@ class Predictor:
     def param_specs(self):
         return self._core.param_specs()
 
-    def param_shapes(self):
-        return self._core.param_shapes()
-
-    def param_count(self) -> int:
-        return self._core.param_count()
-
-    def init_params(self, rng) -> ParameterSet:
-        return self._core.init_params(rng)
-
     def forward(self, params, cache_value, x, t, r, cond: Condition = Condition()):
         xv = value_of(x)
         cv = value_of(cache_value)
@@ -420,30 +414,27 @@ class DiscriminatorConfig:
             raise ContractViolation("scales must be strictly increasing")
 
 
-class Discriminator:
+class Discriminator(Network):
     """Per-scale linear stacks over extractor features, scores summed.
 
     Spectral normalization keeps one persistent power-iteration vector per
-    weight; it is refined on every scoring pass unless update_u=False.
+    weight, drawn after the tensors and refined on every scoring pass unless
+    update_u=False.
     """
 
     def __init__(self, config: DiscriminatorConfig, feature_dim: int, rng):
         self.config = config
         self.feature_dim = feature_dim
-        entries: dict[str, Array] = {}
-        self.u_state: dict[str, Array] = {}
-        Hd = config.hidden_dim
-        for tap in config.scales:
-            entries[f"s{tap}.fc1.w"] = _orthogonal(rng, (feature_dim, Hd))
-            entries[f"s{tap}.fc1.b"] = np.zeros(Hd)
-            entries[f"s{tap}.fc2.w"] = _orthogonal(rng, (Hd, Hd))
-            entries[f"s{tap}.fc2.b"] = np.zeros(Hd)
-            entries[f"s{tap}.head.w"] = np.zeros((Hd, 1))
-            entries[f"s{tap}.head.b"] = np.zeros(1)
-        self.params = ParameterSet(entries)
-        for name, w in entries.items():
-            if name.endswith(".w"):
-                self.u_state[name] = rng.standard_normal(w.shape[0])
+        self.params = self.init_params(rng)
+        self.u_state = {name: rng.standard_normal(w.shape[0])
+                        for name, w in self.params.entries.items() if name.endswith(".w")}
+
+    def param_specs(self):
+        F, Hd = self.feature_dim, self.config.hidden_dim
+        return [row for tap in self.config.scales for row in (
+            (f"s{tap}.fc1.w", (F, Hd), ORTHOGONAL), (f"s{tap}.fc1.b", (Hd,), ZEROS),
+            (f"s{tap}.fc2.w", (Hd, Hd), ORTHOGONAL), (f"s{tap}.fc2.b", (Hd,), ZEROS),
+            (f"s{tap}.head.w", (Hd, 1), ZEROS), (f"s{tap}.head.b", (1,), ZEROS))]
 
     def _weight(self, params, name: str, update_u: bool):
         w = params[name]

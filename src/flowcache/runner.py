@@ -4,7 +4,8 @@ with metrics CSV emission.
 
 Every stage file is written by `_save_stage`, with the lineage of the parent
 checkpoint it loaded, and read by `_open_stage`, which checks its stage and
-rebuilds its network from the snapshot. A snapshot entry (`velocity`,
+rebuilds its network from the snapshot: a child stage's network and g range
+come from there, not from the config. A snapshot entry (`velocity`, `cfg`,
 `restrict`, `predictor`) that is missing or does not hold exactly its
 dataclass's fields, each of the right type, a `delta_max` that is neither
 null nor a number in (0, 1], and tensors that are not the network's raise
@@ -77,7 +78,7 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import Future
 from contextlib import closing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -208,8 +209,7 @@ def _save_stage(path, stage: Stage, params: ParameterSet, snapshot: dict,
 
 def run_train_base(config: ExperimentConfig, out_path) -> Path:
     _check_writable(out_path, _step_log(out_path))
-    model = VelocityModel(config.velocity_config(accepts_r=False,
-                                                 accepts_cfg=False))
+    model = VelocityModel(config.model)
     params, reports = flow.train_base(model, config.distribution,
                                       config.base_train, seed=config.seed)
     return _save_stage(out_path, Stage.BASE_FM, params,
@@ -220,24 +220,27 @@ def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
     _check_writable(out_path, _step_log(out_path))
     stage = Stage.CFG_DISTILLED
     base, teacher = _open_stage(base_path, EXPECTED_PARENT[stage])
-    student = VelocityModel(config.velocity_config(accepts_r=True,
-                                                   accepts_cfg=True))
+    g = config.cfg_distill
+    student = VelocityModel(replace(teacher.config, accepts_r=True,
+                                    accepts_cfg=True, cfg_min=g.g_min,
+                                    cfg_max=g.g_max))
     params, reports = distill.train_cfg(
-        student, teacher, base.params, config.distribution,
-        cfg=config.cfg_distill, settings=config.cfg_train, seed=config.seed)
+        student, teacher, base.params, config.distribution, cfg=g,
+        settings=config.cfg_train, seed=config.seed)
     return _save_stage(out_path, stage, params,
-                       {"velocity": asdict(student.config),
-                        "cfg": asdict(config.cfg_distill)}, base, reports)
+                       {"velocity": asdict(student.config), "cfg": asdict(g)},
+                       base, reports)
 
 
 def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
     _check_writable(out_path, _step_log(out_path))
     stage = Stage.MEANFLOW
     parent, model = _open_stage(cfg_path, EXPECTED_PARENT[stage])
+    cfg = _snapshot_entry(cfg_path, parent, "cfg", distill.CfgConfig)
     params, reports = distill.train_meanflow(
         model, parent.params, model, parent.params, config.distribution,
-        restrict=config.restrict, cfg=config.cfg_distill,
-        settings=config.meanflow_train, seed=config.seed)
+        restrict=config.restrict, cfg=cfg, settings=config.meanflow_train,
+        seed=config.seed)
     return _save_stage(out_path, stage, params,
                        {"velocity": asdict(model.config),
                         "restrict": asdict(config.restrict)}, parent, reports)

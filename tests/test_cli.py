@@ -477,6 +477,11 @@ RESEALED = {
     "velocity-out-of-range": ("sample", "meanflow.fck",
                               _set_field("velocity", "depth", 0),
                               "'velocity': depth must be >= 1"),
+    "cfg-missing": ("distill-meanflow", "cfg.fck", _pop_entry("cfg"),
+                    "snapshot entry 'cfg' is missing"),
+    "cfg-unknown-field": ("distill-meanflow", "cfg.fck",
+                          _set_field("cfg", "g_mid", 2.0),
+                          "snapshot entry 'cfg' has fields"),
     "restrict-missing": ("train-predictor", "meanflow.fck",
                          _pop_entry("restrict"),
                          "snapshot entry 'restrict' is missing"),

@@ -356,6 +356,34 @@ def test_train_meanflow_smoke_and_interval_stats():
     assert all(np.isfinite(r.grad_norm) for r in reports)
 
 
+def test_student_init_copies_every_teacher_tensor(rng):
+    kw = dict(input_dim=2, depth=2, time_embed_dim=8, condition_vocab=2)
+    teacher = VelocityModel(VelocityModelConfig(hidden_dim=16, **kw))
+    tparams = teacher.init_params(rng)
+    student = VelocityModel(VelocityModelConfig(
+        hidden_dim=16, accepts_r=True, accepts_cfg=True, **kw))
+    init = distill.init_student_from_teacher(student, tparams, rng)
+    for name, value in tparams.entries.items():
+        assert np.array_equal(init[name], value), name
+    assert not np.any(init["time_r.w"]) and not np.any(init["time_r.b"])
+
+
+@pytest.mark.parametrize("teacher_kw,student_kw,message", [
+    ({"hidden_dim": 16}, {"hidden_dim": 8, "accepts_r": True, "accepts_cfg": True},
+     r"teacher tensor 'input.w' has shape \(2, 16\), the student's is \(2, 8\)"),
+    ({"hidden_dim": 8, "accepts_r": True}, {"hidden_dim": 8, "accepts_cfg": True},
+     r"teacher tensor 'time_r.w' has shape \(8, 8\), the student's is None"),
+], ids=["narrower", "lacking"])
+def test_student_that_cannot_hold_a_teacher_tensor_is_refused(
+        rng, teacher_kw, student_kw, message):
+    kw = dict(input_dim=2, depth=2, time_embed_dim=8, condition_vocab=2)
+    teacher = VelocityModel(VelocityModelConfig(**kw, **teacher_kw))
+    student = VelocityModel(VelocityModelConfig(**kw, **student_kw))
+    with pytest.raises(ContractViolation, match=message):
+        distill.init_student_from_teacher(
+            student, teacher.init_params(rng), rng)
+
+
 def test_escaped_interval_raises_before_update(rng):
     student = VelocityModel(VelocityModelConfig(
         input_dim=1, hidden_dim=8, depth=1, time_embed_dim=4,

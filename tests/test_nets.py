@@ -340,17 +340,22 @@ def test_predictor_zero_init_output(rng):
 # ---------------------------------------------------------------------------
 
 def table_networks():
-    """The four backbone head combinations and a predictor core."""
+    """The four backbone head combinations, a predictor core and a
+    discriminator."""
     return {"plain": small_model(accepts_r=False),
             "accepts_r": small_model(),
             "accepts_cfg": small_model(accepts_r=False, accepts_cfg=True),
             "both": small_model(accepts_cfg=True),
-            "predictor": backbone_and_predictor()[1]}
+            "predictor": backbone_and_predictor()[1],
+            "discriminator": Discriminator(
+                DiscriminatorConfig(scales=(1, 3), hidden_dim=4),
+                feature_dim=6, rng=np.random.default_rng(0))}
 
 
 # sha256 over each tensor's name, shape and values rounded to 1e-6, in table
 # order, of init_params(default_rng(0)), taken before the table replaced the
-# name rules. LAPACK's QR differs by up to 5e-15 between BLAS kernels (seen
+# name rules (the discriminator's: of the tensors its constructor drew from
+# default_rng(0) before it had a table). LAPACK's QR differs by up to 5e-15 between BLAS kernels (seen
 # with OPENBLAS_CORETYPE), so exact bytes would differ on another CPU; a
 # change to any row's order, shape, kind or scale moves far more than 1e-6.
 INIT_DIGESTS = {
@@ -359,6 +364,7 @@ INIT_DIGESTS = {
     "accepts_cfg": "e9ab28d8f60b53a94329b4fd7a93a5c85d85e79ed4f67323a2b610637ab53bde",
     "both": "4d8b25466384917542335985b0e802fc1c87f546d183ce9627df9daa04b84899",
     "predictor": "66f00c5aa8c128be7db3f72aaec7d268f7b42d27e9240383835b4a3d98c7c237",
+    "discriminator": "23327f860a7477092038072e4d0a3c1f0279df191c03aedb71dfbebef75cfbdf",
 }
 
 

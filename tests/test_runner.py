@@ -57,6 +57,35 @@ def test_each_stage_writes_one_record_per_step(tiny_pipeline, stage, steps):
                       else [False] * steps)
 
 
+# (command, the parent file it loads, the stage it writes, config sections
+# that only an earlier stage reads): the child builds on its parent, so these
+# keys change no byte of its outputs
+INHERITED = {
+    "distill-cfg-narrower-model": ("distill-cfg", "base.fck", "cfg",
+                                   {"model": {"hidden_dim": 8}}),
+    "distill-meanflow-wider-g": ("distill-meanflow", "cfg.fck", "meanflow",
+                                 {"cfg_distill": {"g_max": 20.0}}),
+    "distill-meanflow-narrower-g": ("distill-meanflow", "cfg.fck", "meanflow",
+                                    {"cfg_distill": {"g_max": 2.0}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INHERITED))
+def test_a_child_stage_builds_on_the_checkpoint_it_loaded(tmp_path,
+                                                          tiny_pipeline, case):
+    command, parent, stage, sections = INHERITED[case]
+    _, root = tiny_pipeline
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, **{
+        key: {**TINY_CONFIG.get(key, {}), **value}
+        for key, value in sections.items()}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(root / parent)]) == EXIT_OK
+    for name in (f"{stage}.fck", f"{stage}.jsonl"):
+        assert (out / name).read_bytes() == (root / name).read_bytes(), name
+
+
 def force_pool(monkeypatch, cores):
     """BLAS pinned to one thread on `cores` usable cores: a pool of
     min(sessions, cores) workers."""
