@@ -8,7 +8,7 @@ Layout (all integers little-endian):
     parent     u8       parent Stage value, 255 when none
     pdigest    32 bytes sha256 of the parent checkpoint file (zeros if none)
     conf_len   u32      length of the config snapshot
-    config     bytes    UTF-8 JSON snapshot (model/train configs)
+    config     bytes    UTF-8 JSON snapshot, keys sorted (see below)
     n_tensors  u32
     per tensor (name-sorted):
         name_len u16, name bytes (UTF-8), rank u8, extents u32 * rank,
@@ -20,8 +20,12 @@ pdigest. The pipeline order BASE_FM -> CFG_DISTILLED -> MEANFLOW ->
 PREDICTOR is enforced at load time from the recorded parent stage and may
 be re-verified against an actual parent file.
 
-The runner writes each child with the stage and digest of the parent it
-loaded, and checks snapshot entries and tensors as it reads (exit 3 too).
+The snapshot holds every file's `velocity` network config and the
+`distribution` train-base learned, which each child copies from its
+parent; cfg.fck adds its `cfg` g range, meanflow.fck `restrict`, and
+predictor.fck its `predictor` config and `delta_max`. The runner writes
+each child with the stage and digest of the parent it loaded, and checks
+snapshot entries and tensors as it reads (exit 3 too).
 """
 
 from __future__ import annotations

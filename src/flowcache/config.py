@@ -23,9 +23,9 @@ and so does any ContractViolation the dataclass raises for a value out of
 its range. Each key of `DEFAULTS` is a field of exactly one of the
 dataclasses that read its section.
 
-Each section shapes the stage that introduces it (`model` train-base, the
-`cfg_distill` range distill-cfg) and later stages read the snapshot; the
-exception is the distribution, which no snapshot records.
+Each section shapes the stage that introduces it (`distribution` and
+`model` train-base, the `cfg_distill` range distill-cfg) and later stages,
+`sample` and `bench` read the snapshot.
 
 The `schedule` section is read into `cache.ScheduleSpec`, the one schedule
 type: the sampler walks `config.schedule` itself, and the spec works out and
@@ -90,11 +90,6 @@ class ExperimentConfig:
                                         f"(expected one of {STRATEGY_NAMES})")
             if s in self.strategies[:i]:
                 raise ContractViolation(f"strategies names '{s}' twice")
-        g = self.cfg_distill
-        if not g.g_min <= self.sample_cfg_scale <= g.g_max:
-            raise ContractViolation(
-                f"sample_cfg_scale {self.sample_cfg_scale} lies outside "
-                f"cfg_distill's [g_min, g_max] = [{g.g_min}, {g.g_max}]")
         if self.metric_samples < 2:
             raise ContractViolation("metric_samples must be >= 2")
         if self.taylor_order < 0:
@@ -257,10 +252,9 @@ def config_from_dict(user: dict) -> ExperimentConfig:
         values = _section(raw, section)
         for name in names:
             given = {}
-            if name == "model":  # the data and the guidance range fix these
-                dist, cfg = read["distribution"], read["cfg_distill"]
-                given = dict(input_dim=dist.dim, condition_vocab=dist.n_classes,
-                             cfg_min=cfg.g_min, cfg_max=cfg.g_max)
+            if name == "model":  # the data fix these
+                dist = read["distribution"]
+                given = dict(input_dim=dist.dim, condition_vocab=dist.n_classes)
             read[name] = read_dataclass(section, types[name], values, **given)
     top = {k: v for k, v in raw.items() if k not in SECTION_FIELDS}
     return read_dataclass(None, ExperimentConfig, top, **read)

@@ -2,22 +2,24 @@
 the sampling loop shared by `sample` and `bench`, and the benchmark runner
 with metrics CSV emission.
 
-Every stage file is written by `_save_stage`, with the lineage of the parent
-checkpoint it loaded, and read by `_open_stage`, which checks its stage and
-rebuilds its network from the snapshot: a child stage's network and g range
-come from there, not from the config. A snapshot entry (`velocity`, `cfg`,
-`restrict`, `predictor`) that is missing or does not hold exactly its
-dataclass's fields, each of the right type, a `delta_max` that is neither
-null nor a number in (0, 1], and tensors that are not the network's raise
-CorruptCheckpointError naming the file and key (exit 3).
+Every stage file is written by `_save_stage`, with the lineage and the
+distribution of the parent checkpoint it loaded, and read by `_open_stage`,
+which checks its stage and rebuilds its network and distribution from the
+snapshot: a child stage's network, g range and data come from there, not
+from the config, and `sample` and `bench` label rows and files and draw the
+reference set from that distribution. A snapshot entry (`velocity`,
+`distribution`, `cfg`, `restrict`, `predictor`) that is missing or does not
+hold exactly its dataclass's fields, each of the right type, a `delta_max`
+that is neither null nor a number in (0, 1], and tensors that are not the
+network's raise CorruptCheckpointError naming the file and key (exit 3).
 
 Next to each trained stage's `.fck`, `_save_stage` writes `<stage>.jsonl`:
 one JSON object per optimizer step, in step order, holding the step index
 and the fields of its `optim.StepReport` (`predictor.jsonl` holds the MSE
 phase, then the GAN phase). A stage checks that its outputs can be written
-before it trains, `sample` checks its `sample_paths` files and `bench` its
-`metrics.csv` before they sample: a directory, or a file or folder without
-write access, in their place raises ConfigError (exit 2) naming the path.
+before it trains, `sample` its sample files and `bench` its `metrics.csv`
+before they sample: a directory, or a file or folder without write access,
+in their place raises ConfigError (exit 2) naming the path.
 `sample` is the only command that writes samples.
 
 Sampling sessions (per strategy, class, and 512-row quota chunk) each derive
@@ -81,6 +83,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,7 +95,7 @@ from .checkpoint import (EXPECTED_PARENT, Checkpoint, Stage, load_checkpoint,
 from .config import ExperimentConfig, read_dataclass
 from .errors import (ConfigError, ContractViolation, CorruptCheckpointError,
                      LineageError, NumericFailure)
-from .flow import mean_velocity_sample, sample_data
+from .flow import ToyDistribution, mean_velocity_sample, sample_data
 from .metrics import ReferenceTerms, energy_distance, w2_distance
 from .nets import (Condition, Predictor, PredictorConfig, VelocityModel,
                    VelocityModelConfig)
@@ -152,8 +155,9 @@ def _snapshot_entry(path, ckpt: Checkpoint, key: str, cls):
 
 
 def _open_stage(path, stage: Stage):
-    """(checkpoint, network its tensors belong to) of the `stage` file at
-    `path`: the snapshot's velocity model, or a predictor over it."""
+    """(checkpoint, network its tensors belong to, distribution it learned)
+    of the `stage` file at `path`; the network is the snapshot's velocity
+    model, or a predictor over it."""
     ckpt = load_checkpoint(path)
     if ckpt.stage is not stage:
         raise LineageError(f"{path}: expected a {stage.name} checkpoint, "
@@ -174,7 +178,8 @@ def _open_stage(path, stage: Stage):
             raise CorruptCheckpointError(
                 f"{path}: tensor '{name}' has shape {got.get(name)}, the "
                 f"snapshot's {type(net).__name__} expects {want.get(name)}")
-    return ckpt, net
+    return ckpt, net, _snapshot_entry(path, ckpt, "distribution",
+                                      ToyDistribution)
 
 
 def _check_writable(*paths) -> None:
@@ -194,11 +199,12 @@ def _step_log(path) -> Path:
 def _save_stage(path, stage: Stage, params: ParameterSet, snapshot: dict,
                 parent: Checkpoint | None = None,
                 reports: list[StepReport] | None = None) -> Path:
-    """Write a `stage` checkpoint, its lineage the loaded `parent`'s, and
-    the stage's step `reports`, one JSON line each, next to it."""
+    """Write a `stage` checkpoint, lineage and distribution the loaded
+    `parent`'s, and its step `reports`, one JSON line each, next to it."""
     ckpt = Checkpoint(stage=stage, params=params, config=snapshot)
     if parent is not None:
         ckpt.parent_stage, ckpt.parent_digest = parent.stage, parent.digest
+        ckpt.config["distribution"] = parent.config["distribution"]
     save_checkpoint(path, ckpt)
     if reports is not None:
         with open(_step_log(path), "w") as fh:
@@ -213,19 +219,21 @@ def run_train_base(config: ExperimentConfig, out_path) -> Path:
     params, reports = flow.train_base(model, config.distribution,
                                       config.base_train, seed=config.seed)
     return _save_stage(out_path, Stage.BASE_FM, params,
-                       {"velocity": asdict(model.config)}, reports=reports)
+                       {"velocity": asdict(model.config),
+                        "distribution": asdict(config.distribution)},
+                       reports=reports)
 
 
 def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
     _check_writable(out_path, _step_log(out_path))
     stage = Stage.CFG_DISTILLED
-    base, teacher = _open_stage(base_path, EXPECTED_PARENT[stage])
+    base, teacher, dist = _open_stage(base_path, EXPECTED_PARENT[stage])
     g = config.cfg_distill
     student = VelocityModel(replace(teacher.config, accepts_r=True,
                                     accepts_cfg=True, cfg_min=g.g_min,
                                     cfg_max=g.g_max))
     params, reports = distill.train_cfg(
-        student, teacher, base.params, config.distribution, cfg=g,
+        student, teacher, base.params, dist, cfg=g,
         settings=config.cfg_train, seed=config.seed)
     return _save_stage(out_path, stage, params,
                        {"velocity": asdict(student.config), "cfg": asdict(g)},
@@ -235,10 +243,10 @@ def run_distill_cfg(config: ExperimentConfig, base_path, out_path) -> Path:
 def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
     _check_writable(out_path, _step_log(out_path))
     stage = Stage.MEANFLOW
-    parent, model = _open_stage(cfg_path, EXPECTED_PARENT[stage])
+    parent, model, dist = _open_stage(cfg_path, EXPECTED_PARENT[stage])
     cfg = _snapshot_entry(cfg_path, parent, "cfg", distill.CfgConfig)
     params, reports = distill.train_meanflow(
-        model, parent.params, model, parent.params, config.distribution,
+        model, parent.params, model, parent.params, dist,
         restrict=config.restrict, cfg=cfg, settings=config.meanflow_train,
         seed=config.seed)
     return _save_stage(out_path, stage, params,
@@ -249,14 +257,14 @@ def run_distill_meanflow(config: ExperimentConfig, cfg_path, out_path) -> Path:
 def run_train_predictor(config: ExperimentConfig, meanflow_path,
                         out_path) -> Path:
     _check_writable(out_path, _step_log(out_path))
-    parent, backbone = _open_stage(meanflow_path,
-                                   EXPECTED_PARENT[Stage.PREDICTOR])
+    parent, backbone, dist = _open_stage(meanflow_path,
+                                         EXPECTED_PARENT[Stage.PREDICTOR])
     restrict = _snapshot_entry(meanflow_path, parent, "restrict",
                                distill.RestrictConfig)
     predictor = Predictor(config.predictor, backbone)
     params, _, reports, _ = predictor_train.train_predictor(
-        backbone, parent.params, predictor, config.distribution,
-        restrict=restrict, cfg=config.predictor_train, seed=config.seed)
+        backbone, parent.params, predictor, dist, restrict=restrict,
+        cfg=config.predictor_train, seed=config.seed)
     return _save_stage(out_path, Stage.PREDICTOR, params,
                        {"velocity": asdict(backbone.config),
                         "predictor": asdict(config.predictor),
@@ -264,13 +272,23 @@ def run_train_predictor(config: ExperimentConfig, meanflow_path,
                        parent, reports)
 
 
-def load_sampler(meanflow_path, predictor_path=None):
-    """Rebuild (model, params, predictor, predictor_params, delta_max) from
-    checkpoints, verifying the lineage chain when both are given."""
-    mf, model = _open_stage(meanflow_path, Stage.MEANFLOW)
+class Sampler(NamedTuple):
+    """What `sample` and `bench` rebuild from their checkpoints."""
+    model: VelocityModel
+    params: ParameterSet
+    predictor: Predictor | None
+    predictor_params: ParameterSet | None
+    delta_max: float | None
+    distribution: ToyDistribution
+
+
+def load_sampler(meanflow_path, predictor_path=None) -> Sampler:
+    """Rebuild the Sampler from checkpoints, verifying the lineage chain
+    when both are given."""
+    mf, model, dist = _open_stage(meanflow_path, Stage.MEANFLOW)
     if predictor_path is None:
-        return model, mf.params, None, None, None
-    pc, predictor = _open_stage(predictor_path, Stage.PREDICTOR)
+        return Sampler(model, mf.params, None, None, None, dist)
+    pc, predictor, _ = _open_stage(predictor_path, Stage.PREDICTOR)
     verify_parent(pc, mf, child_path=str(predictor_path))
     delta_max = pc.config.get("delta_max")
     try:  # null, or read as the `predictor` config section reads it
@@ -280,7 +298,7 @@ def load_sampler(meanflow_path, predictor_path=None):
     except ConfigError as exc:
         raise CorruptCheckpointError(
             f"{predictor_path}: snapshot entry {exc}") from exc
-    return model, mf.params, predictor, pc.params, delta_max
+    return Sampler(model, mf.params, predictor, pc.params, delta_max, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +310,10 @@ def _class_quotas(n: int, n_classes: int) -> list[int]:
     return [base + (1 if k < extra else 0) for k in range(n_classes)]
 
 
-def _session_keys(config: ExperimentConfig):
+def _session_keys(config: ExperimentConfig, dist: ToyDistribution):
     keys = []
     for class_id, quota in enumerate(
-            _class_quotas(config.metric_samples, config.distribution.n_classes)):
+            _class_quotas(config.metric_samples, dist.n_classes)):
         offset = 0
         while offset < quota:
             keys.append((class_id, offset, min(_SESSION_CHUNK, quota - offset)))
@@ -328,13 +346,13 @@ def _pool_size(sessions: int) -> int:
     return max(1, min(sessions, cores // blas))
 
 
-def _run_session(strategy_name, key, model, params, predictor, pparams,
-                 delta_max, config):
+def _run_session(strategy_name, key, sampler: Sampler, config):
+    model, params, predictor, pparams, delta_max, dist = sampler
     class_id, offset, count = key
     seq = np.random.SeedSequence([config.seed, config.metric_seed,
                                   class_id, offset])
     rng = np.random.default_rng(seq)
-    x1 = rng.standard_normal((count, config.distribution.dim))
+    x1 = rng.standard_normal((count, dist.dim))
     g = config.sample_cfg_scale if model.config.accepts_cfg else None
     cond = Condition(class_id, g)
     schedule = config.schedule
@@ -360,8 +378,8 @@ class StrategySamples:
     wall_clock_ms: float
 
 
-def sample_strategies(config: ExperimentConfig, meanflow_path,
-                      predictor_path=None) -> Iterator[StrategySamples]:
+def sample_strategies(config: ExperimentConfig,
+                      sampler: Sampler) -> Iterator[StrategySamples]:
     """Draw config.metric_samples points with every configured strategy,
     yielding each strategy's samples in config order as soon as its last
     session ends. The sessions of the strategies after it go on sampling on
@@ -373,11 +391,10 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
     A strategy whose learned predictions query the cache past the
     predictor's trained horizon logs one warning with their count. A
     strategy with a non-finite sample raises NumericFailure naming it."""
-    model, params, predictor, pparams, delta_max = load_sampler(
-        meanflow_path, predictor_path)
-    if "learned" in config.strategies and predictor is None:
+    dist = sampler.distribution
+    if "learned" in config.strategies and sampler.predictor is None:
         raise ConfigError("strategy 'learned' needs a predictor checkpoint")
-    names, keys = config.strategies, _session_keys(config)
+    names, keys = config.strategies, _session_keys(config, dist)
     # A Future is only a cancellable one-shot result slot here. A
     # ThreadPoolExecutor took the sessions off the calling thread and gave a
     # third thread its own malloc arena: `bench` samples_per_s 4718 -> 4035,
@@ -397,8 +414,7 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                 continue
             start = time.perf_counter()
             try:
-                out = _run_session(name, key, model, params, predictor,
-                                   pparams, delta_max, config)
+                out = _run_session(name, key, sampler, config)
             except BaseException as exc:
                 future.set_exception(exc)
                 if not isinstance(exc, Exception):
@@ -411,7 +427,7 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
     for thread in helpers:
         thread.start()
     try:
-        for i, (name, run_id) in enumerate(zip(names, _run_ids(config))):
+        for i, (name, run_id) in enumerate(zip(names, _run_ids(config, dist))):
             futures = [future for future, _, _ in jobs[i]]
             run(lambda: all(f.done() for f in futures))
             results, starts, ends = zip(*(f.result() for f in futures))
@@ -428,7 +444,7 @@ def sample_strategies(config: ExperimentConfig, meanflow_path,
                 log.warning("strategy '%s': %d of %d learned predictions "
                             "queried the cache past the predictor's trained "
                             "horizon %.4f", name, past,
-                            predictor_evals * len(results), delta_max)
+                            predictor_evals * len(results), sampler.delta_max)
             samples = np.concatenate([out for out, _ in results], axis=0)
             if not np.isfinite(samples).all():
                 raise NumericFailure(
@@ -454,12 +470,12 @@ def run_experiment(config: ExperimentConfig, meanflow_path,
     strategies sample."""
     out_dir = Path(out_dir)
     _metrics_header(out_dir / "metrics.csv")
-    reference = sample_data(config.distribution, config.metric_samples,
+    sampler = load_sampler(meanflow_path, predictor_path)
+    reference = sample_data(sampler.distribution, config.metric_samples,
                             config.metric_seed)
     terms = ReferenceTerms()
     records = []
-    with closing(sample_strategies(config, meanflow_path,
-                                   predictor_path)) as sampled:
+    with closing(sample_strategies(config, sampler)) as sampled:
         for run in sampled:
             t0 = time.perf_counter()
             w2 = w2_distance(run.samples, reference, terms)
@@ -477,13 +493,15 @@ def run_experiment(config: ExperimentConfig, meanflow_path,
 
 def run_sample(config: ExperimentConfig, meanflow_path, predictor_path=None,
                *, out_dir) -> list[tuple[StrategySamples, Path]]:
-    """Sample every configured strategy into its `sample_paths` file in the
+    """Sample every configured strategy into its samples-<run_id>.csv in the
     existing directory out_dir: a CSV with a header x0, x1, ... and one row
     per sample. Every file is checked before any sampling, and none is
     written before every strategy has been sampled."""
-    paths = sample_paths(config, out_dir)
+    sampler = load_sampler(meanflow_path, predictor_path)
+    paths = [Path(out_dir) / f"samples-{run_id.replace(':', '-')}.csv"
+             for run_id in _run_ids(config, sampler.distribution)]
     _check_writable(*paths)
-    runs = list(sample_strategies(config, meanflow_path, predictor_path))
+    runs = list(sample_strategies(config, sampler))
     for run, path in zip(runs, paths, strict=True):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -492,17 +510,11 @@ def run_sample(config: ExperimentConfig, meanflow_path, predictor_path=None,
     return list(zip(runs, paths))
 
 
-def _run_ids(config: ExperimentConfig) -> list[str]:
+def _run_ids(config: ExperimentConfig, dist: ToyDistribution) -> list[str]:
     """Each configured strategy's seed:distribution:schedule:strategy."""
-    spec, kind = config.schedule, config.distribution.kind
+    spec, kind = config.schedule, dist.kind
     return [f"{config.seed}:{kind}:s{spec.total_steps}n{spec.max_interval}:"
             f"{name}" for name in config.strategies]
-
-
-def sample_paths(config: ExperimentConfig, out_dir) -> list[Path]:
-    """Each configured strategy's samples-<run_id>.csv in out_dir."""
-    return [Path(out_dir) / f"samples-{run_id.replace(':', '-')}.csv"
-            for run_id in _run_ids(config)]
 
 
 def _metrics_header(path: Path) -> list[str]:

@@ -285,6 +285,26 @@ def test_bench_writes_metrics_csv(tmp_path, tiny_pipeline):
     assert not list(tmp_path.glob("samples-*.csv"))
 
 
+# the loaded model, trained on [1, 8], checks sample_cfg_scale: cfg_distill's
+# range shapes only distill-cfg
+@pytest.mark.parametrize("sections,code,message", [
+    ({"cfg_distill": {**TINY_CONFIG["cfg_distill"], "g_min": 2.0},
+      "sample_cfg_scale": 1.0}, EXIT_OK, ""),
+    ({"sample_cfg_scale": 9.0}, EXIT_CONFIG,
+     "invalid request: cfg_scale 9.0 outside [1.0, 8.0]"),
+], ids=["inside-the-model-range", "outside-the-model-range"])
+def test_bench_checks_sample_cfg_scale_against_the_loaded_model(
+        tmp_path, tiny_pipeline, capsys, sections, code, message):
+    _, root = tiny_pipeline
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, **sections}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(config), "--out", str(out),
+                 *checkpoint_args(root)]) == code
+    assert message in capsys.readouterr().err
+    assert (out / "metrics.csv").exists() == (code == EXIT_OK)
+
+
 def test_bench_refuses_metrics_csv_of_another_schema(tmp_path, tiny_pipeline,
                                                      capsys, monkeypatch):
     config, root = tiny_pipeline
@@ -420,8 +440,9 @@ def test_sample_cells_are_the_sampled_floats(tmp_path, tiny_pipeline):
     assert main(["sample", "--config", str(config), "--out", str(tmp_path),
                  *checkpoint_args(root)]) == EXIT_OK
     runs = list(runner.sample_strategies(load_config(config),
-                                         root / "meanflow.fck",
-                                         root / "predictor.fck"))
+                                         runner.load_sampler(
+                                             root / "meanflow.fck",
+                                             root / "predictor.fck")))
     assert len(runs) == 4
     for run in runs:
         path = tmp_path / f"samples-{run.run_id.replace(':', '-')}.csv"
@@ -482,6 +503,17 @@ RESEALED = {
     "cfg-unknown-field": ("distill-meanflow", "cfg.fck",
                           _set_field("cfg", "g_mid", 2.0),
                           "snapshot entry 'cfg' has fields"),
+    "distribution-missing": ("distill-cfg", "base.fck",
+                             _pop_entry("distribution"),
+                             "snapshot entry 'distribution' is missing"),
+    "distribution-unknown-field": ("bench", "meanflow.fck",
+                                   _set_field("distribution", "kindd",
+                                              "two_moons"),
+                                   "snapshot entry 'distribution' has fields"),
+    "distribution-bad-kind": ("sample", "predictor.fck",
+                              _set_field("distribution", "kind", "spiral"),
+                              "'distribution': unknown distribution kind "
+                              "'spiral'"),
     "restrict-missing": ("train-predictor", "meanflow.fck",
                          _pop_entry("restrict"),
                          "snapshot entry 'restrict' is missing"),

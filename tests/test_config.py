@@ -76,9 +76,6 @@ BAD_CONFIGS = {
     "seed_negative": {"seed": -1},
     "metric_seed_negative": {"metric_seed": -1},
     "distribution_seed_negative": {"distribution": {"seed": -3}},
-    "sample_cfg_scale_above_g_max": {"sample_cfg_scale": 9.0},
-    "sample_cfg_scale_below_g_min": {"cfg_distill": {"g_min": 2.0},
-                                     "sample_cfg_scale": 1.0},
     "strategies_repeated": {"strategies": ["naive", "naive"]},
     "strategies_empty": {"strategies": []},
     # one case per schedule the sampler cannot walk
@@ -137,8 +134,6 @@ NAMED = {
     "seed_negative": "seed must be >= 0",
     "metric_seed_negative": "metric_seed must be >= 0",
     "distribution_seed_negative": "'distribution': seed must be >= 0",
-    "sample_cfg_scale_above_g_max": "sample_cfg_scale 9.0",
-    "sample_cfg_scale_below_g_min": "sample_cfg_scale 1.0",
     "strategies_repeated": "strategies names 'naive' twice",
     "strategies_empty": "strategies must name",
     "schedule_max_interval_zero": "'schedule': total_steps and max_interval",

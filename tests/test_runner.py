@@ -57,17 +57,33 @@ def test_each_stage_writes_one_record_per_step(tiny_pipeline, stage, steps):
                       else [False] * steps)
 
 
+TWO_MOONS = {"distribution": {"kind": "two_moons"}}
+
 # (command, the parent file it loads, the stage it writes, config sections
 # that only an earlier stage reads): the child builds on its parent, so these
 # keys change no byte of its outputs
 INHERITED = {
     "distill-cfg-narrower-model": ("distill-cfg", "base.fck", "cfg",
                                    {"model": {"hidden_dim": 8}}),
+    "distill-cfg-two-moons": ("distill-cfg", "base.fck", "cfg", TWO_MOONS),
     "distill-meanflow-wider-g": ("distill-meanflow", "cfg.fck", "meanflow",
                                  {"cfg_distill": {"g_max": 20.0}}),
     "distill-meanflow-narrower-g": ("distill-meanflow", "cfg.fck", "meanflow",
                                     {"cfg_distill": {"g_max": 2.0}}),
+    "distill-meanflow-two-moons": ("distill-meanflow", "cfg.fck", "meanflow",
+                                   TWO_MOONS),
+    "train-predictor-two-moons": ("train-predictor", "meanflow.fck",
+                                  "predictor", TWO_MOONS),
 }
+
+
+def tiny_config_with(path, sections):
+    """Write TINY_CONFIG with `sections` merged into its sections; return
+    the path."""
+    path.write_text(json.dumps({**TINY_CONFIG, **{
+        key: {**TINY_CONFIG.get(key, {}), **value}
+        for key, value in sections.items()}}))
+    return path
 
 
 @pytest.mark.parametrize("case", sorted(INHERITED))
@@ -75,15 +91,56 @@ def test_a_child_stage_builds_on_the_checkpoint_it_loaded(tmp_path,
                                                           tiny_pipeline, case):
     command, parent, stage, sections = INHERITED[case]
     _, root = tiny_pipeline
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**TINY_CONFIG, **{
-        key: {**TINY_CONFIG.get(key, {}), **value}
-        for key, value in sections.items()}}))
+    config = tiny_config_with(tmp_path / "config.json", sections)
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out),
                  "--checkpoint", str(root / parent)]) == EXIT_OK
     for name in (f"{stage}.fck", f"{stage}.jsonl"):
         assert (out / name).read_bytes() == (root / name).read_bytes(), name
+
+
+def bench_and_sample(config, root, out):
+    """`bench` and `sample` of root's pipeline under `config` into out:
+    (metrics.csv rows without the timing columns, {sample file: bytes})."""
+    checkpoints = ["--checkpoint", str(root / "meanflow.fck"),
+                   "--checkpoint", str(root / "predictor.fck")]
+    for command in ("bench", "sample"):
+        assert main([command, "--config", str(config), "--out", str(out),
+                     *checkpoints]) == EXIT_OK
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        del row["wall_clock_ms"], row["metric_ms"]
+    dumps = {p.name: p.read_bytes() for p in out.glob("samples-*.csv")}
+    return rows, dumps
+
+
+def test_train_base_reads_no_guidance_range(tmp_path, tiny_pipeline):
+    # the base network has no guidance head, so cfg_distill shapes none of it
+    _, root = tiny_pipeline
+    config = tiny_config_with(tmp_path / "config.json",
+                              {"cfg_distill": {"g_min": 2.0, "g_max": 20.0}})
+    assert main(["train-base", "--config", str(config),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    for name in ("base.fck", "base.jsonl"):
+        assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
+
+
+def test_sample_and_bench_score_the_distribution_the_model_learned(
+        tmp_path, tiny_pipeline):
+    # a two_moons config on the checkerboard pipeline: rows, file names and
+    # every non-timing value are the checkerboard config's
+    config, root = tiny_pipeline
+    moons = tiny_config_with(tmp_path / "moons.json", TWO_MOONS)
+    rows, dumps = bench_and_sample(moons, root, tmp_path / "moons")
+    assert [row["run_id"] for row in rows] == [
+        f"0:checkerboard:s20n2:{name}"
+        for name in ("none", "naive", "taylor", "learned")]
+    assert sorted(dumps) == sorted(
+        f"samples-0-checkerboard-s20n2-{name}.csv"
+        for name in ("none", "naive", "taylor", "learned"))
+    assert (rows, dumps) == bench_and_sample(config, root,
+                                             tmp_path / "checkerboard")
 
 
 def force_pool(monkeypatch, cores):
@@ -104,13 +161,16 @@ def miscount_class_1(monkeypatch):
     monkeypatch.setattr(runner, "_run_session", skewed)
 
 
+def load_pair(root):
+    """The sampler of root's mean-velocity and predictor checkpoints."""
+    return runner.load_sampler(root / "meanflow.fck", root / "predictor.fck")
+
+
 def test_sessions_disagreeing_on_nfe_raise(tiny_pipeline, monkeypatch):
     config, root = tiny_pipeline
     miscount_class_1(monkeypatch)
     with pytest.raises(ContractViolation, match="disagree on NFE counts"):
-        list(runner.sample_strategies(load_config(config),
-                                      root / "meanflow.fck",
-                                      root / "predictor.fck"))
+        list(runner.sample_strategies(load_config(config), load_pair(root)))
 
 
 @pytest.mark.parametrize("openblas,omp,cores,sessions,size", [
@@ -174,26 +234,13 @@ def test_pool_size_never_changes_an_output(tmp_path, tiny_pipeline,
     config, root = tiny_pipeline
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({**TINY_CONFIG, "metric_samples": 1100}))
-    keys = runner._session_keys(load_config(wide))
+    cfg = load_config(wide)
+    keys = runner._session_keys(cfg, cfg.distribution)
     assert [count for _, _, count in keys] == [512, 38, 512, 38]
-    checkpoints = ["--checkpoint", str(root / "meanflow.fck"),
-                   "--checkpoint", str(root / "predictor.fck")]
-
-    def run(out):
-        for command in ("bench", "sample"):
-            assert main([command, "--config", str(wide), "--out", str(out),
-                         *checkpoints]) == EXIT_OK
-        with open(out / "metrics.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        for row in rows:
-            del row["wall_clock_ms"], row["metric_ms"]
-        dumps = {p.name: p.read_bytes() for p in out.glob("samples-*.csv")}
-        return rows, dumps
-
     force_pool(monkeypatch, 1)
-    rows_1, dumps_1 = run(tmp_path / "pool1")
+    rows_1, dumps_1 = bench_and_sample(wide, root, tmp_path / "pool1")
     with three_concurrent_sessions(monkeypatch, keys):
-        rows_3, dumps_3 = run(tmp_path / "pool3")
+        rows_3, dumps_3 = bench_and_sample(wide, root, tmp_path / "pool3")
     assert len(rows_1) == 4 and rows_3 == rows_1
     assert len(dumps_1) == 4 and dumps_3 == dumps_1
 
@@ -204,9 +251,7 @@ def test_nfe_disagreement_crosses_the_pool(tiny_pipeline, monkeypatch):
     assert runner._pool_size(2) == 2
     miscount_class_1(monkeypatch)
     with pytest.raises(ContractViolation, match="disagree on NFE counts"):
-        list(runner.sample_strategies(load_config(config),
-                                      root / "meanflow.fck",
-                                      root / "predictor.fck"))
+        list(runner.sample_strategies(load_config(config), load_pair(root)))
 
 
 def test_one_session_per_strategy_still_fills_the_pool(tmp_path, monkeypatch):
@@ -218,7 +263,7 @@ def test_one_session_per_strategy_still_fills_the_pool(tmp_path, monkeypatch):
                                   "distribution": {"kind": "gaussian1d"}}))
     train_pipeline(config, tmp_path)
     cfg = load_config(config)
-    assert len(runner._session_keys(cfg)) == 1
+    assert len(runner._session_keys(cfg, cfg.distribution)) == 1
     force_pool(monkeypatch, 2)
     both = threading.Barrier(2, timeout=TIMEOUT_S)
     threads = []
@@ -231,8 +276,7 @@ def test_one_session_per_strategy_still_fills_the_pool(tmp_path, monkeypatch):
         return original(name, key, *rest)
 
     monkeypatch.setattr(runner, "_run_session", spy)
-    runs = list(runner.sample_strategies(cfg, tmp_path / "meanflow.fck",
-                                         tmp_path / "predictor.fck"))
+    runs = list(runner.sample_strategies(cfg, load_pair(tmp_path)))
     assert [run.strategy for run in runs] == list(cfg.strategies)
     assert any(name.startswith("sampler-") for name in threads)
 
@@ -257,26 +301,23 @@ def test_numeric_failure_in_one_session_exits_4(tmp_path, tiny_pipeline,
 
 
 def test_out_of_horizon_queries_warn_once_per_strategy(tiny_pipeline,
-                                                       monkeypatch, caplog):
+                                                       caplog):
     # the fixture schedule's learned queries sit 0.05 past their cache, so
     # a trained horizon of 0.01 puts every one of them out of horizon
     config, root = tiny_pipeline
     cfg = load_config(config)
-    sessions = len(runner._session_keys(cfg))
-    load = runner.load_sampler
+    sampler = load_pair(root)
+    sessions = len(runner._session_keys(cfg, sampler.distribution))
 
-    def run():
+    def run(sampler):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="flowcache"):
-            runs = list(runner.sample_strategies(cfg, root / "meanflow.fck",
-                                                 root / "predictor.fck"))
+            runs = list(runner.sample_strategies(cfg, sampler))
         return runs, [r.getMessage() for r in caplog.records]
 
-    _, messages = run()
+    _, messages = run(sampler)
     assert messages == []
-    monkeypatch.setattr(runner, "load_sampler",
-                        lambda *paths: (*load(*paths)[:4], 0.01))
-    runs, messages = run()
+    runs, messages = run(sampler._replace(delta_max=0.01))
     learned = next(r for r in runs if r.strategy == "learned")
     queries = learned.predictor_evals * sessions
     assert queries > 0
@@ -303,7 +344,7 @@ def test_w2_column_equals_a_cold_recomputation(tmp_path, tiny_pipeline,
     monkeypatch.setattr(runner, "w2_distance", spy(w2_distance))
     monkeypatch.setattr(runner, "energy_distance", spy(energy_distance))
     records = runner.run_experiment(cfg, *checkpoints, out_dir=tmp_path)
-    runs = runner.sample_strategies(cfg, *checkpoints)
+    runs = runner.sample_strategies(cfg, runner.load_sampler(*checkpoints))
     reference = sample_data(cfg.distribution, cfg.metric_samples,
                             cfg.metric_seed)
     assert [r.strategy for r in records] == list(cfg.strategies)
@@ -336,7 +377,7 @@ def none_sampled_first(monkeypatch, config, before):
     Both threads sample `none` before anything else, so the calling thread
     takes no job past the next strategy's before it scores `none`."""
     force_pool(monkeypatch, 2)
-    left = len(runner._session_keys(config))
+    left = len(runner._session_keys(config, config.distribution))
     lock, sampled = threading.Lock(), threading.Event()
     original = runner._run_session
 
@@ -390,7 +431,7 @@ def test_later_strategies_sample_while_none_is_scored(tmp_path, tiny_pipeline,
     records = runner.run_experiment(cfg, root / "meanflow.fck",
                                     root / "predictor.fck", out_dir=tmp_path)
     assert [r.strategy for r in records] == list(cfg.strategies)
-    assert sorted(gated) == runner._session_keys(cfg)
+    assert sorted(gated) == runner._session_keys(cfg, cfg.distribution)
 
 
 def test_session_failure_while_scoring_exits_4(tmp_path, tiny_pipeline,
@@ -480,8 +521,7 @@ def test_closing_after_the_first_strategy_starts_no_queued_session(
     monkeypatch.setattr(runner, "Future", Slot)
     monkeypatch.setattr(runner, "_run_session", held)
     threads = threading.active_count()
-    runs = runner.sample_strategies(cfg, root / "meanflow.fck",
-                                    root / "predictor.fck")
+    runs = runner.sample_strategies(cfg, load_pair(root))
     assert next(runs).strategy == "none"
     runs.close()
     assert threading.active_count() == threads
